@@ -69,10 +69,12 @@ class TruncationError(Exception):
 
 
 def default_cutoff(mean_photons: float) -> int:
-    """Default per-mode occupation cutoff for a state with ``mean_photons``.
+    """Starting per-mode occupation cutoff for a state with ``mean_photons``.
 
     Uses ``<n> + 6 sqrt(<n>) + 10``, which puts the truncation several
-    standard deviations into the Poisson tail.
+    standard deviations into the Poisson tail.  Constructors raise it
+    further where the truncated-norm deficit still exceeds ``DEFICIT_TOL``
+    (for coherent states from ``<n> = 140`` on).
     """
     mean_photons = max(float(mean_photons), 0.0)
     return int(math.ceil(mean_photons + 6.0 * math.sqrt(mean_photons) + 10.0))
@@ -165,19 +167,20 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState:
     """Single-mode coherent state of amplitude ``alpha``.
 
-    The occupation cutoff is raised to at least ``|alpha|² + 6|alpha| + 10``
-    (callers may pass more).  Raises :class:`TruncationError` if the
-    truncated-norm deficit still exceeds ``DEFICIT_TOL``.
+    The occupation cutoff starts at ``|alpha|² + 6|alpha| + 10`` (callers
+    may pass more) and is raised to the smallest one whose truncated-norm
+    deficit is at most ``DEFICIT_TOL``, searched up to two further
+    standard deviations; :class:`TruncationError` if none is found.
     """
     mean = abs(alpha) ** 2
-    floor = default_cutoff(mean)
-    cutoff = floor if cutoff is None else max(int(cutoff), floor)
-    amps = _coherent_amplitudes(alpha, cutoff + 1)
-    deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if deficit > DEFICIT_TOL:
-        raise TruncationError(
-            f"coherent state |alpha|²={mean:g} at cutoff {cutoff}: norm deficit {deficit:.3e}"
-        )
+    floor = default_cutoff(mean) if cutoff is None else max(int(cutoff), default_cutoff(mean))
+    search = _coherent_amplitudes(alpha, floor + int(math.ceil(2.0 * math.sqrt(mean))) + 11)
+    deficits = 1.0 - np.cumsum(np.abs(search) ** 2)
+    meets = np.flatnonzero(deficits[floor:] <= DEFICIT_TOL)
+    if meets.size == 0:
+        last = search.size - 1
+        raise TruncationError(f"coherent state |alpha|²={mean:g}: norm deficit {deficits[-1]:.3e} at cutoff {last}")
+    amps = search[: floor + int(meets[0]) + 1]
     return _check_norm(FockState(amps / np.linalg.norm(amps)))
 
 
@@ -442,26 +445,33 @@ _rotation_cache: dict[float, list[np.ndarray]] = {}
 _ROTATION_CACHE_MAX = 4
 
 
+def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs ``(vals, W, g)`` of the tridiagonal ``H[k-1, k] = i couplings[k-1]``, zero diagonal.
+
+    In the gauge ``g_k = (-i)^k``, ``conj(g) H g`` is real symmetric, so
+    ``W`` is real and ``H = (g W) diag(vals) (g W)^†``.  The mixer's rotation
+    blocks and the oscillator's charge blocks are both diagonalized here.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    vals, vecs = eigh_tridiagonal(np.zeros(couplings.size + 1), couplings)
+    return vals, vecs, np.conj(1j ** np.arange(couplings.size + 1))
+
+
 def _rotation_block(n: int, theta: float) -> np.ndarray:
     """One total-photon-number block of exp[theta (a1† a2 - a2† a1)].
 
     The real orthogonal matrix ``B[m', m]`` mapping ``|m, n-m>`` to
-    ``sum_m' B[m', m] |m', n-m'>``.  The anti-symmetric tridiagonal
-    generator is gauged to a real symmetric tridiagonal matrix and
-    exponentiated through its eigendecomposition, which keeps every block
+    ``sum_m' B[m', m] |m', n-m'>``.  The block is ``exp(-i theta H)`` with
+    ``H[m, m+1] = -i sqrt((m+1)(n-m))``, exponentiated through the real-gauge
+    eigendecomposition of :func:`_tridiagonal_eigh`, which keeps every block
     orthogonal to machine precision at any size (naive amplitude
     recursions blow up beyond n ~ 100, and factorial formulas overflow).
     """
-    if n == 0:
-        return np.ones((1, 1))
-    from scipy.linalg import eigh_tridiagonal
-
     m = np.arange(n, dtype=float)
-    offdiag = -np.sqrt((m + 1.0) * (n - m))
-    vals, vecs = eigh_tridiagonal(np.zeros(n + 1), offdiag)
+    vals, vecs, gauge = _tridiagonal_eigh(-np.sqrt((m + 1.0) * (n - m)))
     core = (vecs * np.exp(-1j * theta * vals)) @ vecs.T
-    gauge = 1j ** np.arange(n + 1)
-    return (np.conj(gauge)[:, None] * core * gauge[None, :]).real
+    return (gauge[:, None] * core * np.conj(gauge)[None, :]).real
 
 
 def _rotation_blocks(theta: float, n_max: int) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ import scipy.sparse as sparse
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
-from .fock import DEFICIT_TOL, TruncationError, _coherent_amplitudes, default_cutoff
+from .fock import _tridiagonal_eigh, coherent_state
 from .metrics import PhaseResolution, phase_resolution
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "OptimalSqueezing",
     "hamiltonian_block",
     "block_basis",
-    "block_hamiltonians",
     "BlockEvolution",
     "evolve",
     "find_optimal_squeezing",
@@ -50,6 +49,9 @@ __all__ = [
 ]
 
 OscillatorKind = Literal["degenerate", "nondegenerate"]
+
+GRID_POINTS = 200  # time points per window scan of find_optimal_squeezing
+MAX_EXTENSIONS = 8  # window doublings it tries before giving up
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,16 @@ def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
     return [(half - k, half - k, k) for k in range(half + 1)]
 
 
+def _block_couplings(kind: OscillatorKind, charge: int, coupling: float = 1.0) -> np.ndarray:
+    """Off-diagonal ``b`` of one block, ``H[k-1, k] = i b[k-1]`` in :func:`block_basis` order."""
+    basis = block_basis(kind, charge)
+    k = np.arange(1, len(basis), dtype=float)
+    sub = np.array([occ[0] for occ in basis[1:]], dtype=float)  # occupation before conversion
+    if kind == "degenerate":
+        return 0.5 * coupling * np.sqrt(k * (sub + 1.0) * (sub + 2.0))
+    return coupling * np.sqrt(k) * (sub + 1.0)
+
+
 def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) -> np.ndarray:
     """One Hermitian block of the oscillator Hamiltonian.
 
@@ -105,79 +117,71 @@ def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) 
     turning one pump photon into a sub-harmonic pair moves one step down
     the pump index.
     """
-    basis = block_basis(kind, charge)
-    dim = len(basis)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(1, dim):
-        if kind == "degenerate":
-            n1 = basis[k][0]  # sub-harmonic occupation before conversion
-            elem = 0.5 * coupling * math.sqrt(k * (n1 + 1.0) * (n1 + 2.0))
-        else:
-            m = basis[k][0]
-            elem = coupling * math.sqrt(float(k)) * (m + 1.0)
-        h[k - 1, k] = 1j * elem
-        h[k, k - 1] = -1j * elem
-    return h
+    b = _block_couplings(kind, charge, coupling)
+    return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
-def block_hamiltonians(cfg: OscillatorConfig, charges) -> dict[int, np.ndarray]:
-    """Charge -> block matrix map for the given charges."""
-    return {int(q): hamiltonian_block(cfg.kind, int(q), cfg.coupling) for q in charges}
+def _apply_block_hamiltonian(couplings: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``H v`` for the block ``H[k-1, k] = i couplings[k-1]`` and columns ``v`` of shape (dim, n)."""
+    hv = np.zeros_like(v)
+    hv[:-1] += 1j * couplings[:, None] * v[1:]
+    hv[1:] -= 1j * couplings[:, None] * v[:-1]
+    return hv
 
 
-def _pump_block_amplitudes(cfg: OscillatorConfig, pump_cutoff: int | None):
-    """Initial coherent-pump coefficients c_K and the pump cutoff used."""
-    n = cfg.pump_photons
-    cutoff = default_cutoff(n) if pump_cutoff is None else max(int(pump_cutoff), default_cutoff(n))
-    alpha = math.sqrt(n) * np.exp(1j * cfg.pump_phase)
-    coeffs = _coherent_amplitudes(alpha, cutoff + 1)
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
-    if deficit > DEFICIT_TOL:
-        raise TruncationError(f"pump coherent state N={n:g} at cutoff {cutoff}: deficit {deficit:.3e}")
-    return coeffs / np.linalg.norm(coeffs), cutoff
+def _pump_block_amplitudes(cfg: OscillatorConfig) -> np.ndarray:
+    """Initial coherent-pump coefficients c_K, K = 0 .. pump cutoff."""
+    return coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
 
 
 @dataclass
 class _Block:
-    charge: int
+    couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
     eigvals: np.ndarray
-    eigvecs: np.ndarray
+    eigvecs: np.ndarray       # real eigenvectors of the gauged block conj(g) H g
+    gauge: np.ndarray         # g: occupation amplitudes are g * (eigvecs @ w)
     init: np.ndarray          # initial block vector
-    hamiltonian: np.ndarray
+    w0: np.ndarray            # initial block vector in the eigenbasis
     sub_occ: np.ndarray       # sub-harmonic occupation per basis index
     pump_occ: np.ndarray
     pair_coeff: np.ndarray    # <block q-2 | a1² or a2 a3 | block q> diagonal couplings
+
+    def states(self, w: np.ndarray, times) -> np.ndarray:
+        """Occupation amplitudes, shape (dim, len(times)), of eigenbasis vector ``w`` at each time."""
+        phased = np.exp(-1j * np.outer(self.eigvals, times)) * w[:, None]
+        # real eigenvectors times complex columns: one real GEMM over the (re, im) pairs
+        return self.gauge[:, None] * (self.eigvecs @ phased.view(np.float64)).view(np.complex128)
 
 
 class BlockEvolution:
     """Exact propagator of one oscillator run, block by block.
 
-    Eigendecompositions are computed once; evaluating the state or its
-    observables at any time is then a diagonal phase rotation per block.
+    Each block is diagonalized once, in the real gauge shared with the Fock
+    mixer; evaluating a whole time grid is then one GEMM per block.
     Blocks whose initial weight is below 1e-18 are dropped.
     """
 
-    def __init__(self, cfg: OscillatorConfig, pump_cutoff: int | None = None):
+    def __init__(self, cfg: OscillatorConfig):
         self.cfg = cfg
-        coeffs, self.pump_cutoff = _pump_block_amplitudes(cfg, pump_cutoff)
+        coeffs = _pump_block_amplitudes(cfg)
         self.blocks: dict[int, _Block] = {}
         for n_pump, c in enumerate(coeffs):
             if abs(c) ** 2 < 1e-18:
                 continue
             charge = 2 * n_pump
             basis = block_basis(cfg.kind, charge)
-            dim = len(basis)
-            h = hamiltonian_block(cfg.kind, charge, cfg.coupling)
-            vals, vecs = np.linalg.eigh(h)
-            init = np.zeros(dim, dtype=np.complex128)
+            couplings = _block_couplings(cfg.kind, charge, cfg.coupling)
+            vals, vecs, gauge = _tridiagonal_eigh(couplings)
+            init = np.zeros(n_pump + 1, dtype=np.complex128)
             init[n_pump] = c  # pump index n_pump holds (sub-modes vacuum, n_pump)
+            w0 = c * np.conj(gauge[n_pump]) * vecs[n_pump]  # W^T conj(g) init
             sub_occ = np.array([b[0] for b in basis], dtype=float)
             pump_occ = np.array([b[-1] for b in basis], dtype=float)
             if cfg.kind == "degenerate":
                 pair = np.sqrt(np.maximum(sub_occ * (sub_occ - 1.0), 0.0))
             else:
                 pair = sub_occ.copy()  # <m-1, m-1| a2 a3 |m, m> = m
-            self.blocks[charge] = _Block(charge, vals, vecs, init, h, sub_occ, pump_occ, pair)
+            self.blocks[charge] = _Block(couplings, vals, vecs, gauge, init, w0, sub_occ, pump_occ, pair)
 
     # -- propagation -------------------------------------------------------
 
@@ -186,58 +190,54 @@ class BlockEvolution:
         out = {}
         for q, v in vectors.items():
             blk = self.blocks[q]
-            w = blk.eigvecs.conj().T @ v
-            out[q] = blk.eigvecs @ (np.exp(-1j * blk.eigvals * dt) * w)
+            out[q] = blk.states(blk.eigvecs.T @ (np.conj(blk.gauge) * v), [dt])[:, 0]
         return out
 
     def initial_vectors(self) -> dict[int, np.ndarray]:
         return {q: blk.init.copy() for q, blk in self.blocks.items()}
 
     def state_at(self, t: float) -> dict[int, np.ndarray]:
-        return self.propagate(self.initial_vectors(), t)
+        return {q: blk.states(blk.w0, [t])[:, 0] for q, blk in self.blocks.items()}
 
     # -- observables -------------------------------------------------------
 
-    def observables_at(self, t: float) -> dict[str, float]:
-        vectors = self.state_at(t)
-        return self._observables(vectors)
+    def observables(self, times) -> dict[str, np.ndarray]:
+        """Observables on a time array, one GEMM per block, folded in block by block.
 
-    def _observables(self, vectors: dict[int, np.ndarray]) -> dict[str, float]:
-        n_sub = 0.0      # <n1> or <n2> (= <n3>)
-        n_pump = 0.0
-        charge = 0.0
-        energy = 0.0
-        norm_sq = 0.0
-        pair = 0.0 + 0.0j  # <a1²> or <a2 a3>: couples charge q to q-2
-        for q, v in vectors.items():
-            blk = self.blocks[q]
+        Only the block below is kept, for the pair term ``<a1²>`` / ``<a2 a3>``
+        that couples charge ``q`` to ``q - 2``.  Energy is ``<v|H v>`` with the
+        tridiagonal ``H``, not a sum over eigenvalues, so its drift tests the propagator.
+        """
+        t = np.asarray(times, dtype=float)
+        n_sub, n_pump, charge, energy, norm_sq = np.zeros((5, t.size))  # n_sub: <n1> or <n2> (= <n3>)
+        pair = np.zeros(t.size, dtype=np.complex128)
+        lower_q, lower = None, None
+        for q, blk in self.blocks.items():
+            v = blk.states(blk.w0, t)
             p = np.abs(v) ** 2
-            n_sub += float(p @ blk.sub_occ)
-            n_pump += float(p @ blk.pump_occ)
-            charge += float(p.sum()) * q
-            norm_sq += float(p.sum())
-            energy += float(np.real(np.vdot(v, blk.hamiltonian @ v)))
-            lower = vectors.get(q - 2)
-            if lower is not None:
+            weight = p.sum(axis=0)
+            n_sub += blk.sub_occ @ p
+            n_pump += blk.pump_occ @ p
+            charge += weight * q
+            norm_sq += weight
+            energy += np.real(np.sum(np.conj(v) * _apply_block_hamiltonian(blk.couplings, v), axis=0))
+            if lower_q == q - 2:
                 k = lower.shape[0]
-                pair += np.vdot(lower, blk.pair_coeff[:k] * v[:k])
-        if self.cfg.kind == "degenerate":
-            two_n = 2.0 * n_sub
-            intensity = n_sub
-        else:
-            two_n = 2.0 * n_sub  # n2 + n3
-            intensity = n_sub    # <c† c> of the normalized composite mode
-        var_x = 1.0 + two_n - 2.0 * pair.real
-        var_min_angle = 1.0 + two_n - 2.0 * abs(pair)
+                pair += np.sum(np.conj(lower) * (blk.pair_coeff[:k, None] * v[:k]), axis=0)
+            lower_q, lower = q, v
+        two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
         return {
-            "var_x": var_x,
-            "intensity_y": intensity,
+            "var_x": 1.0 + two_n - 2.0 * pair.real,
+            "intensity_y": n_sub,  # <n1>, or <c† c> of the normalized composite mode
             "pump_n": n_pump,
             "charge": charge,
             "energy": energy,
             "norm_sq": norm_sq,
-            "var_x_min_angle": var_min_angle,
+            "var_x_min_angle": 1.0 + two_n - 2.0 * np.abs(pair),
         }
+
+    def observables_at(self, t: float) -> dict[str, float]:
+        return {k: float(v[0]) for k, v in self.observables([t]).items()}
 
     def var_x_at(self, t: float) -> float:
         return self.observables_at(t)["var_x"]
@@ -246,7 +246,7 @@ class BlockEvolution:
         """||H psi0||, the natural scale for energy-drift checks."""
         total = 0.0
         for blk in self.blocks.values():
-            total += float(np.linalg.norm(blk.hamiltonian @ blk.init) ** 2)
+            total += float(np.linalg.norm(_apply_block_hamiltonian(blk.couplings, blk.init[:, None])) ** 2)
         return math.sqrt(total)
 
 
@@ -267,18 +267,16 @@ class EvolutionResult:
     s_at_tsq: float
 
 
-def evolve(cfg: OscillatorConfig, t_grid, pump_cutoff: int | None = None) -> EvolutionResult:
+def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     """Propagate and record observables on an ascending time grid from 0."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be 1-d, start at 0, and be strictly ascending")
-    ev = BlockEvolution(cfg, pump_cutoff)
-    keys = ("var_x", "intensity_y", "pump_n", "charge", "energy", "norm_sq", "var_x_min_angle")
-    series = {k: np.empty(t.size) for k in keys}
-    for i, ti in enumerate(t):
-        obs = ev.observables_at(float(ti))
-        for k in keys:
-            series[k][i] = obs[k]
+    return _evolution(BlockEvolution(cfg), t)
+
+
+def _evolution(ev: BlockEvolution, t: np.ndarray) -> EvolutionResult:
+    series = ev.observables(t)
     i_min = int(np.argmin(series["var_x"]))
     s_at = phase_resolution(series["intensity_y"][i_min], series["var_x"][i_min]).s
     return EvolutionResult(
@@ -303,6 +301,7 @@ class OptimalSqueezing:
     ``resolution`` is the phase resolution at ``t_sq`` with the fixed
     ``x``-quadrature; ``s_min_angle`` re-optimizes the quadrature angle at
     the same time (the two coincide up to rounding for zero pump phase).
+    ``evolution`` is the final window scan.
     """
 
     t_sq: float
@@ -313,36 +312,31 @@ class OptimalSqueezing:
     evolution: EvolutionResult
 
 
-def find_optimal_squeezing(
-    cfg: OscillatorConfig,
-    pump_cutoff: int | None = None,
-    grid_points: int = 200,
-    max_extensions: int = 8,
-) -> OptimalSqueezing:
+def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     """Locate the time of maximal sub-harmonic squeezing.
 
-    Scans ``grid_points`` times over ``[0, 5 / sqrt(max(N, 1))]`` (the
-    undepleted-pump timescale), doubling the window until the variance
-    minimum is interior, then refines by golden-section search to a
-    relative time tolerance of 1e-6.
+    Scans ``GRID_POINTS`` times over ``[0, 5 / sqrt(max(N, 1))]`` (the
+    undepleted-pump timescale), doubling the window up to
+    ``MAX_EXTENSIONS`` times until the variance minimum is interior, then
+    refines by golden-section search to a relative time tolerance of 1e-6.
+    One propagator serves the scans and the search.
     """
-    ev = BlockEvolution(cfg, pump_cutoff)
+    ev = BlockEvolution(cfg)
     scale = math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling
     t_max = 5.0 / scale
-    for _ in range(max_extensions + 1):
-        grid = np.linspace(0.0, t_max, grid_points)
-        var = np.array([ev.var_x_at(float(ti)) for ti in grid])
-        i = int(np.argmin(var))
-        if var[i] > 1.0 - 1e-12:
+    for _ in range(MAX_EXTENSIONS + 1):
+        result = _evolution(ev, np.linspace(0.0, t_max, GRID_POINTS))
+        i = int(np.argmin(result.var_x))
+        if result.var_x[i] > 1.0 - 1e-12:
             # stationary run (vacuum pump): nothing to refine
-            result = evolve(cfg, grid, pump_cutoff)
             return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
-        if 0 < i < grid.size - 1:
+        if 0 < i < GRID_POINTS - 1:
             break
         t_max *= 2.0
     else:
         raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
 
+    grid = result.times
     try:
         res = minimize_scalar(
             ev.var_x_at,
@@ -362,7 +356,6 @@ def find_optimal_squeezing(
     obs = ev.observables_at(t_sq)
     resolution = phase_resolution(obs["intensity_y"], obs["var_x"])
     s_angle = phase_resolution(obs["intensity_y"], obs["var_x_min_angle"]).s
-    result = evolve(cfg, grid, pump_cutoff)
     return OptimalSqueezing(
         t_sq=t_sq,
         var_min=obs["var_x"],
@@ -380,27 +373,21 @@ def _ladder_sparse(dim: int) -> sparse.csr_matrix:
     return sparse.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")
 
 
-def dense_dims(cfg: OscillatorConfig, pump_cutoff: int | None = None) -> tuple[int, ...]:
-    """Mode dimensions (sub-harmonics first, pump last) covering the reachable set."""
-    cutoff = default_cutoff(cfg.pump_photons) if pump_cutoff is None else int(pump_cutoff)
-    d_pump = cutoff + 1
-    if cfg.kind == "degenerate":
-        return (2 * d_pump - 1, d_pump)
-    return (d_pump, d_pump, d_pump)
-
-
-def dense_evolve(cfg: OscillatorConfig, times, pump_cutoff: int | None = None):
+def dense_evolve(cfg: OscillatorConfig, times):
     """Full-tensor propagation via sparse Krylov exponentials.
 
     Returns ``(dims, states)`` where ``states[i]`` is the dense amplitude
-    tensor at ``times[i]``.  This is the oracle route: it shares nothing
-    with the charge-block propagator except the Hamiltonian definition.
+    tensor at ``times[i]``; the mode dimensions (sub-harmonics first, pump
+    last) cover every state reachable from the truncated pump.  This is
+    the oracle route: it shares nothing with the charge-block propagator
+    except the Hamiltonian definition.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be 1-d, start at 0, and be strictly ascending")
-    coeffs, cutoff = _pump_block_amplitudes(cfg, pump_cutoff)
-    dims = dense_dims(cfg, cutoff)
+    coeffs = _pump_block_amplitudes(cfg)
+    d_pump = coeffs.size
+    dims = (2 * d_pump - 1, d_pump) if cfg.kind == "degenerate" else (d_pump, d_pump, d_pump)
     pump_vec = coeffs
     kappa = cfg.coupling
 

@@ -135,6 +135,15 @@ def test_sweep_command(tmp_path):
     assert (tmp_path / "sweep.svg").exists()
 
 
+def test_sweep_above_140_photons(tmp_path):
+    """Pumps past the 6-sigma cutoff floor's validity run instead of exiting with code 3."""
+    assert main(["sweep", "--kind", "nondegenerate", "--N", "141:150:linear:3",
+                 "--outdir", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 4
+    assert all(0.0 < float(row.split(",")[2]) < 1.0 for row in rows[1:])
+
+
 def test_sweep_jobs_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("SQUEEZELAB_JOBS", "2")
     assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3",

@@ -10,7 +10,10 @@ from squeezelab.fock import (
     FockState,
     QuadratureSpec,
     SqueezeParams,
+    DEFICIT_TOL,
     TruncationError,
+    _coherent_amplitudes,
+    _rotation_block,
     _rotation_blocks,
     apply_ladder,
     default_cutoff,
@@ -78,6 +81,24 @@ def test_coherent_small_cutoff_auto_raised():
     st = sq.coherent_state(2.0, cutoff=3)
     assert st.mode_dims[0] >= default_cutoff(4.0) + 1
     assert abs(st.mean_photons() - 4.0) < 1e-8
+
+
+def test_coherent_cutoff_below_140_photons_is_the_floor():
+    for mag in (1.0, 6.0, 11.0, math.sqrt(139.0)):
+        assert sq.coherent_state(mag).mode_dims[0] == default_cutoff(mag**2) + 1
+
+
+@pytest.mark.parametrize("mag,expected_cutoff", [(12.0, 227), (16.0, 364)])
+def test_coherent_large_amplitude_cutoff_is_smallest_within_tolerance(mag, expected_cutoff):
+    """The 6-sigma floor misses DEFICIT_TOL from 140 photons on; the cutoff is raised just enough."""
+    st = sq.coherent_state(mag)
+    cutoff = st.mode_dims[0] - 1
+    assert cutoff == expected_cutoff > default_cutoff(mag**2)
+    raw = _coherent_amplitudes(mag, cutoff + 1)
+    assert 1.0 - np.sum(np.abs(raw) ** 2) <= DEFICIT_TOL
+    assert 1.0 - np.sum(np.abs(raw[:-1]) ** 2) > DEFICIT_TOL
+    assert abs(st.norm() - 1.0) < 1e-12
+    assert abs(st.mean_photons() - mag**2) < 1e-6
 
 
 def test_squeezed_mean_photons():
@@ -276,6 +297,18 @@ def test_rotation_blocks_orthogonal_at_large_n():
         for n in (50, 120, 200):
             b = blocks[n]
             assert np.max(np.abs(b @ b.T - np.eye(n + 1))) < 1e-11
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2])
+def test_rotation_block_matches_dense_generator_at_n150(theta):
+    """exp[theta (a1† a2 - a2† a1)] on the n = 150 block, from the dense generator."""
+    n = 150
+    gen = np.zeros((n + 1, n + 1))
+    for m in range(n):
+        # a1† a2 |m, n-m> = sqrt((m+1)(n-m)) |m+1, n-m-1>
+        gen[m + 1, m] = math.sqrt((m + 1.0) * (n - m))
+    gen -= gen.T
+    assert np.max(np.abs(_rotation_block(n, theta) - expm(theta * gen))) < 1e-10
 
 
 def test_coherent_inputs_transform_by_mode_matrix():

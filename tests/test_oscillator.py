@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from squeezelab.fock import _tridiagonal_eigh
 from squeezelab.oscillator import (
     BlockEvolution,
     OscillatorConfig,
@@ -13,6 +16,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
+from squeezelab.oscillator import _block_couplings
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -196,3 +200,51 @@ def test_evolution_csv_observables_positive():
     assert np.all(result.var_x > 0.0)
     assert np.all(result.intensity_y >= -1e-12)
     assert np.all(result.pump_n >= -1e-12)
+
+
+def test_optimum_search_builds_one_propagator(monkeypatch):
+    builds = []
+    original = BlockEvolution.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockEvolution, "__init__", counting)
+    for cfg in (OscillatorConfig("degenerate", 9.0), OscillatorConfig("nondegenerate", 0.0)):
+        builds.clear()
+        opt = find_optimal_squeezing(cfg)
+        assert len(builds) == 1
+        again = evolve(cfg, opt.evolution.times)
+        for field in dataclasses.fields(again):
+            got, want = getattr(opt.evolution, field.name), getattr(again, field.name)
+            assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-12, field.name
+
+
+# ---------------------------------------------------------------------------
+# large blocks and large pumps
+
+@pytest.mark.parametrize("kind,charge", [("degenerate", 401), ("nondegenerate", 400)])
+def test_shared_eigensolver_propagates_large_blocks(kind, charge):
+    """Gauge and sign convention of the real-gauge solver against expm of the dense block."""
+    h = hamiltonian_block(kind, charge)
+    vals, vecs, gauge = _tridiagonal_eigh(_block_couplings(kind, charge))
+    v = gauge[:, None] * vecs
+    assert np.max(np.abs((v * vals) @ v.conj().T - h)) < 1e-9 * np.max(np.abs(h))
+    for index in (h.shape[0] - 1, h.shape[0] // 2):
+        unit = np.zeros(h.shape[0], dtype=np.complex128)
+        unit[index] = 1.0
+        for t in (0.002, 0.01, 0.05):
+            block = v @ (np.exp(-1j * vals * t) * (v.conj().T @ unit))
+            assert np.max(np.abs(block - expm(-1j * t * h) @ unit)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+def test_pump_above_140_photons_conserves_norm_and_charge(kind):
+    cfg = OscillatorConfig(kind, 144.0)
+    ev = BlockEvolution(cfg)
+    assert max(ev.blocks) == 2 * 227  # pump cutoff raised past the 6-sigma floor of 226
+    result = evolve(cfg, np.linspace(0.0, 0.6, 25))
+    assert np.max(np.abs(result.norm - 1.0)) < 1e-9
+    assert np.max(np.abs(result.charge - result.charge[0])) / result.charge[0] < 1e-9
+    assert np.min(result.var_x) < 1.0

@@ -129,13 +129,14 @@ def cmd_simulate(args) -> int:
         t_max = 5.0 / (osc.coupling * math.sqrt(max(osc.pump_photons, 1.0)))
         config["t_max"] = t_max
     grid = np.linspace(0.0, t_max, config["points"])
-    result = evolve(osc, grid)
+    opt = find_optimal_squeezing(osc)
+    # the optimum's final window scan is the default grid unless the window had to grow
+    result = opt.evolution if np.array_equal(opt.evolution.times, grid) else evolve(osc, grid)
     _write_csv(
         out / "trajectory.csv",
         ["t", "var_X", "intensity_Y", "pump_n"],
         zip(result.times, result.var_x, result.intensity_y, result.pump_n),
     )
-    opt = find_optimal_squeezing(osc)
     _write_json(
         out / "summary.json",
         {

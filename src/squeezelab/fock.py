@@ -175,13 +175,26 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState:
     mean = abs(alpha) ** 2
     floor = default_cutoff(mean) if cutoff is None else max(int(cutoff), default_cutoff(mean))
     search = _coherent_amplitudes(alpha, floor + int(math.ceil(2.0 * math.sqrt(mean))) + 11)
+    amps, deficit = _cut_within_tolerance(search, floor)
+    if amps is None:
+        last = search.size - 1
+        raise TruncationError(f"coherent state |alpha|²={mean:g}: norm deficit {deficit:.3e} at cutoff {last}")
+    return _check_norm(FockState(amps / np.linalg.norm(amps)))
+
+
+def _cut_within_tolerance(search: np.ndarray, floor: int) -> tuple[np.ndarray | None, float]:
+    """``search`` cut at the smallest cutoff ``>= floor`` whose norm deficit is ``<= DEFICIT_TOL``.
+
+    Returns ``(amplitudes, deficit)``; the amplitudes are ``None`` when no
+    cutoff within ``search`` meets the tolerance, and the deficit is then
+    that of all of ``search``.
+    """
     deficits = 1.0 - np.cumsum(np.abs(search) ** 2)
     meets = np.flatnonzero(deficits[floor:] <= DEFICIT_TOL)
     if meets.size == 0:
-        last = search.size - 1
-        raise TruncationError(f"coherent state |alpha|²={mean:g}: norm deficit {deficits[-1]:.3e} at cutoff {last}")
-    amps = search[: floor + int(meets[0]) + 1]
-    return _check_norm(FockState(amps / np.linalg.norm(amps)))
+        return None, float(deficits[-1])
+    cut = floor + int(meets[0])
+    return search[: cut + 1], float(deficits[cut])
 
 
 @dataclass(frozen=True)
@@ -219,10 +232,11 @@ def _squeezed_amplitudes(params: SqueezeParams, dim: int) -> np.ndarray:
 def squeezed_vacuum(params: SqueezeParams, cutoff: int | None = None) -> FockState:
     """Single-mode squeezed vacuum ``|0, s e^{i theta}>``.
 
-    Only even occupations are populated.  With ``cutoff=None`` the default
-    cutoff is doubled until the truncated-norm deficit drops below
-    ``DEFICIT_TOL``; an explicit cutoff is used as given and rejected if
-    it leaves too large a deficit.
+    Only even occupations are populated.  With ``cutoff=None`` the cutoff
+    is the smallest one at or above the :func:`default_cutoff` floor whose
+    truncated-norm deficit is at most ``DEFICIT_TOL`` (the search length is
+    doubled from the floor until some cutoff qualifies); an explicit cutoff
+    is used as given and rejected if it leaves too large a deficit.
     """
     if params.s == 0.0:
         return vacuum_state(2 if cutoff is None else cutoff + 1)
@@ -234,11 +248,11 @@ def squeezed_vacuum(params: SqueezeParams, cutoff: int | None = None) -> FockSta
                 f"squeezed vacuum s={params.s:g} at cutoff {cutoff}: norm deficit {deficit:.3e}"
             )
     else:
-        trial = default_cutoff(params.mean_photons)
+        floor = default_cutoff(params.mean_photons)
+        trial = floor
         for _ in range(20):
-            amps = _squeezed_amplitudes(params, trial + 1)
-            deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
-            if deficit <= DEFICIT_TOL:
+            amps, _ = _cut_within_tolerance(_squeezed_amplitudes(params, trial + 1), floor)
+            if amps is not None:
                 break
             trial *= 2
         else:
@@ -445,36 +459,14 @@ _rotation_cache: dict[float, list[np.ndarray]] = {}
 _ROTATION_CACHE_MAX = 4
 
 
-def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs ``(vals, W, g)`` of the tridiagonal ``H[k-1, k] = i couplings[k-1]``, zero diagonal.
-
-    In the gauge ``g_k = (-i)^k``, ``conj(g) H g`` is real symmetric, so
-    ``W`` is real and ``H = (g W) diag(vals) (g W)^†``.  The mixer's rotation
-    blocks and the oscillator's charge blocks are both diagonalized here.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    vals, vecs = eigh_tridiagonal(np.zeros(couplings.size + 1), couplings)
-    return vals, vecs, np.conj(1j ** np.arange(couplings.size + 1))
-
-
-def _rotation_block(n: int, theta: float) -> np.ndarray:
-    """One total-photon-number block of exp[theta (a1† a2 - a2† a1)].
-
-    The real orthogonal matrix ``B[m', m]`` mapping ``|m, n-m>`` to
-    ``sum_m' B[m', m] |m', n-m'>``.  The block is ``exp(-i theta H)`` with
-    ``H[m, m+1] = -i sqrt((m+1)(n-m))``, exponentiated through the real-gauge
-    eigendecomposition of :func:`_tridiagonal_eigh`, which keeps every block
-    orthogonal to machine precision at any size (naive amplitude
-    recursions blow up beyond n ~ 100, and factorial formulas overflow).
-    """
-    m = np.arange(n, dtype=float)
-    vals, vecs, gauge = _tridiagonal_eigh(-np.sqrt((m + 1.0) * (n - m)))
-    core = (vecs * np.exp(-1j * theta * vals)) @ vecs.T
-    return (gauge[:, None] * core * np.conj(gauge)[None, :]).real
-
-
 def _rotation_blocks(theta: float, n_max: int) -> list[np.ndarray]:
+    """Total-photon-number blocks ``n = 0 .. n_max`` of ``U = exp[theta (a1† a2 - a2† a1)]``.
+
+    Block ``n`` is the real orthogonal matrix ``B[m', m]`` mapping
+    ``|m, n-m>`` to ``sum_m' B[m', m] |m', n-m'>``; each is built from the
+    one before by :func:`_next_rotation_block`.  Blocks are cached per
+    angle and extended on demand.
+    """
     theta = float(theta)
     blocks = _rotation_cache.get(theta)
     if blocks is None:
@@ -482,9 +474,33 @@ def _rotation_blocks(theta: float, n_max: int) -> list[np.ndarray]:
             _rotation_cache.pop(next(iter(_rotation_cache)))
         blocks = [np.ones((1, 1))]
         _rotation_cache[theta] = blocks
+    c, s = math.cos(theta), math.sin(theta)
     while len(blocks) <= n_max:
-        blocks.append(_rotation_block(len(blocks), theta))
+        blocks.append(_next_rotation_block(blocks[-1], c, s))
     return blocks
+
+
+def _next_rotation_block(prev: np.ndarray, c: float, s: float) -> np.ndarray:
+    """Rotation block ``n`` from block ``n - 1`` (``prev``) by adding one photon, in O(n²).
+
+    With ``c = cos theta`` and ``s = sin theta``, ``U a1† U† = c a1† - s a2†``,
+    ``U a2† U† = s a1† + c a2†`` and
+    ``|m, n-m> = (sqrt(m) a1† |m-1, n-m> + sqrt(n-m) a2† |m, n-m-1>) / n``.
+    Averaging both creation routes keeps every block orthogonal to machine
+    precision at any size; a recursion along one route only (or a factorial
+    formula) loses orthogonality beyond n ~ 100.
+    """
+    n = prev.shape[0]
+    up = np.sqrt(np.arange(1.0, n + 1.0))  # a1† weight sqrt(m + 1) on |m, n-1-m>
+    down = up[::-1]  # a2† weight sqrt(n - m)
+    add1 = up[:, None] * prev
+    add2 = down[:, None] * prev
+    block = np.zeros((n + 1, n + 1))
+    block[1:, 1:] = add1 * (c / n * up)
+    block[:-1, 1:] -= add2 * (s / n * up)
+    block[1:, :-1] += add1 * (s / n * down)
+    block[:-1, :-1] += add2 * (c / n * down)
+    return block
 
 
 def _phase_diag(amps: np.ndarray, phi1: float, phi2: float) -> np.ndarray:

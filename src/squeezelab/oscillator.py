@@ -29,10 +29,11 @@ from typing import Literal
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
-from .fock import _tridiagonal_eigh, coherent_state
+from .fock import coherent_state
 from .metrics import PhaseResolution, phase_resolution
 
 __all__ = [
@@ -121,6 +122,16 @@ def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) 
     return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
+def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs ``(vals, W, g)`` of the tridiagonal ``H[k-1, k] = i couplings[k-1]``, zero diagonal.
+
+    In the gauge ``g_k = (-i)^k``, ``conj(g) H g`` is real symmetric, so
+    ``W`` is real and ``H = (g W) diag(vals) (g W)^†``.
+    """
+    vals, vecs = eigh_tridiagonal(np.zeros(couplings.size + 1), couplings)
+    return vals, vecs, np.conj(1j ** np.arange(couplings.size + 1))
+
+
 def _apply_block_hamiltonian(couplings: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``H v`` for the block ``H[k-1, k] = i couplings[k-1]`` and columns ``v`` of shape (dim, n)."""
     hv = np.zeros_like(v)
@@ -156,8 +167,8 @@ class _Block:
 class BlockEvolution:
     """Exact propagator of one oscillator run, block by block.
 
-    Each block is diagonalized once, in the real gauge shared with the Fock
-    mixer; evaluating a whole time grid is then one GEMM per block.
+    Each block is diagonalized once, in the real gauge of
+    :func:`_tridiagonal_eigh`; evaluating a whole time grid is then one GEMM per block.
     Blocks whose initial weight is below 1e-18 are dropped.
     """
 
@@ -201,30 +212,41 @@ class BlockEvolution:
 
     # -- observables -------------------------------------------------------
 
+    def _block_states(self, t: np.ndarray):
+        """Yield ``(q, block, v, p, pair)`` per block on the time array ``t``.
+
+        ``v`` holds the block's occupation amplitudes (one column per time),
+        ``p = |v|²`` and ``pair`` its share of the pair term ``<a1²>`` /
+        ``<a2 a3>``, which couples charge ``q`` to ``q - 2``; only the block
+        below is kept for it.
+        """
+        lower_q, lower = None, None
+        for q, blk in self.blocks.items():
+            v = blk.states(blk.w0, t)
+            pair = 0.0
+            if lower_q == q - 2:
+                k = lower.shape[0]
+                pair = np.sum(np.conj(lower) * (blk.pair_coeff[:k, None] * v[:k]), axis=0)
+            yield q, blk, v, np.abs(v) ** 2, pair
+            lower_q, lower = q, v
+
     def observables(self, times) -> dict[str, np.ndarray]:
         """Observables on a time array, one GEMM per block, folded in block by block.
 
-        Only the block below is kept, for the pair term ``<a1²>`` / ``<a2 a3>``
-        that couples charge ``q`` to ``q - 2``.  Energy is ``<v|H v>`` with the
-        tridiagonal ``H``, not a sum over eigenvalues, so its drift tests the propagator.
+        Energy is ``<v|H v>`` with the tridiagonal ``H``, not a sum over
+        eigenvalues, so its drift tests the propagator.
         """
         t = np.asarray(times, dtype=float)
         n_sub, n_pump, charge, energy, norm_sq = np.zeros((5, t.size))  # n_sub: <n1> or <n2> (= <n3>)
         pair = np.zeros(t.size, dtype=np.complex128)
-        lower_q, lower = None, None
-        for q, blk in self.blocks.items():
-            v = blk.states(blk.w0, t)
-            p = np.abs(v) ** 2
+        for q, blk, v, p, pair_q in self._block_states(t):
             weight = p.sum(axis=0)
             n_sub += blk.sub_occ @ p
             n_pump += blk.pump_occ @ p
             charge += weight * q
             norm_sq += weight
             energy += np.real(np.sum(np.conj(v) * _apply_block_hamiltonian(blk.couplings, v), axis=0))
-            if lower_q == q - 2:
-                k = lower.shape[0]
-                pair += np.sum(np.conj(lower) * (blk.pair_coeff[:k, None] * v[:k]), axis=0)
-            lower_q, lower = q, v
+            pair += pair_q
         two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
         return {
             "var_x": 1.0 + two_n - 2.0 * pair.real,
@@ -240,7 +262,13 @@ class BlockEvolution:
         return {k: float(v[0]) for k, v in self.observables([t]).items()}
 
     def var_x_at(self, t: float) -> float:
-        return self.observables_at(t)["var_x"]
+        """``var_x`` at one time, from the sub-harmonic occupation and the pair term only."""
+        n_sub = np.zeros(1)
+        pair = np.zeros(1, dtype=np.complex128)
+        for _, blk, _, p, pair_q in self._block_states(np.array([float(t)])):
+            n_sub += blk.sub_occ @ p
+            pair += pair_q
+        return float((1.0 + 2.0 * n_sub - 2.0 * pair.real)[0])
 
     def energy_scale(self) -> float:
         """||H psi0||, the natural scale for energy-drift checks."""

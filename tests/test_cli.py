@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from squeezelab.cli import main, parse_range
@@ -176,3 +177,33 @@ def test_truncation_failure_exit_3(tmp_path):
     code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "2.0", "--alpha", "1",
                  "--cutoff", "10", "--oracle", "--outdir", str(tmp_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--points", "57", "--t-max", "0.9"]])
+def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypatch, extra):
+    """trajectory.csv is evolve() on the requested grid; the default grid reuses the optimum's scan."""
+    from squeezelab import cli
+    from squeezelab.oscillator import BlockEvolution, OscillatorConfig, evolve, find_optimal_squeezing
+
+    osc = OscillatorConfig("nondegenerate", 30.0)
+    opt = find_optimal_squeezing(osc)
+    grid = np.linspace(0.0, 0.9, 57) if extra else opt.evolution.times
+    want = evolve(osc, grid)
+    cli._write_csv(
+        tmp_path / "want.csv",
+        ["t", "var_X", "intensity_Y", "pump_n"],
+        zip(want.times, want.var_x, want.intensity_y, want.pump_n),
+    )
+    builds = []
+    original = BlockEvolution.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockEvolution, "__init__", counting)
+    assert main(["simulate", "--kind", "nondegenerate", "--N", "30", *extra, "--outdir", str(tmp_path)]) == 0
+    assert len(builds) == (2 if extra else 1)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    summary = read_json(tmp_path / "summary.json")
+    assert (summary["t_sq"], summary["var_min"], summary["S"]) == (opt.t_sq, opt.var_min, opt.resolution.s)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.linalg import expm
 
 import squeezelab as sq
@@ -13,8 +14,9 @@ from squeezelab.fock import (
     DEFICIT_TOL,
     TruncationError,
     _coherent_amplitudes,
-    _rotation_block,
+    _next_rotation_block,
     _rotation_blocks,
+    _squeezed_amplitudes,
     apply_ladder,
     default_cutoff,
 )
@@ -111,12 +113,26 @@ def test_squeezed_amplitudes_match_expm_oracle(s, theta):
     """Coefficient recursion vs exponentiating the squeeze generator."""
     st = sq.squeezed_vacuum(SqueezeParams(s, theta))
     dim = st.mode_dims[0]
-    a, ad = dense_ladder(dim + 40)
+    # the reference space must be wide enough for expm itself to converge
+    a, ad = dense_ladder(dim + 120)
     gen = 0.5 * s * (np.exp(-1j * theta) * a @ a - np.exp(1j * theta) * ad @ ad)
-    vac = np.zeros(dim + 40, dtype=complex)
+    vac = np.zeros(dim + 120, dtype=complex)
     vac[0] = 1.0
     ref = expm(gen) @ vac
     assert np.max(np.abs(st.amps - ref[:dim])) < 1e-9
+
+
+@pytest.mark.parametrize("s,expected_cutoff", [(0.05, 11), (0.3, 16), (1.3, 140)])
+def test_squeezed_cutoff_is_floor_or_smallest_within_tolerance(s, expected_cutoff):
+    """Like the coherent cutoff: the default_cutoff floor, raised just enough to meet DEFICIT_TOL."""
+    params = SqueezeParams(s)
+    cutoff = sq.squeezed_vacuum(params).mode_dims[0] - 1
+    floor = default_cutoff(params.mean_photons)
+    assert cutoff == expected_cutoff >= floor
+    raw = _squeezed_amplitudes(params, cutoff + 1)
+    assert 1.0 - np.sum(np.abs(raw) ** 2) <= DEFICIT_TOL
+    if cutoff > floor:
+        assert 1.0 - np.sum(np.abs(raw[:-1]) ** 2) > DEFICIT_TOL
 
 
 def test_squeezed_zero_is_vacuum():
@@ -299,7 +315,15 @@ def test_rotation_blocks_orthogonal_at_large_n():
             assert np.max(np.abs(b @ b.T - np.eye(n + 1))) < 1e-11
 
 
-@pytest.mark.parametrize("theta", [0.3, 1.2])
+def test_rotation_blocks_orthogonal_at_n600():
+    # the photon-addition steps of _rotation_blocks, without caching every block up to 600
+    b = _rotation_blocks(1.13, 0)[0]
+    for _ in range(600):
+        b = _next_rotation_block(b, math.cos(1.13), math.sin(1.13))
+    assert np.max(np.abs(b @ b.T - np.eye(601))) < 1e-11
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, math.pi / 2])
 def test_rotation_block_matches_dense_generator_at_n150(theta):
     """exp[theta (a1† a2 - a2† a1)] on the n = 150 block, from the dense generator."""
     n = 150
@@ -308,7 +332,23 @@ def test_rotation_block_matches_dense_generator_at_n150(theta):
         # a1† a2 |m, n-m> = sqrt((m+1)(n-m)) |m+1, n-m-1>
         gen[m + 1, m] = math.sqrt((m + 1.0) * (n - m))
     gen -= gen.T
-    assert np.max(np.abs(_rotation_block(n, theta) - expm(theta * gen))) < 1e-10
+    assert np.max(np.abs(_rotation_blocks(theta, n)[n] - expm(theta * gen))) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    r2=strategies.floats(0.0, 1.0),
+    delta=strategies.floats(0.0, 2.0 * math.pi),
+    psi=strategies.floats(0.0, 2.0 * math.pi),
+    s=strategies.floats(0.0, 1.3),
+    alpha=strategies.complex_numbers(max_magnitude=3.0),
+)
+def test_beam_splitter_conserves_norm_and_photons_property(r2, delta, psi, s, alpha):
+    inp = sq.product_state(sq.coherent_state(alpha), sq.squeezed_vacuum(SqueezeParams(s)))
+    total_before = inp.mean_photons(0) + inp.mean_photons(1)
+    out = sq.apply_beam_splitter(inp, sq.BeamSplitterConfig.from_reflectivity(r2, delta=delta, psi=psi))
+    assert abs(out.norm() - 1.0) < 1e-9
+    assert abs(out.mean_photons(0) + out.mean_photons(1) - total_before) < 1e-9
 
 
 def test_coherent_inputs_transform_by_mode_matrix():

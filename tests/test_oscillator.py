@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from squeezelab.fock import _tridiagonal_eigh
 from squeezelab.oscillator import (
     BlockEvolution,
     OscillatorConfig,
@@ -16,7 +15,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
-from squeezelab.oscillator import _block_couplings
+from squeezelab.oscillator import _block_couplings, _tridiagonal_eigh
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -219,6 +218,15 @@ def test_optimum_search_builds_one_propagator(monkeypatch):
         for field in dataclasses.fields(again):
             got, want = getattr(opt.evolution, field.name), getattr(again, field.name)
             assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-12, field.name
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+def test_var_x_at_equals_full_observables(kind):
+    """The optimum search's slim objective is bit-identical to var_x of the full observables."""
+    for n in (1.0, 4.0, 9.5, 22.0, 60.0, 121.0):
+        ev = BlockEvolution(OscillatorConfig(kind, n))
+        for t in np.linspace(0.0, 6.0 / math.sqrt(n), 7):
+            assert ev.var_x_at(float(t)) == ev.observables_at(float(t))["var_x"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Literal
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize_scalar  # not called here; perfbench/tracing.py patches this name
 from scipy.sparse.linalg import expm_multiply
 
 from .fock import coherent_state
@@ -53,6 +53,7 @@ OscillatorKind = Literal["degenerate", "nondegenerate"]
 
 GRID_POINTS = 200  # time points per window scan of find_optimal_squeezing
 MAX_EXTENSIONS = 8  # window doublings it tries before giving up
+MAX_NEWTON_PASSES = 48  # cap on its refinement's derivative passes; bisection alone needs up to ~42
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,6 @@ def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return vals, vecs, np.conj(1j ** np.arange(couplings.size + 1))
 
 
-def _apply_block_hamiltonian(couplings: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``H v`` for the block ``H[k-1, k] = i couplings[k-1]`` and columns ``v`` of shape (dim, n)."""
-    hv = np.zeros_like(v)
-    hv[:-1] += 1j * couplings[:, None] * v[1:]
-    hv[1:] -= 1j * couplings[:, None] * v[:-1]
-    return hv
-
-
 def _pump_block_amplitudes(cfg: OscillatorConfig) -> np.ndarray:
     """Initial coherent-pump coefficients c_K, K = 0 .. pump cutoff."""
     return coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
@@ -159,7 +152,10 @@ class _Block:
 
     def states(self, w: np.ndarray, times) -> np.ndarray:
         """Occupation amplitudes, shape (dim, len(times)), of eigenbasis vector ``w`` at each time."""
-        phased = np.exp(-1j * np.outer(self.eigvals, times)) * w[:, None]
+        return self.amplitudes(np.exp(-1j * np.outer(self.eigvals, times)) * w[:, None])
+
+    def amplitudes(self, phased: np.ndarray) -> np.ndarray:
+        """Occupation amplitudes of the eigenbasis columns ``phased`` (shape (dim, n))."""
         # real eigenvectors times complex columns: one real GEMM over the (re, im) pairs
         return self.gauge[:, None] * (self.eigvecs @ phased.view(np.float64)).view(np.complex128)
 
@@ -233,8 +229,9 @@ class BlockEvolution:
     def observables(self, times) -> dict[str, np.ndarray]:
         """Observables on a time array, one GEMM per block, folded in block by block.
 
-        Energy is ``<v|H v>`` with the tridiagonal ``H``, not a sum over
-        eigenvalues, so its drift tests the propagator.
+        Energy is ``<v|H v>`` of the propagated amplitudes, not a sum over
+        eigenvalues, so its drift tests the propagator.  With
+        ``H[k-1, k] = i b[k-1]`` it is ``-2 b . Im(conj(v[:-1]) v[1:])``.
         """
         t = np.asarray(times, dtype=float)
         n_sub, n_pump, charge, energy, norm_sq = np.zeros((5, t.size))  # n_sub: <n1> or <n2> (= <n3>)
@@ -245,7 +242,7 @@ class BlockEvolution:
             n_pump += blk.pump_occ @ p
             charge += weight * q
             norm_sq += weight
-            energy += np.real(np.sum(np.conj(v) * _apply_block_hamiltonian(blk.couplings, v), axis=0))
+            energy -= 2.0 * (blk.couplings @ np.imag(np.conj(v[:-1]) * v[1:]))
             pair += pair_q
         two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
         return {
@@ -270,12 +267,37 @@ class BlockEvolution:
             pair += pair_q
         return float((1.0 + 2.0 * n_sub - 2.0 * pair.real)[0])
 
+    def var_x_derivatives(self, t: float) -> tuple[float, float, float]:
+        """``var_x`` and its first and second time derivatives at one time, in one pass over the blocks.
+
+        In the eigenbasis d/dt multiplies the phased vector by ``-i vals``, so
+        each block is one GEMM against the three columns ``(phi, -i vals phi,
+        -vals² phi)``.  Both sums of ``var_x`` are sesquilinear in the
+        amplitudes; their 3x3 matrices over (value, first, second derivative)
+        columns give the k-th derivative as ``sum_j binom(k, j) A[j, k - j]``.
+        """
+        acc = np.zeros((3, 3), dtype=np.complex128)  # 2 <n_sub> - 2 <pair>, column by column
+        lower_q, lower = None, None
+        for q, blk in self.blocks.items():
+            phased = np.exp(-1j * t * blk.eigvals) * blk.w0
+            rate = -1j * blk.eigvals
+            v = blk.amplitudes(np.stack([phased, rate * phased, rate * rate * phased], axis=1))
+            acc += 2.0 * (np.conj(v.T) @ (blk.sub_occ[:, None] * v))
+            if lower_q == q - 2:
+                k = lower.shape[0]
+                acc -= 2.0 * (np.conj(lower.T) @ (blk.pair_coeff[:k, None] * v[:k]))
+            lower_q, lower = q, v
+        acc = acc.real
+        return 1.0 + acc[0, 0], acc[0, 1] + acc[1, 0], acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0]
+
     def energy_scale(self) -> float:
-        """||H psi0||, the natural scale for energy-drift checks."""
-        total = 0.0
-        for blk in self.blocks.values():
-            total += float(np.linalg.norm(_apply_block_hamiltonian(blk.couplings, blk.init[:, None])) ** 2)
-        return math.sqrt(total)
+        """||H psi0||, the natural scale for energy-drift checks.
+
+        Each block starts as ``c e_last``, so ``||H init||² = |c|² couplings[-1]²``.
+        """
+        return math.sqrt(sum(
+            abs(blk.init[-1]) ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
+        ))
 
 
 @dataclass
@@ -346,8 +368,19 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     Scans ``GRID_POINTS`` times over ``[0, 5 / sqrt(max(N, 1))]`` (the
     undepleted-pump timescale), doubling the window up to
     ``MAX_EXTENSIONS`` times until the variance minimum is interior, then
-    refines by golden-section search to a relative time tolerance of 1e-6.
-    One propagator serves the scans and the search.
+    solves ``var_x'(t) = 0`` inside the grid bracket around that minimum by
+    Newton steps on the analytic time derivatives of
+    :meth:`BlockEvolution.var_x_derivatives`.  A step is taken when
+    ``var_x'' > 0`` and it stays inside the bracket, which shrinks by the
+    sign of ``var_x'`` on every pass; otherwise the bracket is bisected.  It
+    stops when ``var_x'`` is 0 or a step is at most 1e-12 of ``t``, after at
+    most ``MAX_NEWTON_PASSES`` passes.  One propagator serves the scans and
+    the refinement.
+
+    A run whose angle-optimized variance is never squeezed on the scan
+    (vacuum pump) is stationary and returns ``t_sq = 0``, ``var_min = 1``.
+    A run that squeezes only away from the ``x`` quadrature (pump phase
+    near pi/2 ... pi) raises ``ValueError``.
     """
     ev = BlockEvolution(cfg)
     scale = math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling
@@ -356,31 +389,34 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
         result = _evolution(ev, np.linspace(0.0, t_max, GRID_POINTS))
         i = int(np.argmin(result.var_x))
         if result.var_x[i] > 1.0 - 1e-12:
-            # stationary run (vacuum pump): nothing to refine
-            return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
+            if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
+                # stationary run (vacuum pump): nothing to refine
+                return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
+            raise ValueError(
+                f"pump phase {cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
+                f"drops below 1 on [0, {t_max:.6g}]; use a pump phase near 0"
+            )
         if 0 < i < GRID_POINTS - 1:
             break
         t_max *= 2.0
     else:
         raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
 
-    grid = result.times
-    try:
-        res = minimize_scalar(
-            ev.var_x_at,
-            bracket=(float(grid[i - 1]), float(grid[i]), float(grid[i + 1])),
-            method="golden",
-            options={"xtol": 1e-6},
-        )
-        t_sq = float(res.x)
-    except ValueError:
-        res = minimize_scalar(
-            ev.var_x_at,
-            bounds=(float(grid[i - 1]), float(grid[i + 1])),
-            method="bounded",
-            options={"xatol": 1e-6 * float(grid[i + 1])},
-        )
-        t_sq = float(res.x)
+    lo, t_sq, hi = (float(x) for x in result.times[i - 1:i + 2])
+    for _ in range(MAX_NEWTON_PASSES):
+        _, slope, curvature = ev.var_x_derivatives(t_sq)
+        if slope == 0.0:
+            break
+        if slope > 0.0:
+            hi = t_sq
+        else:
+            lo = t_sq
+        newton = t_sq - slope / curvature if curvature > 0.0 else math.nan
+        t_new = newton if lo < newton < hi else 0.5 * (lo + hi)
+        converged = abs(t_new - t_sq) <= 1e-12 * t_sq
+        t_sq = t_new
+        if converged:
+            break
     obs = ev.observables_at(t_sq)
     resolution = phase_resolution(obs["intensity_y"], obs["var_x"])
     s_angle = phase_resolution(obs["intensity_y"], obs["var_x_min_angle"]).s

@@ -173,6 +173,17 @@ def test_validation_failure_exit_2(tmp_path):
     assert main(["simulate", "--N", "4", "--outdir", str(tmp_path)]) == 2  # missing kind
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_pump_phase_away_from_x_quadrature_exit_2(tmp_path, capsys, command):
+    n = "16" if command == "simulate" else "4:16:geometric:3"
+    code = main([command, "--kind", "degenerate", "--N", n, "--pump-phase", "3.14159",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "configuration error: pump phase 3.14159" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_truncation_failure_exit_3(tmp_path):
     code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "2.0", "--alpha", "1",
                  "--cutoff", "10", "--oracle", "--outdir", str(tmp_path)])

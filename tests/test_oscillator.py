@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 
 from squeezelab.oscillator import (
     BlockEvolution,
@@ -15,7 +17,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
-from squeezelab.oscillator import _block_couplings, _tridiagonal_eigh
+from squeezelab.oscillator import MAX_NEWTON_PASSES, _block_couplings, _tridiagonal_eigh
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -188,10 +190,21 @@ def test_optimum_consistent_with_series():
 
 
 def test_vacuum_pump_optimum_trivial():
-    opt = find_optimal_squeezing(OscillatorConfig("degenerate", 0.0))
-    assert opt.t_sq == 0.0
-    assert opt.var_min == 1.0
-    assert opt.resolution.s == 0.0
+    for pump_phase in (0.0, math.pi):
+        opt = find_optimal_squeezing(OscillatorConfig("degenerate", 0.0, pump_phase=pump_phase))
+        assert opt.t_sq == 0.0
+        assert opt.var_min == 1.0
+        assert opt.resolution.s == 0.0
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("pump_phase", [math.pi / 2, 2.0, math.pi])
+def test_pump_phase_away_from_x_quadrature_raises(kind, pump_phase):
+    """Squeezing at a rotated angle with var_x never below 1 is an error, not a vacuum result."""
+    cfg = OscillatorConfig(kind, 16.0, pump_phase=pump_phase)
+    assert BlockEvolution(cfg).observables_at(0.2)["var_x_min_angle"] < 0.9
+    with pytest.raises(ValueError, match=f"pump phase {pump_phase}"):
+        find_optimal_squeezing(cfg)
 
 
 def test_evolution_csv_observables_positive():
@@ -227,6 +240,87 @@ def test_var_x_at_equals_full_observables(kind):
         ev = BlockEvolution(OscillatorConfig(kind, n))
         for t in np.linspace(0.0, 6.0 / math.sqrt(n), 7):
             assert ev.var_x_at(float(t)) == ev.observables_at(float(t))["var_x"]
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [1.0, 9.5, 60.0])
+def test_var_x_derivatives_match_finite_differences(kind, n):
+    ev = BlockEvolution(OscillatorConfig(kind, n))
+    for t in (0.3 / math.sqrt(n), 1.1 / math.sqrt(n), 2.5 / math.sqrt(n)):
+        value, slope, curvature = ev.var_x_derivatives(t)
+        h = 1e-3 * t
+        plus, mid, minus = ev.var_x_at(t + h), ev.var_x_at(t), ev.var_x_at(t - h)
+        assert value == pytest.approx(mid, abs=1e-13)
+        assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-5)
+        assert curvature == pytest.approx((plus - 2.0 * mid + minus) / h**2, rel=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [1.0, 4.0, 22.0, 121.0])
+def test_newton_refinement_against_golden_section(kind, n, monkeypatch):
+    """Few derivative passes; var_x' vanishes at t_sq; no worse than a tight golden-section search."""
+    calls = []
+    original = BlockEvolution.var_x_derivatives
+
+    def counting(self, t):
+        calls.append(self)
+        return original(self, t)
+
+    monkeypatch.setattr(BlockEvolution, "var_x_derivatives", counting)
+    opt = find_optimal_squeezing(OscillatorConfig(kind, n))
+    assert 1 <= len(calls) <= 8
+    ev = calls[0]
+    _, slope, curvature = original(ev, opt.t_sq)
+    assert curvature > 0.0
+    assert abs(slope) <= 1e-12 * curvature * opt.t_sq  # a Newton step below 1e-12 of t_sq
+
+    grid = opt.evolution.times
+    i = int(np.argmin(opt.evolution.var_x))
+    golden = minimize_scalar(
+        ev.var_x_at, bracket=(grid[i - 1], grid[i], grid[i + 1]), method="golden", options={"xtol": 1e-10}
+    )
+    assert opt.var_min <= golden.fun + 1e-12
+    assert opt.t_sq == pytest.approx(golden.x, rel=1e-6)
+
+
+def test_refinement_bisects_without_positive_curvature(monkeypatch):
+    """With every Newton step refused, bisection on the sign of var_x' reaches the same optimum."""
+    cfg = OscillatorConfig("degenerate", 4.0)
+    newton = find_optimal_squeezing(cfg)
+    calls = []
+    original = BlockEvolution.var_x_derivatives
+
+    def no_curvature(self, t):
+        calls.append(t)
+        value, slope, _ = original(self, t)
+        return value, slope, -1.0
+
+    monkeypatch.setattr(BlockEvolution, "var_x_derivatives", no_curvature)
+    bisected = find_optimal_squeezing(cfg)
+    assert 8 < len(calls) <= MAX_NEWTON_PASSES
+    assert bisected.t_sq == pytest.approx(newton.t_sq, rel=1e-10)
+    assert bisected.var_min == pytest.approx(newton.var_min, abs=1e-14)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
+    n=strategies.floats(0.1, 150.0),
+    t_unit=strategies.floats(0.0, 3.0),
+)
+def test_conservation_and_time_reversal_property(kind, n, t_unit):
+    """Norm, charge and energy through observables, and propagate out and back, at random runs."""
+    cfg = OscillatorConfig(kind, n)
+    ev = BlockEvolution(cfg)
+    t = t_unit / math.sqrt(n)
+    obs = ev.observables(np.linspace(0.0, t, 4))
+    assert np.max(np.abs(obs["norm_sq"] - 1.0)) < 1e-9
+    assert np.max(np.abs(obs["charge"] - obs["charge"][0])) < 1e-9 * obs["charge"][0]
+    assert np.max(np.abs(obs["energy"] - obs["energy"][0])) < 1e-9 * ev.energy_scale()
+
+    start = ev.initial_vectors()
+    back = ev.propagate(ev.propagate(start, t), -t)
+    assert max(np.max(np.abs(back[q] - start[q])) for q in start) < 1e-9
 
 
 # ---------------------------------------------------------------------------

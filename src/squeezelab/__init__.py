@@ -41,9 +41,7 @@ from .fock import (
     product_state,
     quadrature_stats,
     squeezed_vacuum,
-    state_from_json,
     state_phase_resolution,
-    state_to_json,
     vacuum_state,
 )
 from .metrics import (

@@ -199,11 +199,6 @@ class SchemeParams:
         return math.asinh((self.pump_photons / 2.0) ** 0.25)
 
     @property
-    def squeeze_parameter_log_approx(self) -> float:
-        """Large-N form s = ln(N/2)/4 (kept for reference, not used in exact results)."""
-        return 0.25 * math.log(self.pump_photons / 2.0)
-
-    @property
     def coherent_photons(self) -> float:
         return 2.0 * self.pump_photons * self.efficiency
 

@@ -10,6 +10,8 @@ Examples:
 Every command writes a JSON document containing ``schema: 1`` and an echo
 of its fully-resolved configuration; rerunning with ``--config`` pointed
 at that echo (and no other flags) reproduces byte-identical outputs.
+Flags win over the ``--config`` file, which wins over the defaults; a file
+key that names no parameter of the command is rejected.
 Exit codes: 0 success, 2 configuration error, 3 truncation error.
 """
 
@@ -22,6 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,49 +89,14 @@ def parse_range(spec: str) -> np.ndarray:
     raise ValueError(f"range kind must be 'linear' or 'geometric', got {kind!r}")
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return json.loads(Path(args.config).read_text())
-    return {}
-
-
-def _pick(args, file_cfg: dict, name: str, default, cast=None):
-    value = getattr(args, name, None)
-    if value is None:
-        value = file_cfg.get(name, default)
-    if value is None:
-        raise ValueError(f"missing required parameter --{name.replace('_', '-')}")
-    return cast(value) if cast else value
-
-
-def _outdir(args, file_cfg) -> Path:
-    out = Path(_pick(args, file_cfg, "outdir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> int:
-    file_cfg = _load_config(args)
-    config = {
-        "kind": _pick(args, file_cfg, "kind", None, str),
-        "N": _pick(args, file_cfg, "N", None, float),
-        "coupling": _pick(args, file_cfg, "coupling", 1.0, float),
-        "pump_phase": _pick(args, file_cfg, "pump_phase", 0.0, float),
-        "points": _pick(args, file_cfg, "points", 200, int),
-        "t_max": _pick(args, file_cfg, "t_max", 0.0, float) or None,
-        "svg": bool(getattr(args, "svg", False) or file_cfg.get("svg", False)),
-        "outdir": str(_pick(args, file_cfg, "outdir", ".")),
-    }
-    out = _outdir(args, file_cfg)
+def cmd_simulate(config: dict, out: Path) -> int:
     osc = OscillatorConfig(config["kind"], config["N"], config["coupling"], config["pump_phase"])
-    t_max = config["t_max"]
-    if t_max is None:
-        t_max = 5.0 / (osc.coupling * math.sqrt(max(osc.pump_photons, 1.0)))
-        config["t_max"] = t_max
-    grid = np.linspace(0.0, t_max, config["points"])
+    if not config["t_max"]:
+        config["t_max"] = 5.0 / (osc.coupling * math.sqrt(max(osc.pump_photons, 1.0)))
+    grid = np.linspace(0.0, config["t_max"], config["points"])
     opt = find_optimal_squeezing(osc)
     # the optimum's final window scan is the default grid unless the window had to grow
     result = opt.evolution if np.array_equal(opt.evolution.times, grid) else evolve(osc, grid)
@@ -176,19 +144,12 @@ def _sweep_point(payload: tuple) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
-    file_cfg = _load_config(args)
-    config = {
-        "kind": _pick(args, file_cfg, "kind", None, str),
-        "N": _pick(args, file_cfg, "N", None, str),
-        "coupling": _pick(args, file_cfg, "coupling", 1.0, float),
-        "pump_phase": _pick(args, file_cfg, "pump_phase", 0.0, float),
-        "jobs": _pick(args, file_cfg, "jobs", int(os.environ.get("SQUEEZELAB_JOBS", "1")), int),
-        "svg": bool(getattr(args, "svg", False) or file_cfg.get("svg", False)),
-        "outdir": str(_pick(args, file_cfg, "outdir", ".")),
-    }
-    out = _outdir(args, file_cfg)
+def cmd_sweep(config: dict, out: Path) -> int:
+    if config["jobs"] is None:
+        config["jobs"] = int(os.environ.get("SQUEEZELAB_JOBS", "1"))
     n_values = parse_range(config["N"])
+    if n_values.size < 3:
+        raise ValueError(f"--N: the power-law fits need at least 3 points, got {n_values.size}")
     payloads = [(config["kind"], float(n), config["coupling"], config["pump_phase"]) for n in n_values]
     if config["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
@@ -233,45 +194,22 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # mix
 
-def cmd_mix(args) -> int:
-    file_cfg = _load_config(args)
-    variant = _pick(args, file_cfg, "variant", None, str)
-    config = {
-        "variant": variant,
-        "s": _pick(args, file_cfg, "s", 0.0, float),
-        "alpha": _pick(args, file_cfg, "alpha", 0.0, float),
-        "oracle": bool(getattr(args, "oracle", False) or file_cfg.get("oracle", False)),
-        "cutoff": getattr(args, "cutoff", None) or file_cfg.get("cutoff"),
-        "outdir": str(_pick(args, file_cfg, "outdir", ".")),
-    }
-    out = _outdir(args, file_cfg)
-    s, alpha = config["s"], config["alpha"]
-    cutoff = int(config["cutoff"]) if config["cutoff"] is not None else None
-
+def cmd_mix(config: dict, out: Path) -> int:
+    variant, s, alpha, cutoff = config["variant"], config["s"], config["alpha"], config["cutoff"]
     if variant == "bs":
-        config["r2"] = _pick(args, file_cfg, "r2", None, float)
-        config["delta"] = _pick(args, file_cfg, "delta", 0.0, float)
-        config["psi"] = _pick(args, file_cfg, "psi", 0.0, float)
-        theta = getattr(args, "theta", None)
-        if theta is None:
-            theta = file_cfg.get("theta")
         mixer = BeamSplitterConfig.from_reflectivity(config["r2"], config["delta"], config["psi"])
         optimal_theta = -2.0 * mixer.delta - 2.0 * mixer.psi
-        config["theta"] = optimal_theta if theta is None else float(theta)
+        if config["theta"] is None:
+            config["theta"] = optimal_theta
         variance = beam_splitter_variance(mixer, s, config["theta"])
         intensity = mixer.t1**2 * alpha**2 + mixer.r2**2 * math.sinh(s) ** 2
         at_optimum = abs((config["theta"] - optimal_theta) % (2.0 * math.pi)) < 1e-12
-    elif variant == "in":
-        config["phi"] = _pick(args, file_cfg, "phi", None, float)
-        config["psi"] = _pick(args, file_cfg, "psi", 0.0, float)
-        config["global_phase"] = _pick(args, file_cfg, "global_phase", 0.0, float)
+    else:
         mixer = InterferometerConfig(config["phi"], config["psi"], config["global_phase"])
         variance = interferometer_variance(mixer.phi, s)
         c2 = math.cos(0.5 * mixer.phi) ** 2
         intensity = alpha**2 * (1.0 - c2) + math.sinh(s) ** 2 * c2
         at_optimum = True
-    else:
-        raise ValueError(f"variant must be 'bs' or 'in', got {variant!r}")
 
     res = phase_resolution(intensity, variance)
     payload = {
@@ -315,30 +253,12 @@ def cmd_mix(args) -> int:
 # ---------------------------------------------------------------------------
 # scheme and surface
 
-def _scheme_params(config: dict) -> SchemeParams:
+def cmd_scheme(config: dict, out: Path) -> int:
     if config["variant"] == "bs":
         mixer = BeamSplitterConfig.from_reflectivity(config["r2"])
-    elif config["variant"] == "in":
+    else:
         mixer = InterferometerConfig(phi=config["phi"])
-    else:
-        raise ValueError(f"variant must be 'bs' or 'in', got {config['variant']!r}")
-    return SchemeParams(config["N"], config["efficiency"], mixer)
-
-
-def cmd_scheme(args) -> int:
-    file_cfg = _load_config(args)
-    config = {
-        "variant": _pick(args, file_cfg, "variant", "bs", str),
-        "N": _pick(args, file_cfg, "N", None, float),
-        "efficiency": _pick(args, file_cfg, "efficiency", None, float),
-        "outdir": str(_pick(args, file_cfg, "outdir", ".")),
-    }
-    if config["variant"] == "bs":
-        config["r2"] = _pick(args, file_cfg, "r2", None, float)
-    else:
-        config["phi"] = _pick(args, file_cfg, "phi", None, float)
-    out = _outdir(args, file_cfg)
-    params = _scheme_params(config)
+    params = SchemeParams(config["N"], config["efficiency"], mixer)
     exact = scheme_phase_resolution_exact(params)
     approx = scheme_phase_resolution_approx(params)
     _write_json(
@@ -363,17 +283,7 @@ def cmd_scheme(args) -> int:
     return 0
 
 
-def cmd_surface(args) -> int:
-    file_cfg = _load_config(args)
-    config = {
-        "variant": _pick(args, file_cfg, "variant", "bs", str),
-        "N": _pick(args, file_cfg, "N", None, str),
-        "mix": _pick(args, file_cfg, "mix", None, str),
-        "efficiency": _pick(args, file_cfg, "efficiency", 0.5, float),
-        "svg": bool(getattr(args, "svg", False) or file_cfg.get("svg", False)),
-        "outdir": str(_pick(args, file_cfg, "outdir", ".")),
-    }
-    out = _outdir(args, file_cfg)
+def cmd_surface(config: dict, out: Path) -> int:
     n_values = parse_range(config["N"])
     mix_values = parse_range(config["mix"])
     rows = resolution_surface(n_values, mix_values, config["efficiency"], config["variant"])
@@ -398,78 +308,154 @@ def cmd_surface(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# parameter tables: one per subcommand, driving argparse, the --config merge
+# and the config echo
 
-def build_parser() -> argparse.ArgumentParser:
+REQUIRED = object()
+
+
+class Param(NamedTuple):
+    key: str
+    type: type
+    default: object = REQUIRED  # None: optional, the command decides what no value means
+    help: str = ""
+    choices: tuple | None = None
+    variant: str | None = None  # the row applies only when config["variant"] is this
+    flag: str | None = None  # defaults to the key with dashes
+
+    @property
+    def option(self) -> str:
+        return "--" + (self.flag or self.key.replace("_", "-"))
+
+    def coerce(self, value):
+        """Check a flag, file or default value the way argparse checks a flag."""
+        if self.type is bool:
+            if isinstance(value, bool):
+                return value
+            raise ValueError(f"argument {self.option}: expected true or false, got {value!r}")
+        try:
+            value = self.type(str(value))  # parse the value's text, as argparse parses a flag's
+        except ValueError as exc:
+            raise ValueError(f"argument {self.option}: {exc}") from None
+        if self.choices and value not in self.choices:
+            choose = ", ".join(map(repr, self.choices))
+            raise ValueError(f"argument {self.option}: invalid choice: {value!r} (choose from {choose})")
+        return value
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[dict, Path], int]
+    params: tuple[Param, ...]
+
+
+RANGE = "range spec start:stop:{linear|geometric}:count"
+VARIANT = Param("variant", str, REQUIRED, "mixer: beam splitter or interferometer", ("bs", "in"))
+KIND = Param("kind", str, REQUIRED, "oscillator kind", ("degenerate", "nondegenerate"))
+N_RANGE = Param("N", str, REQUIRED, f"pump photon numbers, {RANGE}")
+COUPLING = Param("coupling", float, 1.0, "pump-signal coupling")
+PUMP_PHASE = Param("pump_phase", float, 0.0, "pump phase [rad]")
+EFFICIENCY = Param("efficiency", float, REQUIRED, "down-conversion efficiency", flag="lambda")
+R2 = Param("r2", float, REQUIRED, "beam-splitter reflectivity |r|^2", variant="bs")
+PHI = Param("phi", float, REQUIRED, "interferometer phase difference", variant="in")
+SVG = Param("svg", bool, False, "also write an SVG plot")
+OUTDIR = Param("outdir", str, ".", "output directory")
+
+COMMANDS = {
+    "simulate": Command("one lossless-oscillator trajectory", cmd_simulate, (
+        KIND, Param("N", float, REQUIRED, "initial pump photon number"), COUPLING, PUMP_PHASE,
+        Param("points", int, 200, "time-grid points"),
+        Param("t_max", float, None, "end of the time grid, 5/(coupling*sqrt(N)) if not given or 0"),
+        SVG, OUTDIR)),
+    "sweep": Command("squeezing optimum across pump photon numbers", cmd_sweep, (
+        KIND, N_RANGE, COUPLING, PUMP_PHASE,
+        Param("jobs", int, None, "worker processes, $SQUEEZELAB_JOBS or 1 if not given"),
+        SVG, OUTDIR)),
+    "mix": Command("closed-form mixer output, optionally Fock-checked", cmd_mix, (
+        VARIANT, R2,
+        Param("delta", float, 0.0, "beam-splitter phase delta", variant="bs"),
+        Param("theta", float, None, "squeeze phase, optimal if not given", variant="bs"),
+        PHI,
+        Param("global_phase", float, 0.0, "interferometer global phase", variant="in"),
+        Param("psi", float, 0.0, "mixer phase psi"),
+        Param("s", float, 0.0, "squeeze parameter"),
+        Param("alpha", float, 0.0, "coherent amplitude |alpha|"),
+        Param("oracle", bool, False, "cross-check against the Fock simulator"),
+        Param("cutoff", int, None, "explicit squeezed-vacuum cutoff for the oracle"),
+        OUTDIR)),
+    "scheme": Command("pump-budget scheme phase resolution", cmd_scheme, (
+        VARIANT._replace(default="bs"), Param("N", float, REQUIRED, "pump photon number"),
+        EFFICIENCY, R2, PHI, OUTDIR)),
+    "surface": Command("phase-resolution surface over N and mixing", cmd_surface, (
+        VARIANT._replace(default="bs"), N_RANGE,
+        Param("mix", str, REQUIRED, f"r2 (bs) or phi (in), {RANGE}"),
+        EFFICIENCY._replace(default=0.5), SVG, OUTDIR)),
+}
+
+
+def _help(p: Param) -> str:
+    notes = [f"{p.variant} only"] if p.variant else []
+    if p.default is REQUIRED:
+        notes.append("required")
+    elif p.default is not None and p.type is not bool:
+        notes.append(f"default {p.default}")
+    return f"{p.help} ({', '.join(notes)})" if notes else p.help
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="squeezelab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="one lossless-oscillator trajectory")
-    sim.add_argument("--kind", choices=["degenerate", "nondegenerate"])
-    sim.add_argument("--N", type=float, help="initial pump photon number")
-    sim.add_argument("--coupling", type=float)
-    sim.add_argument("--pump-phase", dest="pump_phase", type=float)
-    sim.add_argument("--points", type=int)
-    sim.add_argument("--t-max", dest="t_max", type=float)
-    sim.add_argument("--svg", action="store_true")
-    sim.add_argument("--outdir")
-    sim.add_argument("--config", help="JSON file of defaults (flags win)")
-    sim.set_defaults(func=cmd_simulate)
-
-    sw = sub.add_parser("sweep", help="squeezing optimum across pump photon numbers")
-    sw.add_argument("--kind", choices=["degenerate", "nondegenerate"])
-    sw.add_argument("--N", help="range spec start:stop:{linear|geometric}:count")
-    sw.add_argument("--coupling", type=float)
-    sw.add_argument("--pump-phase", dest="pump_phase", type=float)
-    sw.add_argument("--jobs", type=int, help="worker processes (default $SQUEEZELAB_JOBS or 1)")
-    sw.add_argument("--svg", action="store_true")
-    sw.add_argument("--outdir")
-    sw.add_argument("--config")
-    sw.set_defaults(func=cmd_sweep)
-
-    mix = sub.add_parser("mix", help="closed-form mixer output, optionally Fock-checked")
-    mix.add_argument("--variant", choices=["bs", "in"])
-    mix.add_argument("--r2", type=float)
-    mix.add_argument("--delta", type=float)
-    mix.add_argument("--psi", type=float)
-    mix.add_argument("--theta", type=float, help="squeeze phase (default: optimal)")
-    mix.add_argument("--phi", type=float)
-    mix.add_argument("--global-phase", dest="global_phase", type=float)
-    mix.add_argument("--s", type=float)
-    mix.add_argument("--alpha", type=float)
-    mix.add_argument("--oracle", action="store_true", help="cross-check against the Fock simulator")
-    mix.add_argument("--cutoff", type=int, help="explicit squeezed-vacuum cutoff for the oracle")
-    mix.add_argument("--outdir")
-    mix.add_argument("--config")
-    mix.set_defaults(func=cmd_mix)
-
-    sch = sub.add_parser("scheme", help="pump-budget scheme phase resolution")
-    sch.add_argument("--variant", choices=["bs", "in"])
-    sch.add_argument("--N", type=float)
-    sch.add_argument("--lambda", dest="efficiency", type=float)
-    sch.add_argument("--r2", type=float)
-    sch.add_argument("--phi", type=float)
-    sch.add_argument("--outdir")
-    sch.add_argument("--config")
-    sch.set_defaults(func=cmd_scheme)
-
-    surf = sub.add_parser("surface", help="phase-resolution surface over N and mixing")
-    surf.add_argument("--variant", choices=["bs", "in"])
-    surf.add_argument("--N", help="range spec")
-    surf.add_argument("--mix", help="range spec for r2 (bs) or phi (in)")
-    surf.add_argument("--lambda", dest="efficiency", type=float)
-    surf.add_argument("--svg", action="store_true")
-    surf.add_argument("--outdir")
-    surf.add_argument("--config")
-    surf.set_defaults(func=cmd_surface)
-
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for p in command.params:
+            if p.type is bool:
+                cmd.add_argument(p.option, dest=p.key, action="store_true", default=None, help=_help(p))
+            else:
+                cmd.add_argument(p.option, dest=p.key, type=p.type, choices=p.choices, help=_help(p))
+        cmd.add_argument("--config", help="JSON file of parameters; flags win over it, it wins over defaults")
     return parser
 
 
+_PARSER = _build_parser()
+
+
+def _resolve(params: tuple[Param, ...], args: argparse.Namespace) -> dict:
+    """Merge flags over the ``--config`` file over the defaults into the config echo."""
+    file_cfg = {}
+    if args.config:
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read --config {args.config}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object")
+        unknown = sorted(set(file_cfg) - {p.key for p in params})
+        if unknown:
+            raise ValueError(f"--config {args.config}: unknown parameter(s) {', '.join(unknown)}")
+    config = {}
+    for p in params:  # the variant comes first, so the variant-only rows can test it
+        if p.variant not in (None, config.get("variant")):
+            continue
+        value = getattr(args, p.key)
+        if value is None:
+            value = file_cfg.get(p.key)
+        if value is None:
+            value = p.default
+        if value is REQUIRED:
+            raise ValueError(f"missing required parameter {p.option}")
+        config[p.key] = None if value is None else p.coerce(value)
+    return config
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        config = _resolve(command.params, args)
+        out = Path(config["outdir"])
+        out.mkdir(parents=True, exist_ok=True)
+        return command.run(config, out)
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return 3

@@ -54,8 +54,6 @@ __all__ = [
     "phase_resolution_of_mode",
     "apply_mode_unitary",
     "apply_beam_splitter",
-    "state_to_json",
-    "state_from_json",
 ]
 
 #: norm must stay this close to 1 after every constructor / unitary
@@ -582,24 +580,3 @@ def apply_beam_splitter(state: FockState, cfg) -> FockState:
     """
     return apply_mode_unitary(state, cfg.mode_matrix())
 
-
-# ---------------------------------------------------------------------------
-# debug serialization
-
-def state_to_json(state: FockState, threshold: float = 0.0) -> dict:
-    """JSON-friendly dump: occupation tuple -> [re, im]."""
-    entries = {}
-    for idx in np.ndindex(state.mode_dims):
-        a = state.amps[idx]
-        if abs(a) > threshold:
-            entries[",".join(str(i) for i in idx)] = [float(a.real), float(a.imag)]
-    return {"mode_dims": list(state.mode_dims), "amplitudes": entries}
-
-
-def state_from_json(payload: dict) -> FockState:
-    dims = tuple(int(d) for d in payload["mode_dims"])
-    amps = np.zeros(dims, dtype=np.complex128)
-    for key, (re, im) in payload["amplitudes"].items():
-        idx = tuple(int(t) for t in key.split(","))
-        amps[idx] = re + 1j * im
-    return FockState(amps)

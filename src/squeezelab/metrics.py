@@ -60,17 +60,11 @@ def phase_resolution(intensity_y: float, var_x: float, *, numerator: str = "inte
 
 @dataclass(frozen=True)
 class SpectraInput:
-    """Output spectra of the squeezed (V) and distance (W) quadratures.
-
-    ``gamma`` (cavity decay rate) and ``measurement_time`` are carried as
-    normalization metadata only; nothing here recomputes the spectra.
-    """
+    """Output spectra of the squeezed (V) and distance (W) quadratures."""
 
     omega: np.ndarray
     v_out: np.ndarray
     w_out: np.ndarray
-    gamma: float | None = None
-    measurement_time: float | None = None
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
@@ -85,13 +79,13 @@ class SpectraInput:
         object.__setattr__(self, "w_out", w)
 
     @classmethod
-    def from_csv(cls, v_path: str | Path, w_path: str | Path, **metadata) -> "SpectraInput":
+    def from_csv(cls, v_path: str | Path, w_path: str | Path) -> "SpectraInput":
         """Load from two two-column CSV files (omega, value)."""
         omega_v, v = _read_two_column_csv(v_path)
         omega_w, w = _read_two_column_csv(w_path)
         if not np.allclose(omega_v, omega_w):
             raise ValueError("frequency grids of the two spectra differ")
-        return cls(omega_v, v, w, **metadata)
+        return cls(omega_v, v, w)
 
 
 def _read_two_column_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

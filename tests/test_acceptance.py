@@ -230,7 +230,7 @@ def test_criterion_8_quadrature_only_variant():
         v = squeezed_floor + (1.0 - squeezed_floor) * omega**2 / (1.0 + omega**2)
         width = 1.0 / math.sqrt(n)  # critically slowed unsqueezed fluctuations
         w = 1.0 + (n - 1.0) / (1.0 + (omega / width) ** 2)
-        spectra = SpectraInput(omega, v, w, gamma=1.0)
+        spectra = SpectraInput(omega, v, w)
         ratio = spectral_phase_resolution(spectra)
         center = int(np.argmin(np.abs(omega)))
         res = phase_resolution(w[center], v[center], numerator="unsqueezed_variance")

@@ -218,3 +218,95 @@ def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypat
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     summary = read_json(tmp_path / "summary.json")
     assert (summary["t_sq"], summary["var_min"], summary["S"]) == (opt.t_sq, opt.var_min, opt.resolution.s)
+
+
+# ---------------------------------------------------------------------------
+# parameter tables: flags, the --config file and the echo
+
+OUTPUT_JSON = {"simulate": "summary.json", "sweep": "fits.json", "mix": "mix.json",
+               "scheme": "scheme.json", "surface": "surface.json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "degenerate", "--N", "4", "--points", "20", "--svg"],
+    ["sweep", "--kind", "nondegenerate", "--N", "2:6:linear:3", "--coupling", "1.5"],
+    ["mix", "--variant", "bs", "--r2", "0.3", "--s", "0.4", "--alpha", "1"],
+    ["mix", "--variant", "bs", "--r2", "0.3", "--delta", "0.2", "--s", "0.4", "--alpha", "1", "--oracle"],
+    ["mix", "--variant", "bs", "--r2", "0.3", "--s", "0.4", "--alpha", "1", "--theta", "0.8", "--oracle"],
+    ["mix", "--variant", "in", "--phi", "1.1", "--psi", "0.3", "--s", "0.4", "--alpha", "1", "--oracle"],
+    ["scheme", "--variant", "bs", "--N", "1e4", "--lambda", "0.3", "--r2", "0.2"],
+    ["scheme", "--variant", "in", "--N", "1e4", "--lambda", "0.3", "--phi", "1.2"],
+    ["surface", "--variant", "bs", "--N", "1e3:1e5:geometric:3", "--mix", "0.1:0.9:linear:3", "--svg"],
+    ["surface", "--variant", "in", "--N", "1e3:1e5:geometric:3", "--mix", "0.1:3:linear:3",
+     "--lambda", "0.7", "--svg"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a.startswith("--") or a == argv[0]))
+def test_config_echo_reproduces_flags(tmp_path, argv):
+    from squeezelab.cli import COMMANDS
+
+    command = argv[0]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    outputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    echo = read_json(tmp_path / OUTPUT_JSON[command])["config"]
+    variant = echo.get("variant")
+    assert set(echo) == {p.key for p in COMMANDS[command].params if p.variant in (None, variant)}
+
+    for path in tmp_path.iterdir():
+        path.unlink()
+    config = tmp_path.parent / f"{tmp_path.name}-echo.json"
+    config.write_text(json.dumps(echo))
+    assert main([command, "--config", str(config)]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == outputs
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    assert main(["mix", "--config", str(missing), "--variant", "bs", "--r2", "0.1",
+                 "--outdir", str(tmp_path)]) == 2
+    assert f"configuration error: cannot read --config {missing}" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"variant": "bs", "r2": 0.5, "detla": 0.3, "outdir": str(tmp_path)}))
+    assert main(["mix", "--config", str(config)]) == 2
+    assert "unknown parameter(s) detla" in capsys.readouterr().err
+    assert not (tmp_path / "mix.json").exists()
+
+
+@pytest.mark.parametrize("command, file_cfg, reason", [
+    ("scheme", {"variant": "xyz", "N": 1e4, "efficiency": 0.5}, "argument --variant: invalid choice: 'xyz'"),
+    ("simulate", {"kind": "triply-degenerate", "N": 4}, "argument --kind: invalid choice"),
+    ("simulate", {"kind": "degenerate", "N": 4, "points": 20.5}, "argument --points: invalid literal"),
+    ("surface", {"N": "1:2:linear:3", "mix": "0:1:linear:3", "svg": "false"}, "argument --svg: expected true or false"),
+], ids=["variant-choice", "kind-choice", "points-int", "svg-bool"])
+def test_config_file_values_checked_like_flags(tmp_path, capsys, command, file_cfg, reason):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**file_cfg, "outdir": str(tmp_path)}))
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {reason}" in err
+    assert "missing required parameter" not in err
+
+
+def test_missing_parameter_names_its_flag(tmp_path, capsys):
+    assert main(["scheme", "--N", "1e6", "--variant", "bs", "--r2", "0.1", "--outdir", str(tmp_path)]) == 2
+    assert "missing required parameter --lambda" in capsys.readouterr().err
+
+
+def test_cutoff_zero_is_kept(tmp_path):
+    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "0.5", "--alpha", "1",
+                 "--cutoff", "0", "--outdir", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "mix.json")["config"]["cutoff"] == 0
+    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "0.5", "--alpha", "1",
+                 "--cutoff", "0", "--oracle", "--outdir", str(tmp_path)]) == 3
+
+
+def test_sweep_too_few_points_exit_2_before_running(tmp_path, capsys):
+    assert main(["sweep", "--kind", "degenerate", "--N", "4:16:geometric:2",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "need at least 3 points, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -379,14 +378,3 @@ def test_nonunitary_coefficients_rejected():
 def test_mixing_requires_two_modes():
     with pytest.raises(ValueError):
         sq.apply_mode_unitary(sq.vacuum_state(4), np.eye(2))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_json_round_trip():
-    st = sq.product_state(sq.coherent_state(1.0), sq.squeezed_vacuum(SqueezeParams(0.4)))
-    payload = json.loads(json.dumps(sq.state_to_json(st)))
-    back = sq.state_from_json(payload)
-    assert back.mode_dims == st.mode_dims
-    assert np.max(np.abs(back.amps - st.amps)) < 1e-15

@@ -106,11 +106,10 @@ def test_spectra_csv_round_trip(tmp_path):
     vp, wp = tmp_path / "v.csv", tmp_path / "w.csv"
     vp.write_text("omega,v\n" + "\n".join(f"{float(o)!r},{float(x)!r}" for o, x in zip(omega, v)) + "\n")
     wp.write_text("omega,w\n" + "\n".join(f"{float(o)!r},{float(x)!r}" for o, x in zip(omega, w)) + "\n")
-    sp = SpectraInput.from_csv(vp, wp, gamma=1.0)
+    sp = SpectraInput.from_csv(vp, wp)
     assert np.allclose(sp.omega, omega)
     assert np.allclose(sp.v_out, v)
     assert np.allclose(sp.w_out, w)
-    assert sp.gamma == 1.0
 
 
 # ---------------------------------------------------------------------------

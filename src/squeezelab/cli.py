@@ -146,7 +146,13 @@ def _sweep_point(payload: tuple) -> dict:
 
 def cmd_sweep(config: dict, out: Path) -> int:
     if config["jobs"] is None:
-        config["jobs"] = int(os.environ.get("SQUEEZELAB_JOBS", "1"))
+        jobs = os.environ.get("SQUEEZELAB_JOBS", "1")
+        try:
+            config["jobs"] = int(jobs)
+        except ValueError:
+            raise ValueError(f"SQUEEZELAB_JOBS must be an integer, got {jobs!r}") from None
+    if config["jobs"] < 1:
+        raise ValueError(f"--jobs (or SQUEEZELAB_JOBS) must be at least 1, got {config['jobs']}")
     n_values = parse_range(config["N"])
     if n_values.size < 3:
         raise ValueError(f"--N: the power-law fits need at least 3 points, got {n_values.size}")
@@ -459,7 +465,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: the output cannot be made or written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -453,52 +453,58 @@ def phase_resolution_of_mode(state: FockState, mode: int = 0):
 # ---------------------------------------------------------------------------
 # passive two-mode mixing
 
-_rotation_cache: dict[float, list[np.ndarray]] = {}
-_ROTATION_CACHE_MAX = 4
+#: ``(theta, d1, d2, bands)`` of the last :func:`_rotation_bands` build (``d1 = 0``: none yet)
+_rotation_cache: tuple[float, int, int, list[np.ndarray]] = (0.0, 0, 0, [])
 
 
-def _rotation_blocks(theta: float, n_max: int) -> list[np.ndarray]:
-    """Total-photon-number blocks ``n = 0 .. n_max`` of ``U = exp[theta (a1† a2 - a2† a1)]``.
+def _rotation_bands(theta: float, d1: int, d2: int) -> tuple[int, list[np.ndarray]]:
+    """Column bands of the total-photon-number blocks of ``U = exp[theta (a1† a2 - a2† a1)]``.
 
-    Block ``n`` is the real orthogonal matrix ``B[m', m]`` mapping
-    ``|m, n-m>`` to ``sum_m' B[m', m] |m', n-m'>``; each is built from the
-    one before by :func:`_next_rotation_block`.  Blocks are cached per
-    angle and extended on demand.
+    Block ``n`` is the real orthogonal ``B[m', m]`` mapping ``|m, n-m>`` to
+    ``sum_m' B[m', m] |m', n-m'>``.  Its band keeps only the columns
+    ``max(0, n - d2 + 1) .. min(d1 - 1, n)`` that a ``d1 x d2`` input reaches.
+    The last build is reused for the same angle and an input no larger in
+    either mode.  Returns the ``d2`` the bands were built for, and the bands.
     """
-    theta = float(theta)
-    blocks = _rotation_cache.get(theta)
-    if blocks is None:
-        if len(_rotation_cache) >= _ROTATION_CACHE_MAX:
-            _rotation_cache.pop(next(iter(_rotation_cache)))
-        blocks = [np.ones((1, 1))]
-        _rotation_cache[theta] = blocks
+    global _rotation_cache
+    built_theta, built_d1, built_d2, bands = _rotation_cache
+    if built_theta == theta and d1 <= built_d1 and d2 <= built_d2:
+        return built_d2, bands
     c, s = math.cos(theta), math.sin(theta)
-    while len(blocks) <= n_max:
-        blocks.append(_next_rotation_block(blocks[-1], c, s))
-    return blocks
+    bands = [np.ones((1, 1))]
+    for n in range(1, d1 + d2 - 1):
+        first = max(0, n - d2)  # first column of band n - 1
+        band = _next_rotation_band(bands[-1], first, c, s)
+        bands.append(band[:, max(0, n - d2 + 1) - first : min(d1 - 1, n) - first + 1])
+    _rotation_cache = (theta, d1, d2, bands)
+    return d2, bands
 
 
-def _next_rotation_block(prev: np.ndarray, c: float, s: float) -> np.ndarray:
-    """Rotation block ``n`` from block ``n - 1`` (``prev``) by adding one photon, in O(n²).
+def _next_rotation_band(prev: np.ndarray, first: int, c: float, s: float) -> np.ndarray:
+    """Columns ``first .. first + w`` of rotation block ``n`` from ``prev``, in O(n w).
 
-    With ``c = cos theta`` and ``s = sin theta``, ``U a1† U† = c a1† - s a2†``,
-    ``U a2† U† = s a1† + c a2†`` and
-    ``|m, n-m> = (sqrt(m) a1† |m-1, n-m> + sqrt(n-m) a2† |m, n-m-1>) / n``.
-    Averaging both creation routes keeps every block orthogonal to machine
-    precision at any size; a recursion along one route only (or a factorial
-    formula) loses orthogonality beyond n ~ 100.
+    ``prev`` (shape ``(n, w)``) holds columns ``first .. first + w - 1`` of
+    block ``n - 1``.  With ``c, s = cos theta, sin theta``,
+    ``U a1† U† = c a1† - s a2†``, ``U a2† U† = s a1† + c a2†`` and
+    ``|m, n-m> = (sqrt(m) a1† |m-1, n-m> + sqrt(n-m) a2† |m, n-m-1>) / n``,
+    so column ``m`` needs only columns ``m - 1`` and ``m`` of block ``n - 1``:
+    all are exact but column ``first`` if ``first > 0`` and ``first + w`` if
+    ``first + w < n``.  Averaging both creation routes keeps the blocks
+    orthogonal to machine precision at any size; one route alone (or a
+    factorial formula) loses orthogonality beyond n ~ 100.
     """
-    n = prev.shape[0]
+    n, w = prev.shape
     up = np.sqrt(np.arange(1.0, n + 1.0))  # a1† weight sqrt(m + 1) on |m, n-1-m>
     down = up[::-1]  # a2† weight sqrt(n - m)
     add1 = up[:, None] * prev
     add2 = down[:, None] * prev
-    block = np.zeros((n + 1, n + 1))
-    block[1:, 1:] = add1 * (c / n * up)
-    block[:-1, 1:] -= add2 * (s / n * up)
-    block[1:, :-1] += add1 * (s / n * down)
-    block[:-1, :-1] += add2 * (c / n * down)
-    return block
+    up_col, down_col = up[first:first + w], down[first:first + w]
+    band = np.zeros((n + 1, w + 1))
+    band[1:, 1:] = add1 * (c / n * up_col)
+    band[:-1, 1:] -= add2 * (s / n * up_col)
+    band[1:, :-1] += add1 * (s / n * down_col)
+    band[:-1, :-1] += add2 * (c / n * down_col)
+    return band
 
 
 def _phase_diag(amps: np.ndarray, phi1: float, phi2: float) -> np.ndarray:
@@ -513,18 +519,12 @@ def _apply_rotation(amps: np.ndarray, theta: float) -> np.ndarray:
     d1, d2 = amps.shape
     total = d1 + d2 - 1
     out = np.zeros((total, total), dtype=np.complex128)
-    blocks = _rotation_blocks(theta, total - 1)
+    built_d2, bands = _rotation_bands(theta, d1, d2)
     for n in range(total):
-        lo = max(0, n - (d2 - 1))
-        hi = min(d1 - 1, n)
-        if lo > hi:
-            continue
-        vin = np.zeros(n + 1, dtype=np.complex128)
-        m = np.arange(lo, hi + 1)
-        vin[m] = amps[m, n - m]
-        vout = blocks[n] @ vin
-        mo = np.arange(n + 1)
-        out[mo, n - mo] = vout
+        lo, hi = max(0, n - d2 + 1), min(d1 - 1, n)
+        first = max(0, n - built_d2 + 1)  # first column of band n
+        m, mo = np.arange(lo, hi + 1), np.arange(n + 1)
+        out[mo, n - mo] = bands[n][:, lo - first : hi - first + 1] @ amps[m, n - m]
     return out
 
 

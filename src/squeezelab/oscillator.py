@@ -208,42 +208,32 @@ class BlockEvolution:
 
     # -- observables -------------------------------------------------------
 
-    def _block_states(self, t: np.ndarray):
-        """Yield ``(q, block, v, p, pair)`` per block on the time array ``t``.
-
-        ``v`` holds the block's occupation amplitudes (one column per time),
-        ``p = |v|²`` and ``pair`` its share of the pair term ``<a1²>`` /
-        ``<a2 a3>``, which couples charge ``q`` to ``q - 2``; only the block
-        below is kept for it.
-        """
-        lower_q, lower = None, None
-        for q, blk in self.blocks.items():
-            v = blk.states(blk.w0, t)
-            pair = 0.0
-            if lower_q == q - 2:
-                k = lower.shape[0]
-                pair = np.sum(np.conj(lower) * (blk.pair_coeff[:k, None] * v[:k]), axis=0)
-            yield q, blk, v, np.abs(v) ** 2, pair
-            lower_q, lower = q, v
-
     def observables(self, times) -> dict[str, np.ndarray]:
         """Observables on a time array, one GEMM per block, folded in block by block.
 
         Energy is ``<v|H v>`` of the propagated amplitudes, not a sum over
         eigenvalues, so its drift tests the propagator.  With
         ``H[k-1, k] = i b[k-1]`` it is ``-2 b . Im(conj(v[:-1]) v[1:])``.
+        The pair term ``<a1²>`` / ``<a2 a3>`` couples charge ``q`` to
+        ``q - 2``; only the block below is kept for it.
         """
         t = np.asarray(times, dtype=float)
         n_sub, n_pump, charge, energy, norm_sq = np.zeros((5, t.size))  # n_sub: <n1> or <n2> (= <n3>)
         pair = np.zeros(t.size, dtype=np.complex128)
-        for q, blk, v, p, pair_q in self._block_states(t):
+        lower_q, lower = None, None
+        for q, blk in self.blocks.items():
+            v = blk.states(blk.w0, t)
+            if lower_q == q - 2:
+                k = lower.shape[0]
+                pair += np.sum(np.conj(lower) * (blk.pair_coeff[:k, None] * v[:k]), axis=0)
+            lower_q, lower = q, v
+            p = np.abs(v) ** 2
             weight = p.sum(axis=0)
             n_sub += blk.sub_occ @ p
             n_pump += blk.pump_occ @ p
             charge += weight * q
             norm_sq += weight
             energy -= 2.0 * (blk.couplings @ np.imag(np.conj(v[:-1]) * v[1:]))
-            pair += pair_q
         two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
         return {
             "var_x": 1.0 + two_n - 2.0 * pair.real,
@@ -259,13 +249,7 @@ class BlockEvolution:
         return {k: float(v[0]) for k, v in self.observables([t]).items()}
 
     def var_x_at(self, t: float) -> float:
-        """``var_x`` at one time, from the sub-harmonic occupation and the pair term only."""
-        n_sub = np.zeros(1)
-        pair = np.zeros(1, dtype=np.complex128)
-        for _, blk, _, p, pair_q in self._block_states(np.array([float(t)])):
-            n_sub += blk.sub_occ @ p
-            pair += pair_q
-        return float((1.0 + 2.0 * n_sub - 2.0 * pair.real)[0])
+        return self.observables_at(t)["var_x"]
 
     def var_x_derivatives(self, t: float) -> tuple[float, float, float]:
         """``var_x`` and its first and second time derivatives at one time, in one pass over the blocks.
@@ -302,7 +286,7 @@ class BlockEvolution:
 
 @dataclass
 class EvolutionResult:
-    """Time series of one oscillator run plus the grid-level optimum."""
+    """Time series of one oscillator run."""
 
     times: np.ndarray
     var_x: np.ndarray
@@ -312,9 +296,6 @@ class EvolutionResult:
     energy: np.ndarray
     norm: np.ndarray
     var_x_min_angle: np.ndarray
-    t_sq: float
-    var_min: float
-    s_at_tsq: float
 
 
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
@@ -327,8 +308,6 @@ def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
 
 def _evolution(ev: BlockEvolution, t: np.ndarray) -> EvolutionResult:
     series = ev.observables(t)
-    i_min = int(np.argmin(series["var_x"]))
-    s_at = phase_resolution(series["intensity_y"][i_min], series["var_x"][i_min]).s
     return EvolutionResult(
         times=t,
         var_x=series["var_x"],
@@ -338,9 +317,6 @@ def _evolution(ev: BlockEvolution, t: np.ndarray) -> EvolutionResult:
         energy=series["energy"],
         norm=np.sqrt(series["norm_sq"]),
         var_x_min_angle=series["var_x_min_angle"],
-        t_sq=float(t[i_min]),
-        var_min=float(series["var_x"][i_min]),
-        s_at_tsq=s_at,
     )
 
 

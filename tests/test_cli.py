@@ -310,3 +310,26 @@ def test_sweep_too_few_points_exit_2_before_running(tmp_path, capsys):
                  "--outdir", str(tmp_path)]) == 2
     assert "need at least 3 points, got 2" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_output_directory_that_is_a_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["scheme", "--N", "1e6", "--lambda", "0.5", "--r2", "0.1", "--outdir", str(blocker)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3", "--jobs", jobs,
+                 "--outdir", str(tmp_path)]) == 2
+    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_jobs_env_not_an_integer_names_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SQUEEZELAB_JOBS", "abc")
+    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3", "--outdir", str(tmp_path)]) == 2
+    assert "configuration error: SQUEEZELAB_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()

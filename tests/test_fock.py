@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies
 from scipy.linalg import expm
 
 import squeezelab as sq
+import squeezelab.fock as fock
 from squeezelab.fock import (
     FockState,
     QuadratureSpec,
@@ -13,8 +14,8 @@ from squeezelab.fock import (
     DEFICIT_TOL,
     TruncationError,
     _coherent_amplitudes,
-    _next_rotation_block,
-    _rotation_blocks,
+    _next_rotation_band,
+    _rotation_bands,
     _squeezed_amplitudes,
     apply_ladder,
     default_cutoff,
@@ -308,17 +309,17 @@ def test_mixing_conserves_norm_and_photons():
 
 def test_rotation_blocks_orthogonal_at_large_n():
     for theta in (0.2, 0.9):
-        blocks = _rotation_blocks(theta, 200)
+        blocks = _rotation_bands(theta, 201, 201)[1]
         for n in (50, 120, 200):
             b = blocks[n]
             assert np.max(np.abs(b @ b.T - np.eye(n + 1))) < 1e-11
 
 
 def test_rotation_blocks_orthogonal_at_n600():
-    # the photon-addition steps of _rotation_blocks, without caching every block up to 600
-    b = _rotation_blocks(1.13, 0)[0]
+    # the photon-addition steps of _rotation_bands, without caching every block up to 600
+    b = np.ones((1, 1))
     for _ in range(600):
-        b = _next_rotation_block(b, math.cos(1.13), math.sin(1.13))
+        b = _next_rotation_band(b, 0, math.cos(1.13), math.sin(1.13))
     assert np.max(np.abs(b @ b.T - np.eye(601))) < 1e-11
 
 
@@ -331,7 +332,69 @@ def test_rotation_block_matches_dense_generator_at_n150(theta):
         # a1† a2 |m, n-m> = sqrt((m+1)(n-m)) |m+1, n-m-1>
         gen[m + 1, m] = math.sqrt((m + 1.0) * (n - m))
     gen -= gen.T
-    assert np.max(np.abs(_rotation_blocks(theta, n)[n] - expm(theta * gen))) < 1e-10
+    assert np.max(np.abs(_rotation_bands(theta, n + 1, n + 1)[1][n] - expm(theta * gen))) < 1e-10
+
+
+def _full_blocks(theta, n_max):
+    """Full rotation blocks 0 .. n_max, by the photon-addition steps from the vacuum block."""
+    blocks = [np.ones((1, 1))]
+    for _ in range(n_max):
+        blocks.append(_next_rotation_band(blocks[-1], 0, math.cos(theta), math.sin(theta)))
+    return blocks
+
+
+@pytest.mark.parametrize("d1, d2", [(38, 141), (141, 38), (1, 30)])
+def test_rotation_bands_equal_full_block_columns(d1, d2, monkeypatch):
+    for theta in (0.2, 1.13, math.pi / 2, -0.4):
+        monkeypatch.setattr(fock, "_rotation_cache", (0.0, 0, 0, []))
+        built_d2, bands = _rotation_bands(theta, d1, d2)
+        assert built_d2 == d2 and len(bands) == d1 + d2 - 1
+        for n, (band, block) in enumerate(zip(bands, _full_blocks(theta, d1 + d2 - 2))):
+            lo, hi = max(0, n - d2 + 1), min(d1 - 1, n)
+            assert np.array_equal(band, block[:, lo:hi + 1])
+
+
+def test_rotation_memo_holds_one_angle_as_wide_as_the_input(monkeypatch):
+    monkeypatch.setattr(fock, "_rotation_cache", (0.0, 0, 0, []))
+    sq.beam_splitter_crosscheck(sq.BeamSplitterConfig.from_reflectivity(0.4), 1.8, 3.0)
+    theta, d1, d2, bands = fock._rotation_cache
+    assert isinstance(theta, float)
+    assert min(d1, d2) == max(band.shape[1] for band in bands)
+    assert sum(band.nbytes for band in bands) < 32 * 2**20
+
+
+def _count_band_steps(monkeypatch):
+    calls = []
+    step = fock._next_rotation_band
+    monkeypatch.setattr(fock, "_next_rotation_band", lambda *args: calls.append(1) or step(*args))
+    return calls
+
+
+def test_rotation_memo_serves_a_smaller_input_without_building(monkeypatch):
+    monkeypatch.setattr(fock, "_rotation_cache", (0.0, 0, 0, []))
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=(12, 40)) + 1j * rng.normal(size=(12, 40))
+    fock._apply_rotation(amps, 0.8)
+    calls = _count_band_steps(monkeypatch)
+    shapes = ((12, 40), (5, 40), (12, 7), (1, 1))
+    served = [fock._apply_rotation(amps[:d1, :d2], 0.8) for d1, d2 in shapes]
+    assert calls == []
+    for (d1, d2), out in zip(shapes, served):
+        monkeypatch.setattr(fock, "_rotation_cache", (0.0, 0, 0, []))
+        assert np.array_equal(out, fock._apply_rotation(amps[:d1, :d2], 0.8))
+
+
+def test_rotation_memo_rebuilds_for_a_larger_input(monkeypatch):
+    monkeypatch.setattr(fock, "_rotation_cache", (0.0, 0, 0, []))
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=(15, 33)) + 1j * rng.normal(size=(15, 33))
+    fock._apply_rotation(amps[:6, :20], 1.3)
+    calls = _count_band_steps(monkeypatch)
+    grown = fock._apply_rotation(amps, 1.3)
+    assert len(calls) == 15 + 33 - 2
+    assert fock._rotation_cache[1:3] == (15, 33)
+    monkeypatch.setattr(fock, "_rotation_cache", (0.0, 0, 0, []))
+    assert np.array_equal(grown, fock._apply_rotation(amps, 1.3))
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,8 +12,11 @@ Hamiltonians conserve a charge (``n1 + 2 n_pump`` and
 ``n2 + n3 + 2 n_pump``; the non-degenerate case also conserves
 ``n2 - n3``), so the state factorizes into small tridiagonal blocks that
 are propagated by exact eigendecomposition -- there is no step-size error
-anywhere.  A dense full-tensor propagator (no charge decomposition) is
-included as the independent cross-check route.
+anywhere.  Each block has a zero diagonal, so it is bipartite and its
+square splits by sublattice: one real eigensolve of half the block's size
+gives the whole propagation (see :class:`BlockEvolution`).  A dense
+full-tensor propagator (no charge decomposition) is included as the
+independent cross-check route.
 
 With the pump amplitude real positive, the squeezed quadrature of the
 sub-harmonic is ``-i(a† - a)`` (the ``x2``/``x3`` specs of
@@ -24,7 +27,7 @@ follows the undepleted-pump law ``exp(-2 sqrt(N) kappa t)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -74,6 +77,9 @@ class OscillatorConfig:
     def __post_init__(self):
         if self.kind not in ("degenerate", "nondegenerate"):
             raise ValueError(f"kind must be 'degenerate' or 'nondegenerate', got {self.kind!r}")
+        for name in ("pump_photons", "coupling", "pump_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pump_photons < 0.0:
             raise ValueError(f"pump photon number must be >= 0, got {self.pump_photons}")
         if self.coupling <= 0.0:
@@ -123,124 +129,209 @@ def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) 
     return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
-def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs ``(vals, W, g)`` of the tridiagonal ``H[k-1, k] = i couplings[k-1]``, zero diagonal.
-
-    In the gauge ``g_k = (-i)^k``, ``conj(g) H g`` is real symmetric, so
-    ``W`` is real and ``H = (g W) diag(vals) (g W)^†``.
-    """
-    vals, vecs = eigh_tridiagonal(np.zeros(couplings.size + 1), couplings)
-    return vals, vecs, np.conj(1j ** np.arange(couplings.size + 1))
-
-
 def _pump_block_amplitudes(cfg: OscillatorConfig) -> np.ndarray:
     """Initial coherent-pump coefficients c_K, K = 0 .. pump cutoff."""
     return coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
 
 
+def _gauge(dim: int) -> np.ndarray:
+    """``g_k = (-i)^k``: ``conj(g) H g`` is the real ``J`` with ``J[k-1, k] = couplings[k-1]``."""
+    return np.array([1.0, -1j, -1.0, 1j])[np.arange(dim) % 4]
+
+
+def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sigma², U, MU)`` of the real zero-diagonal tridiagonal ``J`` with off-diagonal ``couplings``.
+
+    ``J`` is bipartite.  Sublattice A holds the sites of the parity of the
+    last site, B the others, and ``M = J_BA``.  ``J²`` restricted to A is
+    the tridiagonal ``MᵀM = U diag(sigma²) Uᵀ``: over the A sites ``k`` its
+    diagonal is ``b[k-1]² + b[k]²`` and its off-diagonal ``b[k] b[k+1]``
+    (Golub and Kahan's link between a zero-diagonal tridiagonal and a
+    bidiagonal SVD).  ``MU`` takes two shifted row scalings of ``U``.
+    """
+    d = couplings.size + 1
+    p = (d - 1) % 2  # first A site
+    padded = np.concatenate(([0.0], couplings, [0.0]))  # padded[k] = b[k-1]
+    sq = padded * padded
+    sigma2, u = eigh_tridiagonal(sq[p:d:2] + sq[p + 1::2], padded[p + 1:d - 1:2] * padded[p + 2:d:2])
+    b = couplings
+    if p == 0:  # B site 2m + 1 sits between A sites m and m + 1
+        mu = b[0::2, None] * u[:-1] + b[1::2, None] * u[1:]
+    else:  # B site 2m sits between A sites m - 1 and m
+        mu = b[0::2, None] * u
+        mu[1:] += b[1::2, None] * u[:-1]
+    return sigma2, u, mu
+
+
 @dataclass
 class _Block:
+    """One charge block that starts as ``amp e_last``, solved on its start sublattice."""
+
     couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
-    eigvals: np.ndarray
-    eigvecs: np.ndarray       # real eigenvectors of the gauged block conj(g) H g
-    gauge: np.ndarray         # g: occupation amplitudes are g * (eigvecs @ w)
-    init: np.ndarray          # initial block vector
-    w0: np.ndarray            # initial block vector in the eigenbasis
-    sub_occ: np.ndarray       # sub-harmonic occupation per basis index
-    pump_occ: np.ndarray
-    pair_coeff: np.ndarray    # <block q-2 | a1² or a2 a3 | block q> diagonal couplings
+    amp: complex              # initial amplitude c on the start site, the last one
+    on_a: slice               # sites of sublattice A (the start site's parity) ...
+    on_b: slice               # ... and of B
+    eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending
+    u: np.ndarray             # eigenvectors of J² on A, rows on the A sites
+    mu: np.ndarray            # J_BA u, rows on the B sites
+    w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
+    occ_a: np.ndarray         # rows 1, sub-harmonic and pump occupation, on the A sites
+    occ_b: np.ndarray         # the same on the B sites
+    pair_phase: complex | None  # conj(c_below / |c_below|) c / |c|; None without a block at charge q - 2
+    pair_a: np.ndarray        # <block q-2 | a1² or a2 a3 | block q> per site, signed, on A but the last site
+    pair_b: np.ndarray        # the same on B
+    sigma: np.ndarray = field(init=False)      # sqrt(max(sigma², 0))
+    inv_sigma: np.ndarray = field(init=False)  # 1 / sigma, 0 on a zero mode
 
-    def states(self, w: np.ndarray, times) -> np.ndarray:
-        """Occupation amplitudes, shape (dim, len(times)), of eigenbasis vector ``w`` at each time."""
-        return self.amplitudes(np.exp(-1j * np.outer(self.eigvals, times)) * w[:, None])
+    def __post_init__(self):
+        self.sigma = np.sqrt(np.maximum(self.eigvals, 0.0))
+        self.inv_sigma = np.divide(1.0, self.sigma, out=np.zeros_like(self.sigma), where=self.sigma > 0.0)
 
-    def amplitudes(self, phased: np.ndarray) -> np.ndarray:
-        """Occupation amplitudes of the eigenbasis columns ``phased`` (shape (dim, n))."""
-        # real eigenvectors times complex columns: one real GEMM over the (re, im) pairs
-        return self.gauge[:, None] * (self.eigvecs @ phased.view(np.float64)).view(np.complex128)
+    def rotation(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """``cos(sigma t)`` and ``sin(sigma t) / sigma``, shape ``sigma.shape + shape(t)``.
+
+        The second is taken as 0 on a zero mode (``sigma² <= 0`` from the
+        solver): it only ever meets ``MU``'s column of that mode, which
+        vanishes, as ``||M u||² = sigma²``.  Elsewhere ``sigma >= 2e-162``
+        (``sigma²`` is a double), so ``1 / sigma`` is finite and
+        ``sin(x) / sigma`` keeps full relative accuracy at small ``x``.
+        """
+        x = np.multiply.outer(self.sigma, t)
+        return np.cos(x), np.sin(x) * self.inv_sigma.reshape(self.sigma.shape + (1,) * np.ndim(t))
+
+    def sublattice_amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real amplitudes ``(U cos(sigma t) w0, MU (sin(sigma t) / sigma) w0)``, shape (sites, len(t))."""
+        cos, sin = self.rotation(t)
+        w = self.w0[:, None]
+        return self.u @ (cos * w), self.mu @ (sin * w)
+
+    def state(self, t: float) -> np.ndarray:
+        """Occupation amplitudes of the block at time ``t``."""
+        a, b = self.sublattice_amplitudes(np.array([t], dtype=float))
+        g = _gauge(self.couplings.size + 1)
+        v = np.empty(g.size, dtype=np.complex128)
+        v[self.on_a], v[self.on_b] = a[:, 0], -1j * b[:, 0]
+        return (self.amp / abs(self.amp) * np.conj(g[-1])) * g * v
+
+    def propagate(self, v: np.ndarray, dt: float) -> np.ndarray:
+        """``exp(-i H dt) v`` for an arbitrary block vector ``v``.
+
+        ``exp(-iJt) = cos(Jt) - i sin(Jt)``, where ``cos(Jt)`` keeps each
+        sublattice and ``sin(Jt)`` swaps them: on A, ``cos(Jt) = U cos(sigma t) Uᵀ``;
+        on B, ``cos(Jt) = I - MU ((1 - cos(sigma t)) / sigma²) MUᵀ``, with
+        ``(1 - cos(sigma t)) / sigma² = 2 (sin(sigma t / 2) / sigma)²``; from A
+        to B, ``sin(Jt) = MU (sin(sigma t) / sigma) Uᵀ``, and from B to A its
+        transpose.
+        """
+        g = _gauge(v.size)
+        x = np.conj(g) * v
+        xb = x[self.on_b]
+        wa, wb = self.u.T @ x[self.on_a], self.mu.T @ xb
+        cos, sin = self.rotation(dt)
+        vers = 2.0 * self.rotation(0.5 * dt)[1] ** 2  # (1 - cos(sigma t)) / sigma²
+        y = np.empty_like(x)
+        y[self.on_a] = self.u @ (cos * wa - 1j * sin * wb)
+        y[self.on_b] = xb - self.mu @ (vers * wb + 1j * sin * wa)
+        return g * y
+
+
+def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: complex, below: _Block | None) -> _Block:
+    """Solve the block of ``charge`` that starts as ``amp e_last``; ``below`` is the kept block at ``charge - 2``."""
+    couplings = _block_couplings(kind, charge, coupling)
+    sigma2, u, mu = _sublattice_solve(couplings)
+    p = couplings.size % 2
+    on_a, on_b = slice(p, None, 2), slice(1 - p, None, 2)
+    occ = np.array([(1.0, n[0], n[-1]) for n in block_basis(kind, charge)]).T  # 1, sub-harmonic, pump
+    sub = occ[1]
+    if kind == "degenerate":
+        pair = np.sqrt(np.maximum(sub * (sub - 1.0), 0.0))
+    else:
+        pair = sub  # <m-1, m-1| a2 a3 |m, m> = m
+    # Site k here meets site k of the block below, whose start site is one
+    # lower, so A and B swap; the constant site phases of the two real
+    # amplitudes multiply to +1 on this block's B sites and -1 on its A sites.
+    pair_phase = None if below is None else np.conj(below.amp) / abs(below.amp) * amp / abs(amp)
+    return _Block(
+        couplings, amp, on_a, on_b, sigma2, u, mu, abs(amp) * u[-1],
+        occ[:, on_a], occ[:, on_b], pair_phase, -pair[on_a][:-1], pair[on_b],
+    )
 
 
 class BlockEvolution:
     """Exact propagator of one oscillator run, block by block.
 
-    Each block is diagonalized once, in the real gauge of
-    :func:`_tridiagonal_eigh`; evaluating a whole time grid is then one GEMM per block.
-    Blocks whose initial weight is below 1e-18 are dropped.
+    In the gauge ``g_k = (-i)^k`` a block is a real zero-diagonal
+    tridiagonal ``J``, so it is bipartite: sublattice A holds the sites of
+    the start site's parity (the block's last site), B the others.  Starting
+    from ``c e_last``, ``exp(-iJt)`` leaves ``cos(Jt) e_last`` on A and
+    ``-i sin(Jt) e_last`` on B.  Both come from one eigensolve of ``J²`` on
+    A, a tridiagonal of half the block size (:func:`_sublattice_solve`).  So
+    the amplitudes on each sublattice are ``c`` times real vectors, up to
+    constant per-site phases, and a whole time grid is two real half-size
+    GEMMs per block.  Blocks whose initial weight is below 1e-18 are dropped.
     """
 
     def __init__(self, cfg: OscillatorConfig):
         self.cfg = cfg
-        coeffs = _pump_block_amplitudes(cfg)
         self.blocks: dict[int, _Block] = {}
-        for n_pump, c in enumerate(coeffs):
+        for n_pump, c in enumerate(_pump_block_amplitudes(cfg)):
             if abs(c) ** 2 < 1e-18:
                 continue
             charge = 2 * n_pump
-            basis = block_basis(cfg.kind, charge)
-            couplings = _block_couplings(cfg.kind, charge, cfg.coupling)
-            vals, vecs, gauge = _tridiagonal_eigh(couplings)
-            init = np.zeros(n_pump + 1, dtype=np.complex128)
-            init[n_pump] = c  # pump index n_pump holds (sub-modes vacuum, n_pump)
-            w0 = c * np.conj(gauge[n_pump]) * vecs[n_pump]  # W^T conj(g) init
-            sub_occ = np.array([b[0] for b in basis], dtype=float)
-            pump_occ = np.array([b[-1] for b in basis], dtype=float)
-            if cfg.kind == "degenerate":
-                pair = np.sqrt(np.maximum(sub_occ * (sub_occ - 1.0), 0.0))
-            else:
-                pair = sub_occ.copy()  # <m-1, m-1| a2 a3 |m, m> = m
-            self.blocks[charge] = _Block(couplings, vals, vecs, gauge, init, w0, sub_occ, pump_occ, pair)
+            self.blocks[charge] = _solve_block(cfg.kind, charge, cfg.coupling, c, self.blocks.get(charge - 2))
 
     # -- propagation -------------------------------------------------------
 
     def propagate(self, vectors: dict[int, np.ndarray], dt: float) -> dict[int, np.ndarray]:
         """Advance arbitrary block vectors by ``dt`` (negative allowed)."""
-        out = {}
-        for q, v in vectors.items():
-            blk = self.blocks[q]
-            out[q] = blk.states(blk.eigvecs.T @ (np.conj(blk.gauge) * v), [dt])[:, 0]
-        return out
+        return {q: self.blocks[q].propagate(v, dt) for q, v in vectors.items()}
 
     def initial_vectors(self) -> dict[int, np.ndarray]:
-        return {q: blk.init.copy() for q, blk in self.blocks.items()}
+        out = {}
+        for q, blk in self.blocks.items():
+            out[q] = np.zeros(blk.couplings.size + 1, dtype=np.complex128)
+            out[q][-1] = blk.amp
+        return out
 
     def state_at(self, t: float) -> dict[int, np.ndarray]:
-        return {q: blk.states(blk.w0, [t])[:, 0] for q, blk in self.blocks.items()}
+        return {q: blk.state(t) for q, blk in self.blocks.items()}
 
     # -- observables -------------------------------------------------------
 
     def observables(self, times) -> dict[str, np.ndarray]:
-        """Observables on a time array, one GEMM per block, folded in block by block.
+        """Observables on a time array, two real half-size GEMMs per block, folded in block by block.
 
-        Energy is ``<v|H v>`` of the propagated amplitudes, not a sum over
-        eigenvalues, so its drift tests the propagator.  With
-        ``H[k-1, k] = i b[k-1]`` it is ``-2 b . Im(conj(v[:-1]) v[1:])``.
-        The pair term ``<a1²>`` / ``<a2 a3>`` couples charge ``q`` to
-        ``q - 2``; only the block below is kept for it.
+        The occupations are squares of the real sublattice amplitudes.  The
+        pair term ``<a1²>`` / ``<a2 a3>`` couples charge ``q`` to ``q - 2``;
+        only the block below is kept for it, and its real sum takes the
+        blocks' relative phase ``pair_phase``.  Energy ``<H>`` is 0 in every
+        block at all times: the amplitudes are ``c`` times a real vector, so
+        each bond term ``Im(conj(v[k-1]) v[k])`` vanishes.  It is reported as
+        that exact 0, so its drift no longer tests the propagator; ``<H²>``,
+        the squared :meth:`energy_scale`, does.
         """
         t = np.asarray(times, dtype=float)
-        n_sub, n_pump, charge, energy, norm_sq = np.zeros((5, t.size))  # n_sub: <n1> or <n2> (= <n3>)
+        stats = np.zeros((3, t.size))  # norm², <n_sub> (<n1>, or <n2> = <n3>), <n_pump>
+        charge = np.zeros(t.size)
         pair = np.zeros(t.size, dtype=np.complex128)
-        lower_q, lower = None, None
+        lower = None
         for q, blk in self.blocks.items():
-            v = blk.states(blk.w0, t)
-            if lower_q == q - 2:
-                k = lower.shape[0]
-                pair += np.sum(np.conj(lower) * (blk.pair_coeff[:k, None] * v[:k]), axis=0)
-            lower_q, lower = q, v
-            p = np.abs(v) ** 2
-            weight = p.sum(axis=0)
-            n_sub += blk.sub_occ @ p
-            n_pump += blk.pump_occ @ p
-            charge += weight * q
-            norm_sq += weight
-            energy -= 2.0 * (blk.couplings @ np.imag(np.conj(v[:-1]) * v[1:]))
+            a, b = blk.sublattice_amplitudes(t)
+            weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
+            stats += weights
+            charge += q * weights[0]
+            if blk.pair_phase is not None:
+                lower_a, lower_b = lower
+                pair += blk.pair_phase * (blk.pair_a @ (lower_b * a[:-1]) + blk.pair_b @ (lower_a * b))
+            lower = a, b
+        norm_sq, n_sub, n_pump = stats
         two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
         return {
             "var_x": 1.0 + two_n - 2.0 * pair.real,
             "intensity_y": n_sub,  # <n1>, or <c† c> of the normalized composite mode
             "pump_n": n_pump,
             "charge": charge,
-            "energy": energy,
+            "energy": np.zeros(t.size),
             "norm_sq": norm_sq,
             "var_x_min_angle": 1.0 + two_n - 2.0 * np.abs(pair),
         }
@@ -254,33 +345,41 @@ class BlockEvolution:
     def var_x_derivatives(self, t: float) -> tuple[float, float, float]:
         """``var_x`` and its first and second time derivatives at one time, in one pass over the blocks.
 
-        In the eigenbasis d/dt multiplies the phased vector by ``-i vals``, so
-        each block is one GEMM against the three columns ``(phi, -i vals phi,
-        -vals² phi)``.  Both sums of ``var_x`` are sesquilinear in the
-        amplitudes; their 3x3 matrices over (value, first, second derivative)
-        columns give the k-th derivative as ``sum_j binom(k, j) A[j, k - j]``.
+        With ``C = cos(sigma t) w0`` and ``S = (sin(sigma t) / sigma) w0``, the
+        A amplitudes and their two derivatives are ``U (C, -sigma² S,
+        -sigma² C)`` and the B amplitudes ``MU (S, C, -sigma² S)``: two real
+        half-size GEMMs per block.  Both sums of ``var_x`` are bilinear in
+        the real amplitudes; their 3x3 matrices over (value, first, second
+        derivative) columns give the k-th derivative as
+        ``sum_j binom(k, j) A[j, k - j]``.
         """
-        acc = np.zeros((3, 3), dtype=np.complex128)  # 2 <n_sub> - 2 <pair>, column by column
-        lower_q, lower = None, None
-        for q, blk in self.blocks.items():
-            phased = np.exp(-1j * t * blk.eigvals) * blk.w0
-            rate = -1j * blk.eigvals
-            v = blk.amplitudes(np.stack([phased, rate * phased, rate * rate * phased], axis=1))
-            acc += 2.0 * (np.conj(v.T) @ (blk.sub_occ[:, None] * v))
-            if lower_q == q - 2:
-                k = lower.shape[0]
-                acc -= 2.0 * (np.conj(lower.T) @ (blk.pair_coeff[:k, None] * v[:k]))
-            lower_q, lower = q, v
-        acc = acc.real
+        acc = np.zeros((3, 3))  # 2 <n_sub> - 2 Re<pair>, column by column
+        lower = None
+        for blk in self.blocks.values():
+            cos, sin = blk.rotation(t)
+            cols = np.empty((blk.w0.size, 4))  # S, C, -sigma² S, -sigma² C
+            np.multiply(sin, blk.w0, out=cols[:, 0])
+            np.multiply(cos, blk.w0, out=cols[:, 1])
+            np.multiply(cols[:, :2], -blk.eigvals[:, None], out=cols[:, 2:])
+            a = blk.u @ cols[:, 1:]
+            b = blk.mu @ cols[:, :3]
+            acc += 2.0 * (a.T @ (blk.occ_a[1, :, None] * a) + b.T @ (blk.occ_b[1, :, None] * b))
+            if blk.pair_phase is not None:
+                lower_a, lower_b = lower
+                acc -= 2.0 * blk.pair_phase.real * (
+                    lower_b.T @ (blk.pair_a[:, None] * a[:-1]) + lower_a.T @ (blk.pair_b[:, None] * b)
+                )
+            lower = a, b
         return 1.0 + acc[0, 0], acc[0, 1] + acc[1, 0], acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0]
 
     def energy_scale(self) -> float:
-        """||H psi0||, the natural scale for energy-drift checks.
+        """||H psi0||, the natural scale for energy checks.
 
-        Each block starts as ``c e_last``, so ``||H init||² = |c|² couplings[-1]²``.
+        Each block starts as ``c e_last``, so ``||H init||² = |c|² couplings[-1]²``;
+        its square is ``<H²>``, which the propagation conserves.
         """
         return math.sqrt(sum(
-            abs(blk.init[-1]) ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
+            abs(blk.amp) ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
         ))
 
 

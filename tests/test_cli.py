@@ -173,6 +173,15 @@ def test_validation_failure_exit_2(tmp_path):
     assert main(["simulate", "--N", "4", "--outdir", str(tmp_path)]) == 2  # missing kind
 
 
+@pytest.mark.parametrize("flag,value", [("--N", "inf"), ("--N", "nan"), ("--coupling", "inf"), ("--pump-phase", "nan")])
+def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
+    n, extra = (value, []) if flag == "--N" else ("4", [flag, value])
+    code = main(["simulate", "--kind", "degenerate", "--N", n, *extra, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_pump_phase_away_from_x_quadrature_exit_2(tmp_path, capsys, command):
     n = "16" if command == "simulate" else "4:16:geometric:3"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
@@ -17,7 +17,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
-from squeezelab.oscillator import MAX_NEWTON_PASSES, _block_couplings, _tridiagonal_eigh
+from squeezelab.oscillator import MAX_NEWTON_PASSES, _solve_block
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -77,6 +77,14 @@ def test_config_validation():
         OscillatorConfig("degenerate", -1.0)
     with pytest.raises(ValueError):
         OscillatorConfig("degenerate", 4.0, coupling=0.0)
+
+
+@pytest.mark.parametrize("field", ["pump_photons", "coupling", "pump_phase"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    params = {"pump_photons": 4.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        OscillatorConfig("degenerate", **params)
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +331,62 @@ def test_conservation_and_time_reversal_property(kind, n, t_unit):
     assert max(np.max(np.abs(back[q] - start[q])) for q in start) < 1e-9
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
+    n=strategies.floats(0.1, 150.0),
+    t_unit=strategies.floats(0.0, 3.0),
+)
+def test_energy_square_conserved_property(kind, n, t_unit):
+    """<H²> of the block states equals its start value ||H psi0||², at random runs and times."""
+    cfg = OscillatorConfig(kind, n)
+    ev = BlockEvolution(cfg)
+    h_squared = sum(
+        np.linalg.norm(hamiltonian_block(kind, q) @ v) ** 2 for q, v in ev.state_at(t_unit / math.sqrt(n)).items()
+    )
+    assert h_squared == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
+
+
+def _block_of_dim(kind, dim):
+    """The block of size ``dim`` that starts on its last site, with unit amplitude."""
+    charge = 2 * (dim - 1)
+    return _solve_block(kind, charge, 1.0, 1.0, None), hamiltonian_block(kind, charge)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
+    dim=strategies.integers(1, 80),
+    t=strategies.floats(-2.0, 2.0),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+@example(kind="degenerate", dim=1, t=0.7, seed=0)
+@example(kind="nondegenerate", dim=2, t=-1.3, seed=1)
+@example(kind="degenerate", dim=3, t=1.9, seed=2)  # odd: J² on A has a zero mode
+def test_block_propagator_property(kind, dim, t, seed):
+    """Sublattice propagation of random complex vectors against expm, and out and back, at any block size."""
+    blk, h = _block_of_dim(kind, dim)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    forward = blk.propagate(v, t)
+    assert np.max(np.abs(forward - expm(-1j * t * h) @ v)) < 1e-9
+    assert np.max(np.abs(blk.propagate(forward, -t) - v)) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # large blocks and large pumps
 
-@pytest.mark.parametrize("kind,charge", [("degenerate", 401), ("nondegenerate", 400)])
-def test_shared_eigensolver_propagates_large_blocks(kind, charge):
-    """Gauge and sign convention of the real-gauge solver against expm of the dense block."""
-    h = hamiltonian_block(kind, charge)
-    vals, vecs, gauge = _tridiagonal_eigh(_block_couplings(kind, charge))
-    v = gauge[:, None] * vecs
-    assert np.max(np.abs((v * vals) @ v.conj().T - h)) < 1e-9 * np.max(np.abs(h))
-    for index in (h.shape[0] - 1, h.shape[0] // 2):
-        unit = np.zeros(h.shape[0], dtype=np.complex128)
-        unit[index] = 1.0
-        for t in (0.002, 0.01, 0.05):
-            block = v @ (np.exp(-1j * vals * t) * (v.conj().T @ unit))
-            assert np.max(np.abs(block - expm(-1j * t * h) @ unit)) < 1e-10
+@pytest.mark.parametrize("kind,dim", [("degenerate", 601), ("nondegenerate", 600)])
+def test_sublattice_propagator_large_blocks(kind, dim):
+    """Unit vectors on both sublattices, and the block's start state, against expm of the dense block."""
+    blk, h = _block_of_dim(kind, dim)
+    for t in (0.002, 0.01, 0.05):
+        reference = expm(-1j * t * h)
+        for index in (dim - 1, dim - 2):  # the start site is on A, its neighbour on B
+            unit = np.zeros(dim, dtype=np.complex128)
+            unit[index] = 1.0
+            assert np.max(np.abs(blk.propagate(unit, t) - reference[:, index])) < 1e-10
+        assert np.max(np.abs(blk.state(t) - reference[:, -1])) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])

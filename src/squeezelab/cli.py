@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 truncation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -33,8 +34,10 @@ from .analytic import (
     BeamSplitterConfig,
     InterferometerConfig,
     SchemeParams,
+    beam_splitter_intensity,
     beam_splitter_variance,
     resolution_surface,
+    interferometer_intensity,
     interferometer_variance,
     scheme_phase_resolution_approx,
     scheme_phase_resolution_exact,
@@ -62,9 +65,11 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
+
+
+def _write_lines(path: Path, header, lines):
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_json(path: Path, payload: dict):
@@ -77,6 +82,8 @@ def parse_range(spec: str) -> np.ndarray:
     if len(parts) != 4:
         raise ValueError(f"range spec must be start:stop:kind:count, got {spec!r}")
     start, stop = float(parts[0]), float(parts[1])
+    if not math.isfinite(stop - start):  # also false when an endpoint is not finite
+        raise ValueError(f"range endpoints and their difference must be finite, got {spec!r}")
     kind, count = parts[2], int(parts[3])
     if count < 1:
         raise ValueError("range count must be >= 1")
@@ -208,13 +215,12 @@ def cmd_mix(config: dict, out: Path) -> int:
         if config["theta"] is None:
             config["theta"] = optimal_theta
         variance = beam_splitter_variance(mixer, s, config["theta"])
-        intensity = mixer.t1**2 * alpha**2 + mixer.r2**2 * math.sinh(s) ** 2
+        intensity = beam_splitter_intensity(mixer, s, alpha)
         at_optimum = abs((config["theta"] - optimal_theta) % (2.0 * math.pi)) < 1e-12
     else:
         mixer = InterferometerConfig(config["phi"], config["psi"], config["global_phase"])
         variance = interferometer_variance(mixer.phi, s)
-        c2 = math.cos(0.5 * mixer.phi) ** 2
-        intensity = alpha**2 * (1.0 - c2) + math.sinh(s) ** 2 * c2
+        intensity = interferometer_intensity(mixer.phi, s, alpha)
         at_optimum = True
 
     res = phase_resolution(intensity, variance)
@@ -293,16 +299,18 @@ def cmd_surface(config: dict, out: Path) -> int:
     n_values = parse_range(config["N"])
     mix_values = parse_range(config["mix"])
     rows = resolution_surface(n_values, mix_values, config["efficiency"], config["variant"])
-    _write_csv(out / "surface.csv", ["N", "r2_or_phi", "S_exact", "S_approx", "rel_dev"], rows)
+    # the N and mix columns repeat a few values: format each of them once
+    points = itertools.product(map(repr, n_values.tolist()), map(repr, mix_values.tolist()))
+    _write_lines(
+        out / "surface.csv",
+        ["N", "r2_or_phi", "S_exact", "S_approx", "rel_dev"],
+        (f"{n},{m},{s!r},{a!r},{d!r}" for (n, m), (s, a, d) in zip(points, rows[:, 2:].tolist())),
+    )
     _write_json(out / "surface.json", {"schema": SCHEMA_VERSION, "config": config})
     if config["svg"]:
-        grid = [
-            [rows[i * len(mix_values) + j][2] for i in range(len(n_values))]
-            for j in range(len(mix_values))
-        ]
         svgplot.heatmap(
             out / "surface.svg",
-            grid,
+            rows[:, 2].reshape(n_values.size, mix_values.size).T,
             n_values,
             mix_values,
             title=f"phase resolution, {config['variant']} scheme",
@@ -343,6 +351,8 @@ class Param(NamedTuple):
             value = self.type(str(value))  # parse the value's text, as argparse parses a flag's
         except ValueError as exc:
             raise ValueError(f"argument {self.option}: {exc}") from None
+        if self.type is float and not math.isfinite(value):
+            raise ValueError(f"argument {self.option}: must be finite, got {value!r}")
         if self.choices and value not in self.choices:
             choose = ", ".join(map(repr, self.choices))
             raise ValueError(f"argument {self.option}: invalid choice: {value!r} (choose from {choose})")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["line_plot", "heatmap"]
 
 _WIDTH, _HEIGHT = 720, 480
@@ -82,20 +84,21 @@ def line_plot(path, x, series: dict, *, title="", xlabel="", ylabel="", logx=Fal
     Path(path).write_text("\n".join(parts))
 
 
-def _ramp_color(u: float) -> str:
-    u = min(max(u, 0.0), 1.0)
-    pos = u * (len(_RAMP) - 1)
-    i = min(int(pos), len(_RAMP) - 2)
-    f = pos - i
-    rgb = [round(_RAMP[i][c] * (1 - f) + _RAMP[i + 1][c] * f) for c in range(3)]
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+def _ramp_colors(u: np.ndarray) -> list[str]:
+    """``rgb(...)`` colours of the ramp at each ``u`` (clipped to [0, 1]), in ``u``'s flat order."""
+    pos = np.minimum(np.maximum(u, 0.0), 1.0) * (len(_RAMP) - 1)
+    i = np.minimum(pos.astype(int), len(_RAMP) - 2)
+    f = (pos - i)[..., None]
+    ramp = np.array(_RAMP, dtype=float)
+    rgb = np.rint(ramp[i] * (1 - f) + ramp[i + 1] * f).astype(int)  # rint rounds half to even, as round does
+    return [f"rgb({r},{g},{b})" for r, g, b in rgb.reshape(-1, 3).tolist()]
 
 
 def heatmap(path, values, x_values, y_values, *, title="", xlabel="", ylabel=""):
-    """Cell heatmap of ``values[iy][ix]`` over labeled axes."""
-    ny, nx = len(values), len(values[0])
-    flat = [float(v) for row in values for v in row]
-    lo, hi = min(flat), max(flat)
+    """Cell heatmap of the 2-D ``values[iy, ix]`` over labeled axes."""
+    values = np.asarray(values, dtype=float)
+    ny, nx = values.shape
+    lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
@@ -106,14 +109,13 @@ def heatmap(path, values, x_values, y_values, *, title="", xlabel="", ylabel="")
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    for iy, row in enumerate(values):
-        for ix, v in enumerate(row):
-            color = _ramp_color((float(v) - lo) / span)
-            px = x0 + ix * cw
-            py = y0 - (iy + 1) * ch
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="{color}"/>'
-            )
+    colors = _ramp_colors((values - lo) / span)
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    xs = [f"{x0 + ix * cw:.2f}" for ix in range(nx)]
+    for iy in range(ny):
+        py = f"{y0 - (iy + 1) * ch:.2f}"
+        row = colors[iy * nx:(iy + 1) * nx]
+        parts.extend(f'<rect x="{px}" y="{py}" {size} fill="{color}"/>' for px, color in zip(xs, row))
     nxt = min(nx, 6)
     nyt = min(ny, 6)
     for i in range(nxt):

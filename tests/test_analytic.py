@@ -1,7 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import squeezelab as sq
@@ -63,6 +67,20 @@ def test_phase_resolution_squeezed_only():
     res = beam_splitter_phase_resolution(cfg, 1.0, 0.0)
     assert res.s == pytest.approx(math.sinh(1.0) * math.e, rel=1e-12)
     assert res.s == pytest.approx(3.194528049465325, rel=1e-12)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda v: BeamSplitterConfig.from_reflectivity(0.1, delta=v), "delta"),
+    (lambda v: BeamSplitterConfig.from_reflectivity(0.1, psi=v), "psi"),
+    (lambda v: InterferometerConfig(1.0, psi=v), "psi"),
+    (lambda v: InterferometerConfig(1.0, global_phase=v), "global_phase"),
+    (lambda v: SchemeParams(v, 0.5, BeamSplitterConfig.from_reflectivity(0.1)), "pump_photons"),
+    (lambda v: SchemeParams(1e3, v, BeamSplitterConfig.from_reflectivity(0.1)), "efficiency"),
+], ids=["bs-delta", "bs-psi", "in-psi", "in-global_phase", "scheme-pump_photons", "scheme-efficiency"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_configs_reject_non_finite_fields(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        make(value)
 
 
 def test_lossless_validation():
@@ -262,3 +280,67 @@ def test_surface_row_smooth_between_endpoints():
 def test_surface_rejects_unknown_variant():
     with pytest.raises(ValueError):
         resolution_surface([1e3], [0.1], 0.5, "xx")
+
+
+# the reference for the surface: the scalar scheme functions at each point
+def _assert_rows_match_scalar(rows, n_values, mix_values, lam, variant):
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(n_values) * len(mix_values), 5)
+    points = [(n, m) for n in n_values for m in mix_values]
+    for (n, m, s_exact, s_approx, rel_dev), (n_ref, m_ref) in zip(rows, points):
+        mixer = BeamSplitterConfig.from_reflectivity(m_ref) if variant == "bs" else InterferometerConfig(phi=m_ref)
+        params = SchemeParams(n_ref, lam, mixer)
+        exact = scheme_phase_resolution_exact(params).s
+        approx = scheme_phase_resolution_approx(params)
+        assert (n, m) == (n_ref, m_ref)
+        assert abs(s_exact - exact) <= 1e-15 * exact
+        assert abs(s_approx - approx.value) <= 1e-15 * approx.value
+        assert abs(rel_dev - approx.rel_deviation) <= 1e-15
+
+
+MIX_MAX = {"bs": 1.0, "in": math.pi}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["bs", "in"]).flatmap(
+        lambda v: st.tuples(st.just(v), st.lists(st.floats(0.0, MIX_MAX[v]), min_size=1, max_size=4))
+    ),
+    st.lists(st.floats(1.0, 1e9), min_size=1, max_size=4),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_surface_rows_equal_scalar_formulas(variant_mix, n_values, lam):
+    variant, mix_values = variant_mix
+    rows = resolution_surface(n_values, mix_values, lam, variant)
+    _assert_rows_match_scalar(rows, n_values, mix_values, lam, variant)
+
+
+@pytest.mark.parametrize("variant, mix", [("bs", 0.0), ("bs", 1.0), ("in", 0.0), ("in", math.pi)])
+def test_surface_edges_match_scalar_without_warnings(variant, mix):
+    n_values = [1.0, 1e3, 1e9]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = resolution_surface(n_values, [mix], 0.5, variant)
+        _assert_rows_match_scalar(rows, n_values, [mix], 0.5, variant)
+
+
+BS = BeamSplitterConfig.from_reflectivity(0.2)
+
+
+@pytest.mark.parametrize("n_values, mix_values, lam, variant, scalar", [
+    ([1e3, 0.5], [0.2], 0.5, "bs", lambda: SchemeParams(0.5, 0.5, BS)),
+    ([1e3, math.nan], [0.2], 0.5, "bs", lambda: SchemeParams(math.nan, 0.5, BS)),
+    ([1e3, math.inf], [0.2], 0.5, "in", lambda: SchemeParams(math.inf, 0.5, BS)),
+    ([1e3], [0.2, 1.5], 0.5, "bs", lambda: BeamSplitterConfig.from_reflectivity(1.5)),
+    ([1e3], [math.nan], 0.5, "bs", lambda: BeamSplitterConfig.from_reflectivity(math.nan)),
+    ([1e3], [0.2, 4.0], 0.5, "in", lambda: InterferometerConfig(4.0)),
+    ([1e3], [-0.1, 0.2], 0.5, "in", lambda: InterferometerConfig(-0.1)),
+    ([1e3], [0.2], 0.0, "bs", lambda: SchemeParams(1e3, 0.0, BS)),
+    ([1e3], [0.2], 1.5, "in", lambda: SchemeParams(1e3, 1.5, BS)),
+    ([1e3], [0.2], math.nan, "bs", lambda: SchemeParams(1e3, math.nan, BS)),
+], ids=["N-below-1", "N-nan", "N-inf", "r2-above-1", "r2-nan", "phi-above-pi", "phi-negative",
+        "lambda-0", "lambda-above-1", "lambda-nan"])
+def test_surface_rejects_bad_values_as_scalar_configs_do(n_values, mix_values, lam, variant, scalar):
+    with pytest.raises(ValueError) as expected:
+        scalar()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        resolution_surface(n_values, mix_values, lam, variant)

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from squeezelab import resolution_surface
 from squeezelab.cli import main, parse_range
 
 
@@ -22,6 +24,9 @@ def test_parse_range():
         parse_range("1:5:cubic:5")
     with pytest.raises(ValueError):
         parse_range("-1:5:geometric:5")
+    for spec in ("4:inf:geometric:3", "nan:1:linear:3", "-1.7e308:1.7e308:linear:3"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_range(spec)
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -119,6 +124,8 @@ def test_surface_command(tmp_path):
     lines = (tmp_path / "surface.csv").read_text().splitlines()
     assert lines[0] == "N,r2_or_phi,S_exact,S_approx,rel_dev"
     assert len(lines) == 1 + 3 * 4
+    rows = resolution_surface(parse_range("1e3:1e5:geometric:3"), parse_range("0:1:linear:4"), 0.5, "bs")
+    assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in rows]
     assert (tmp_path / "surface.svg").exists()
     assert (tmp_path / "surface.svg").read_text().startswith("<svg")
 
@@ -180,6 +187,35 @@ def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, file_cfg", [
+    (["sweep", "--kind", "degenerate", "--N", "4:inf:geometric:3"], None),
+    (["surface", "--N", "nan:1e4:linear:3", "--mix", "0:1:linear:3"], None),
+    (["surface", "--N", "1e3:inf:geometric:3", "--mix", "0:1:linear:3"], None),
+    (["surface", "--N", "1e3:1e4:geometric:3", "--mix", "0:nan:linear:3"], None),
+    (["scheme", "--N", "nan", "--lambda", "0.5", "--r2", "0.1"], None),
+    (["mix", "--variant", "bs", "--r2", "0.3", "--s", "nan"], None),
+    (["mix", "--variant", "bs", "--r2", "0.3", "--alpha", "nan"], None),
+    (["mix", "--variant", "bs", "--r2", "0.3", "--delta", "nan"], None),
+    (["mix", "--variant", "in", "--phi", "1.0", "--psi", "inf"], None),
+    (["scheme"], {"N": math.nan, "efficiency": 0.5, "r2": 0.1}),
+    (["mix"], {"variant": "bs", "r2": 0.3, "s": math.inf}),
+], ids=["sweep-N-inf", "surface-N-nan", "surface-N-inf", "surface-mix-nan", "scheme-N-nan", "mix-s-nan",
+        "mix-alpha-nan", "mix-delta-nan", "mix-psi-inf", "config-scheme-N-nan", "config-mix-s-inf"])
+def test_non_finite_input_exit_2_before_any_work(tmp_path, capsys, argv, file_cfg):
+    out = tmp_path / "out"
+    if file_cfg is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(file_cfg))  # NaN and Infinity, as json writes them
+        argv = [*argv, "--config", str(config)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and "finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

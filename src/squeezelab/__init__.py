@@ -35,13 +35,12 @@ from .fock import (
     coherent_state,
     default_cutoff,
     distance_intensity,
-    expectation,
+    mode_moments,
     number_state,
     phase_resolution_of_mode,
     product_state,
     quadrature_stats,
     squeezed_vacuum,
-    state_phase_resolution,
     vacuum_state,
 )
 from .metrics import (

@@ -103,7 +103,8 @@ def _bs_intensity(t1, r2, s, alpha_mag):
 
 
 def _bs_optimal_variance(r2, s):
-    return 1.0 - r2**2 * (1.0 - np.exp(-2.0 * s))
+    """``1 - r2²(1 - e^{-2s})`` as a sum of non-negative terms, so it keeps full relative accuracy when small."""
+    return (1.0 - r2) * (1.0 + r2) + r2**2 * np.exp(-2.0 * s)
 
 
 def _in_intensity(phi, s, alpha_mag):
@@ -111,7 +112,8 @@ def _in_intensity(phi, s, alpha_mag):
 
 
 def _in_variance(phi, s):
-    return 1.0 - (1.0 - np.exp(-2.0 * s)) * np.cos(0.5 * phi) ** 2
+    """``1 - (1 - e^{-2s}) cos²(phi/2)``, written like :func:`_bs_optimal_variance` without cancellation."""
+    return np.sin(0.5 * phi) ** 2 + np.exp(-2.0 * s) * np.cos(0.5 * phi) ** 2
 
 
 def _squeeze_parameter(n):
@@ -244,12 +246,15 @@ def beam_splitter_variance(cfg: BeamSplitterConfig, s: float, theta: float = 0.0
     Inputs are a coherent beam on port 1 and a squeezed vacuum ``(s, theta)``
     on port 2.  The coherent amplitude drops out of the (mean-subtracted)
     variance, which depends on the phases only through ``2 delta + 2 psi
-    + theta`` and is minimal when that combination vanishes.
+    + theta`` and is minimal when that combination vanishes.  With
+    ``c = 2 delta + 2 psi + theta`` it is
+    ``1 - r2² + r2² (e^{-2s} cos²(c/2) + e^{2s} sin²(c/2))``, a sum of
+    non-negative terms.
     """
-    sh = math.sinh(s)
-    ch = math.cosh(s)
-    combo = 2.0 * cfg.delta + 2.0 * cfg.psi + theta
-    return 1.0 + 2.0 * cfg.r2**2 * sh * (sh - ch * math.cos(combo))
+    half = cfg.delta + cfg.psi + 0.5 * theta
+    # squared factors: e^{2s} alone would overflow from s = 355 on, even where sin(c/2) = 0
+    low, high = math.exp(-s) * math.cos(half), math.exp(s) * math.sin(half)
+    return (1.0 - cfg.r2) * (1.0 + cfg.r2) + cfg.r2**2 * (low * low + high * high)
 
 
 def beam_splitter_intensity(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> float:
@@ -261,7 +266,7 @@ def beam_splitter_phase_resolution(cfg: BeamSplitterConfig, s: float, alpha_mag:
     """Best-case phase resolution of the bright output port.
 
     Assumes the optimal phase condition ``2 delta + 2 psi + theta = 0``:
-    the variance is ``1 - r2²(1 - e^{-2s})``, the intensity is
+    the variance is ``1 - r2² + r2² e^{-2s}``, the intensity is
     ``t1²|alpha|² + r2² sinh²(s)``.
     """
     return phase_resolution(_bs_intensity(cfg.t1, cfg.r2, s, alpha_mag), _bs_optimal_variance(cfg.r2, s))

@@ -85,8 +85,8 @@ def _mixed_output(matrix, alpha: complex, params: SqueezeParams, cutoff: int | N
 
 
 def _port_statistics(out: FockState):
-    _, variance, _ = quadrature_stats(out, QuadratureSpec.generic(0, 0.0))
-    intensity = distance_intensity(out, QuadratureSpec.generic(0, 0.5 * math.pi))
+    _, variance, _ = quadrature_stats(out, QuadratureSpec(0, 0.0))
+    intensity = distance_intensity(out, QuadratureSpec(0, 0.5 * math.pi))
     return variance, intensity
 
 
@@ -118,7 +118,7 @@ def beam_splitter_variance_crosscheck(
     port; useful for scanning the phase dependence away from the optimum.
     """
     out = _mixed_output(cfg.mode_matrix(), complex(alpha_mag), SqueezeParams(s, theta), cutoff)
-    _, variance, _ = quadrature_stats(out, QuadratureSpec.generic(0, 0.0))
+    _, variance, _ = quadrature_stats(out, QuadratureSpec(0, 0.0))
     return beam_splitter_variance(cfg, s, theta), variance
 
 

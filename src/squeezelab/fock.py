@@ -2,30 +2,32 @@
 
 States are dense complex amplitude tensors over occupation-number bases,
 one axis per mode.  The module provides the standard constructors
-(vacuum, number, coherent, squeezed vacuum), ladder-operator expectation
-values, quadrature statistics, and an exact passive two-mode mixer
-(beam splitter / interferometer arm) applied block-by-block in the
-total-photon-number decomposition.  Everything here is brute force on
-purpose: this layer is the numerical oracle against which the closed-form
-results of :mod:`squeezelab.analytic` are checked.
+(vacuum, number, coherent, squeezed vacuum), the one-mode moments
+``<a>``, ``<a²>`` and ``<a†a>`` with the quadrature statistics built on
+them, and an exact passive two-mode mixer (beam splitter /
+interferometer arm) applied block-by-block in the total-photon-number
+decomposition.  Everything here is brute force on purpose: this layer is
+the numerical oracle against which the closed-form results of
+:mod:`squeezelab.analytic` are checked.
 
 Conventions
 -----------
-* Quadratures are normalized so the vacuum variance is 1:
-  for a canonical lowering operator ``A`` (``[A, A†] = 1``) the quadrature
-  at angle ``phi`` is ``Q = A e^{-i phi} + A† e^{i phi}``.
+* Quadratures are normalized so the vacuum variance is 1: the quadrature
+  of mode ``k`` at angle ``phi`` is ``Q = A + A†`` with
+  ``A = e^{-i phi} a_k``.
 * A squeezed vacuum with parameters ``(s, theta)`` has even-occupation
   amplitudes proportional to ``(-e^{i theta} tanh s)^{n/2}``; at
   ``theta = 0`` the minimal-variance quadrature is ``a + a†`` with
   variance ``e^{-2s}``, and ``<a²> = -sinh(s) cosh(s)``.
 * The "distance intensity" used by the phase-resolution metric is the
-  lowering-part expectation ``<A†A>`` of the distance quadrature, so a
-  coherent state of amplitude ``alpha`` has intensity ``|alpha|²`` and
-  phase resolution exactly ``|alpha|``.
+  lowering-part expectation ``<A†A> = <a†a>`` of the distance
+  quadrature, so a coherent state of amplitude ``alpha`` has intensity
+  ``|alpha|²`` and phase resolution exactly ``|alpha|``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from math import lgamma
@@ -46,11 +48,9 @@ __all__ = [
     "squeezed_vacuum",
     "product_state",
     "default_cutoff",
-    "apply_ladder",
-    "expectation",
+    "mode_moments",
     "quadrature_stats",
     "distance_intensity",
-    "state_phase_resolution",
     "phase_resolution_of_mode",
     "apply_mode_unitary",
     "apply_beam_splitter",
@@ -107,10 +107,7 @@ class FockState:
 
     def mean_photons(self, mode: int = 0) -> float:
         """Expectation of the number operator of ``mode``."""
-        n = np.arange(self.amps.shape[mode]).reshape(
-            [-1 if ax == mode else 1 for ax in range(self.amps.ndim)]
-        )
-        return float(np.sum(n * np.abs(self.amps) ** 2))
+        return mode_moments(self, mode)[2]
 
     def __repr__(self) -> str:
         return f"FockState(mode_dims={self.mode_dims}, norm={self.norm():.6f})"
@@ -267,132 +264,44 @@ def product_state(*states: FockState) -> FockState:
 
 
 # ---------------------------------------------------------------------------
-# ladder-operator machinery
+# one-mode moments and quadratures
 
-def apply_ladder(amps: np.ndarray, kind: str, mode: int) -> np.ndarray:
-    """Apply a single ladder operator to an amplitude tensor.
+def mode_moments(state: FockState, mode: int) -> tuple[complex, complex, float]:
+    """``(<a>, <a²>, <a†a>)`` of one mode, as sums over the amplitude tensor.
 
-    ``kind`` is ``"a"`` (annihilation) or ``"ad"`` (creation).  Creation
-    out of the top truncated level is dropped, which is the action of the
-    truncated-space operator.
+    With ``c`` the amplitudes along the mode's axis, ``a|psi>`` has
+    components ``sqrt(n+1) c[n+1]`` and ``a†a|psi>`` components ``n c[n]``;
+    each moment is then one ``vdot``.
     """
-    dim = amps.shape[mode]
-    out = np.zeros_like(amps)
-    w_shape = [1] * amps.ndim
-    w_shape[mode] = dim - 1
-    weights = np.sqrt(np.arange(1, dim, dtype=float)).reshape(w_shape)
-    src = [slice(None)] * amps.ndim
-    dst = [slice(None)] * amps.ndim
-    if kind == "a":
-        src[mode] = slice(1, dim)
-        dst[mode] = slice(0, dim - 1)
-    elif kind == "ad":
-        src[mode] = slice(0, dim - 1)
-        dst[mode] = slice(1, dim)
-    else:
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    out[tuple(dst)] = weights * amps[tuple(src)]
-    return out
-
-
-def _normalize_operator(operator) -> list[tuple[complex, tuple[tuple[str, int], ...]]]:
-    operator = list(operator)
-    if operator and isinstance(operator[0], tuple) and isinstance(operator[0][0], str):
-        return [(1.0 + 0.0j, tuple(operator))]
-    return [(complex(c), tuple(prod)) for c, prod in operator]
-
-
-def expectation(state: FockState, operator) -> complex:
-    """Expectation value of a polynomial in the mode ladder operators.
-
-    ``operator`` is either a single product -- a sequence of
-    ``("a" | "ad", mode)`` factors read left to right as written, i.e.
-    ``(("ad", 0), ("a", 0))`` is the number operator -- or a list of
-    ``(coefficient, product)`` terms that are summed.
-    """
-    total = 0.0 + 0.0j
-    for coeff, product in _normalize_operator(operator):
-        vec = state.amps
-        for kind, mode in reversed(product):
-            if not 0 <= mode < state.n_modes:
-                raise ValueError(f"mode index {mode} out of range for {state.n_modes}-mode state")
-            vec = apply_ladder(vec, kind, mode)
-        total += coeff * complex(np.vdot(state.amps, vec))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# quadratures
-
-_SQRT2 = math.sqrt(2.0)
+    if not 0 <= mode < state.n_modes:
+        raise ValueError(f"mode index {mode} out of range for {state.n_modes}-mode state")
+    c = np.moveaxis(state.amps, mode, 0)
+    n = np.arange(float(c.shape[0])).reshape((-1,) + (1,) * (c.ndim - 1))
+    root = np.sqrt(n[1:])
+    lowered = root * c[1:]  # a|psi>
+    mean = np.vdot(c[:-1], lowered)
+    square = np.vdot(c[:-2], root[:-1] * lowered[1:])
+    return complex(mean), complex(square), float(np.vdot(c, n * c).real)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """A vacuum-variance-1 quadrature, defined by its lowering operator.
+    """The vacuum-variance-1 quadrature ``Q = A + A†`` of one mode, with ``A = e^{-i angle} a_mode``.
 
-    The quadrature operator is ``Q = A e^{-i angle}... `` -- concretely
-    ``Q = A + A†`` with ``A = sum_k u_k a_k`` and ``sum |u_k|² = 1``.
-    ``kind`` selects the preset combination:
-
-    * ``"y2"`` / ``"x2"``: cosine / sine quadrature of mode 0
-      (``a + a†`` and ``-i(a† - a)``),
-    * ``"y3"`` / ``"x3"``: the same pair for the normalized two-mode
-      combination ``i(a_0 - a_1)/sqrt(2)`` used for signal/idler pairs,
-    * ``"generic"``: quadrature of one mode at an arbitrary angle.
+    ``angle = 0`` gives ``a + a†``, ``angle = -pi/2`` gives ``-i(a† - a)``.
     """
 
-    kind: str
-    mode: int = 0
-    angle: float = 0.0
-
-    @classmethod
-    def y2(cls) -> "QuadratureSpec":
-        return cls("y2")
-
-    @classmethod
-    def x2(cls) -> "QuadratureSpec":
-        return cls("x2")
-
-    @classmethod
-    def y3(cls) -> "QuadratureSpec":
-        return cls("y3")
-
-    @classmethod
-    def x3(cls) -> "QuadratureSpec":
-        return cls("x3")
-
-    @classmethod
-    def generic(cls, mode: int, angle: float) -> "QuadratureSpec":
-        return cls("generic", mode=mode, angle=angle)
-
-    def lowering_coefficients(self) -> dict[int, complex]:
-        """Mode -> coefficient ``u_k`` of the canonical lowering part."""
-        if self.kind == "y2":
-            return {0: 1.0 + 0.0j}
-        if self.kind == "x2":
-            # -i(a† - a) = (i)a + (-i)a†
-            return {0: 1.0j}
-        if self.kind == "y3":
-            return {0: 1.0j / _SQRT2, 1: -1.0j / _SQRT2}
-        if self.kind == "x3":
-            return {0: -1.0 / _SQRT2, 1: 1.0 / _SQRT2}
-        if self.kind == "generic":
-            return {self.mode: complex(np.exp(-1j * self.angle))}
-        raise ValueError(f"unknown quadrature kind {self.kind!r}")
+    mode: int
+    angle: float
 
 
-def _lowering_moments(state: FockState, coeffs: dict[int, complex]):
-    """First and second moments of A = sum u_k a_k."""
-    modes = sorted(coeffs)
-    mean_a = sum(coeffs[k] * expectation(state, (("a", k),)) for k in modes)
-    sq = 0.0 + 0.0j
-    adag_a = 0.0 + 0.0j
-    for k in modes:
-        for l in modes:
-            sq += coeffs[k] * coeffs[l] * expectation(state, (("a", k), ("a", l)))
-            adag_a += np.conj(coeffs[k]) * coeffs[l] * expectation(state, (("ad", k), ("a", l)))
-    return mean_a, sq, adag_a
+def _quadrature(moments: tuple[complex, complex, float], angle: float) -> tuple[float, float, float]:
+    """``(mean, variance, <Q²>)`` of the quadrature at ``angle``, from :func:`mode_moments`."""
+    mean_a, square, number = moments
+    phase = cmath.exp(-1j * angle)
+    mean = 2.0 * (phase * mean_a).real
+    second = 2.0 * (phase * phase * square).real + 2.0 * number + 1.0
+    return mean, second - mean * mean, second
 
 
 def quadrature_stats(state: FockState, spec: QuadratureSpec) -> tuple[float, float, float]:
@@ -401,35 +310,17 @@ def quadrature_stats(state: FockState, spec: QuadratureSpec) -> tuple[float, flo
     ``intensity`` is ``<Q†Q> = <Q²>`` of the Hermitian quadrature operator;
     the variance is ``<Q²> - <Q>²`` and equals 1 on vacuum for every spec.
     """
-    coeffs = spec.lowering_coefficients()
-    for mode in coeffs:
-        if not 0 <= mode < state.n_modes:
-            raise ValueError(f"quadrature {spec.kind!r} needs mode {mode}, state has {state.n_modes}")
-    mean_a, sq, adag_a = _lowering_moments(state, coeffs)
-    mean = 2.0 * mean_a.real
-    second = 2.0 * sq.real + 2.0 * adag_a.real + 1.0
-    variance = second - mean * mean
-    return mean, float(variance), float(second)
+    return _quadrature(mode_moments(state, spec.mode), spec.angle)
 
 
 def distance_intensity(state: FockState, spec: QuadratureSpec) -> float:
-    """Lowering-part intensity ``<A†A>`` of a quadrature.
+    """Lowering-part intensity ``<A†A> = <a†a>`` of a quadrature, whatever its angle.
 
     This is the photon-number-like numerator of the phase-resolution
-    metric: for a coherent state along any direction it equals
-    ``|alpha|²``, for a squeezed vacuum ``sinh²(s)``.
+    metric: for a coherent state it equals ``|alpha|²``, for a squeezed
+    vacuum ``sinh²(s)``.
     """
-    _, _, adag_a = _lowering_moments(state, spec.lowering_coefficients())
-    if abs(adag_a.imag) > 1e-10:
-        raise ValueError(f"intensity came out non-real: {adag_a}")
-    return float(adag_a.real)
-
-
-def state_phase_resolution(state: FockState, distance: QuadratureSpec, uncertainty: QuadratureSpec):
-    """Phase resolution of ``state`` for a given distance/uncertainty pair."""
-    intensity = distance_intensity(state, distance)
-    _, variance, _ = quadrature_stats(state, uncertainty)
-    return phase_resolution(intensity, variance)
+    return mode_moments(state, spec.mode)[2]
 
 
 def phase_resolution_of_mode(state: FockState, mode: int = 0):
@@ -437,17 +328,17 @@ def phase_resolution_of_mode(state: FockState, mode: int = 0):
 
     The distance quadrature is aligned with the mean field; for zero-mean
     states (squeezed vacuum) it falls back to the major axis of the noise
-    ellipse, whose orientation is defined to within pi.
+    ellipse, whose orientation is defined to within pi.  The uncertainty
+    quadrature is the one at right angles to it.
     """
-    mean_a = expectation(state, (("a", mode),))
+    moments = mode_moments(state, mode)
+    mean_a, square, number = moments
     if abs(mean_a) > 1e-8:
-        chi = float(np.angle(mean_a))
+        chi = cmath.phase(mean_a)
     else:
-        sq = expectation(state, (("a", mode), ("a", mode)))
-        chi = 0.0 if abs(sq) < 1e-14 else 0.5 * float(np.angle(sq))
-    distance = QuadratureSpec.generic(mode, chi)
-    uncertainty = QuadratureSpec.generic(mode, chi + 0.5 * math.pi)
-    return state_phase_resolution(state, distance, uncertainty)
+        chi = 0.0 if abs(square) < 1e-14 else 0.5 * cmath.phase(square)
+    _, variance, _ = _quadrature(moments, chi + 0.5 * math.pi)
+    return phase_resolution(number, variance)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +422,8 @@ def _apply_rotation(amps: np.ndarray, theta: float) -> np.ndarray:
 def _decompose_mode_matrix(matrix: np.ndarray):
     """Split a 2x2 unitary into phases * real rotation * phases.
 
-    Returns ``(mu1, mu2, theta, nu1, nu2)`` with
-    ``M = diag(e^{i mu}) R(theta) diag(e^{i nu})`` and
+    Returns ``(mu1, mu2, theta, nu2)`` with
+    ``M = diag(e^{i mu1}, e^{i mu2}) R(theta) diag(1, e^{i nu2})`` and
     ``R = [[cos, sin], [-sin, cos]]``.
     """
     m = np.asarray(matrix, dtype=np.complex128)
@@ -544,13 +435,13 @@ def _decompose_mode_matrix(matrix: np.ndarray):
     s = abs(m[0, 1])
     theta = math.atan2(s, c)
     if s < 1e-15:
-        return float(np.angle(m[0, 0])), float(np.angle(m[1, 1])), 0.0, 0.0, 0.0
+        return float(np.angle(m[0, 0])), float(np.angle(m[1, 1])), 0.0, 0.0
     if c < 1e-15:
-        return float(np.angle(m[0, 1])), float(np.angle(-m[1, 0])), 0.5 * math.pi, 0.0, 0.0
+        return float(np.angle(m[0, 1])), float(np.angle(-m[1, 0])), 0.5 * math.pi, 0.0
     mu1 = float(np.angle(m[0, 0]))
     nu2 = float(np.angle(m[0, 1])) - mu1
     mu2 = float(np.angle(-m[1, 0]))
-    return mu1, mu2, theta, 0.0, nu2
+    return mu1, mu2, theta, nu2
 
 
 def apply_mode_unitary(state: FockState, matrix: np.ndarray) -> FockState:
@@ -564,8 +455,8 @@ def apply_mode_unitary(state: FockState, matrix: np.ndarray) -> FockState:
     """
     if state.n_modes != 2:
         raise ValueError("mode mixing is defined for two-mode states")
-    mu1, mu2, theta, nu1, nu2 = _decompose_mode_matrix(matrix)
-    amps = _phase_diag(state.amps, nu1, nu2)
+    mu1, mu2, theta, nu2 = _decompose_mode_matrix(matrix)
+    amps = _phase_diag(state.amps, 0.0, nu2)
     amps = _apply_rotation(amps, theta)
     amps = _phase_diag(amps, mu1, mu2)
     return _check_norm(FockState(amps))

@@ -19,9 +19,11 @@ full-tensor propagator (no charge decomposition) is included as the
 independent cross-check route.
 
 With the pump amplitude real positive, the squeezed quadrature of the
-sub-harmonic is ``-i(a† - a)`` (the ``x2``/``x3`` specs of
-:mod:`squeezelab.fock`); for small ``sqrt(N) kappa t`` its variance
-follows the undepleted-pump law ``exp(-2 sqrt(N) kappa t)``.
+sub-harmonic is ``-i(a† - a)``, ``QuadratureSpec(mode, -pi/2)`` of
+:mod:`squeezelab.fock` (for the signal/idler pair, that quadrature of the
+normalized composite mode ``i(a2 - a3)/sqrt(2)``); for small
+``sqrt(N) kappa t`` its variance follows the undepleted-pump law
+``exp(-2 sqrt(N) kappa t)``.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ class OscillatorConfig:
             raise ValueError(f"pump photon number must be >= 0, got {self.pump_photons}")
         if self.coupling <= 0.0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
-
-    @property
-    def n_modes(self) -> int:
-        return 2 if self.kind == "degenerate" else 3
 
 
 def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
@@ -205,14 +203,6 @@ class _Block:
         w = self.w0[:, None]
         return self.u @ (cos * w), self.mu @ (sin * w)
 
-    def state(self, t: float) -> np.ndarray:
-        """Occupation amplitudes of the block at time ``t``."""
-        a, b = self.sublattice_amplitudes(np.array([t], dtype=float))
-        g = _gauge(self.couplings.size + 1)
-        v = np.empty(g.size, dtype=np.complex128)
-        v[self.on_a], v[self.on_b] = a[:, 0], -1j * b[:, 0]
-        return (self.amp / abs(self.amp) * np.conj(g[-1])) * g * v
-
     def propagate(self, v: np.ndarray, dt: float) -> np.ndarray:
         """``exp(-i H dt) v`` for an arbitrary block vector ``v``.
 
@@ -294,7 +284,7 @@ class BlockEvolution:
         return out
 
     def state_at(self, t: float) -> dict[int, np.ndarray]:
-        return {q: blk.state(t) for q, blk in self.blocks.items()}
+        return self.propagate(self.initial_vectors(), t)
 
     # -- observables -------------------------------------------------------
 

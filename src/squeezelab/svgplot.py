@@ -15,6 +15,8 @@ __all__ = ["line_plot", "heatmap"]
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 24, 44, 56
+#: plot box: left and right x, bottom and top y
+_BOX = (_MARGIN_L, _WIDTH - _MARGIN_R, _HEIGHT - _MARGIN_B, _MARGIN_T)
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # five-stop blue->yellow ramp for heatmaps
@@ -35,10 +37,10 @@ def _transform(lo: float, hi: float, log: bool):
     return to_unit, [(lo + span * i / 4.0 - lo) / span for i in range(5)], labels
 
 
-def _axes(parts: list[str], xticks, xlabels, yticks, ylabels, title, xlabel, ylabel):
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" fill="none" stroke="#333"/>')
+def _axes(xticks, xlabels, yticks, ylabels) -> list[str]:
+    """The plot frame with its tick marks and tick labels."""
+    x0, x1, y0, y1 = _BOX
+    parts = [f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" fill="none" stroke="#333"/>']
     for u, lab in zip(xticks, xlabels):
         px = x0 + u * (x1 - x0)
         parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="#333"/>')
@@ -47,12 +49,25 @@ def _axes(parts: list[str], xticks, xlabels, yticks, ylabels, title, xlabel, yla
         py = y0 - u * (y0 - y1)
         parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="12">{lab}</text>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="24" text-anchor="middle" font-size="15">{title}</text>')
-    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="13">{xlabel}</text>')
-    parts.append(
+    return parts
+
+
+def _write(path, plot: list[str], title: str, xlabel: str, ylabel: str, legend=()):
+    """Write the document: a white page, ``plot``, the title and axis labels, then ``legend``."""
+    x0, x1, y0, y1 = _BOX
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        *plot,
+        f'<text x="{(x0 + x1) / 2:.2f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{(x0 + x1) / 2:.2f}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="13">{xlabel}</text>',
         f'<text x="20" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 20 {(y0 + y1) / 2:.2f})">{ylabel}</text>'
-    )
+        f'transform="rotate(-90 20 {(y0 + y1) / 2:.2f})">{ylabel}</text>',
+        *legend,
+        "</svg>",
+    ]
+    Path(path).write_text("\n".join(parts))
 
 
 def line_plot(path, x, series: dict, *, title="", xlabel="", ylabel="", logx=False, logy=False):
@@ -61,27 +76,20 @@ def line_plot(path, x, series: dict, *, title="", xlabel="", ylabel="", logx=Fal
     all_y = [float(v) for ys in series.values() for v in ys]
     tx, xticks, xlabels = _transform(min(x), max(x), logx)
     ty, yticks, ylabels = _transform(min(all_y), max(all_y), logy)
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-    ]
-    _axes(parts, xticks, xlabels, yticks, ylabels, title, xlabel, ylabel)
+    x0, x1, y0, y1 = _BOX
+    legend = []
     for i, (name, ys) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(
             f"{x0 + tx(xv) * (x1 - x0):.2f},{y0 - ty(float(yv)) * (y0 - y1):.2f}"
             for xv, yv in zip(x, ys)
         )
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
-        parts.append(
+        legend.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
+        legend.append(
             f'<text x="{x1 - 8}" y="{y1 + 18 + 16 * i}" text-anchor="end" font-size="12" '
             f'fill="{color}">{name}</text>'
         )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    _write(path, _axes(xticks, xlabels, yticks, ylabels), title, xlabel, ylabel, legend)
 
 
 def _ramp_colors(u: np.ndarray) -> list[str]:
@@ -100,15 +108,10 @@ def heatmap(path, values, x_values, y_values, *, title="", xlabel="", ylabel="")
     ny, nx = values.shape
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
-    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
-    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
+    x0, x1, y0, y1 = _BOX
     cw = (x1 - x0) / nx
     ch = (y0 - y1) / ny
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-    ]
+    parts = []
     colors = _ramp_colors((values - lo) / span)
     size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
     xs = [f"{x0 + ix * cw:.2f}" for ix in range(nx)]
@@ -130,12 +133,4 @@ def heatmap(path, values, x_values, y_values, *, title="", xlabel="", ylabel="")
         parts.append(
             f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" font-size="12">{float(y_values[iy]):.3g}</text>'
         )
-    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="24" text-anchor="middle" font-size="15">'
-                 f"{title} (min {lo:.4g}, max {hi:.4g})</text>")
-    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="13">{xlabel}</text>')
-    parts.append(
-        f'<text x="20" y="{(y0 + y1) / 2:.2f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 20 {(y0 + y1) / 2:.2f})">{ylabel}</text>'
-    )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    _write(path, parts, f"{title} (min {lo:.4g}, max {hi:.4g})", xlabel, ylabel)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -41,6 +41,8 @@ def test_variance_optimal_point():
     cfg = BeamSplitterConfig.from_reflectivity(math.sqrt(0.3))
     want = 1.0 - 0.3 * (1.0 - math.exp(-1.0))
     assert beam_splitter_variance(cfg, 0.5, 0.0) == pytest.approx(want, abs=1e-12)
+    # past s = 355, e^{2s} overflows a double; at the optimum the variance is still 1 - r2²
+    assert beam_splitter_variance(cfg, 400.0, 0.0) == pytest.approx(0.7, rel=1e-15)
 
 
 def test_variance_minimized_at_zero_phase_combination():
@@ -344,3 +346,34 @@ def test_surface_rejects_bad_values_as_scalar_configs_do(n_values, mix_values, l
         scalar()
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         resolution_surface(n_values, mix_values, lam, variant)
+
+
+# ---------------------------------------------------------------------------
+# closed-form variances against 50-digit arithmetic
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.floats(1.0, 1e12),
+    r2=st.floats(0.0, 1.0 - 1e-12),
+    phi=st.floats(1e-8, math.pi),
+    theta=st.floats(-math.pi, math.pi),
+)
+@example(n=1e12, r2=1.0 - 1e-12, phi=1e-8, theta=0.0)
+@example(n=1e12, r2=1.0 - 1e-12, phi=1e-8, theta=1e-8)
+def test_closed_form_variances_match_50_digit_arithmetic(n, r2, phi, theta):
+    """The variances keep full relative accuracy where they are small (large N, r2 near 1, phi near 0)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    s = float(np.arcsinh((n / 2.0) ** 0.25))  # the scheme's squeeze parameter
+    cfg = BeamSplitterConfig.from_reflectivity(r2)
+    r2_, s_, half_phi, half_c = mp.mpf(r2), mp.mpf(s), mp.mpf(phi) / 2, mp.mpf(theta) / 2
+    cases = [
+        (beam_splitter_phase_resolution(cfg, s, 1.0).var_x, 1 - r2_**2 + r2_**2 * mp.exp(-2 * s_)),
+        (interferometer_variance(phi, s), mp.sin(half_phi) ** 2 + mp.exp(-2 * s_) * mp.cos(half_phi) ** 2),
+        (
+            beam_splitter_variance(cfg, s, theta),
+            1 - r2_**2 + r2_**2 * (mp.exp(-2 * s_) * mp.cos(half_c) ** 2 + mp.exp(2 * s_) * mp.sin(half_c) ** 2),
+        ),
+    ]
+    for got, exact in cases:
+        assert abs(got - exact) <= 4e-15 * exact

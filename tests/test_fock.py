@@ -17,9 +17,13 @@ from squeezelab.fock import (
     _next_rotation_band,
     _rotation_bands,
     _squeezed_amplitudes,
-    apply_ladder,
     default_cutoff,
+    mode_moments,
 )
+
+#: the quadratures a + a† and -i(a† - a) of mode 0
+Y0 = QuadratureSpec(0, 0.0)
+X0 = QuadratureSpec(0, -0.5 * math.pi)
 
 
 def dense_ladder(dim):
@@ -33,7 +37,7 @@ def dense_ladder(dim):
 def test_vacuum_identity():
     st = sq.vacuum_state(8)
     assert st.mean_photons() == 0.0
-    mean, var, intensity = sq.quadrature_stats(st, QuadratureSpec.x2())
+    mean, var, intensity = sq.quadrature_stats(st, X0)
     assert (mean, var, intensity) == (0.0, 1.0, 1.0)
 
 
@@ -48,9 +52,9 @@ def test_coherent_moments(alpha):
     st = sq.coherent_state(alpha)
     assert abs(st.norm() - 1.0) < 1e-9
     assert abs(st.mean_photons() - abs(alpha) ** 2) < 1e-8
-    assert abs(sq.expectation(st, (("a", 0),)) - alpha) < 1e-8
+    assert abs(mode_moments(st, 0)[0] - alpha) < 1e-8
     for angle in (0.0, 0.7, 2.0):
-        _, var, _ = sq.quadrature_stats(st, QuadratureSpec.generic(0, angle))
+        _, var, _ = sq.quadrature_stats(st, QuadratureSpec(0, angle))
         assert abs(var - 1.0) < 1e-6
 
 
@@ -61,7 +65,7 @@ def test_coherent_y2_intensity_against_dense_oracle():
     a, ad = dense_ladder(st.mode_dims[0])
     y = a + ad
     brute = np.vdot(st.amps, y @ y @ st.amps).real
-    mean, var, intensity = sq.quadrature_stats(st, QuadratureSpec.y2())
+    mean, var, intensity = sq.quadrature_stats(st, Y0)
     assert abs(intensity - brute) < 1e-10
     assert abs(intensity - (4.0 * alpha**2 + 1.0)) < 1e-8
     assert abs(mean - 2.0 * alpha) < 1e-8
@@ -138,7 +142,7 @@ def test_squeezed_cutoff_is_floor_or_smallest_within_tolerance(s, expected_cutof
 def test_squeezed_zero_is_vacuum():
     st = sq.squeezed_vacuum(SqueezeParams(0.0))
     assert st.mean_photons() == 0.0
-    _, var, _ = sq.quadrature_stats(st, QuadratureSpec.y2())
+    _, var, _ = sq.quadrature_stats(st, Y0)
     assert var == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,7 +157,7 @@ def test_squeezed_minimal_variance():
     st = sq.squeezed_vacuum(SqueezeParams(s))
     variances = []
     for angle in np.linspace(0.0, math.pi, 37):
-        _, var, _ = sq.quadrature_stats(st, QuadratureSpec.generic(0, angle))
+        _, var, _ = sq.quadrature_stats(st, QuadratureSpec(0, angle))
         variances.append(var)
     assert abs(min(variances) - math.exp(-2.0 * s)) < 1e-6
     assert int(np.argmin(variances)) == 0  # squeezed axis at angle 0
@@ -169,7 +173,7 @@ def test_squeezed_a_squared_sign_convention():
     brute = np.sum(np.conj(amps[:-2]) * amps[2:] * np.sqrt((n + 1.0) * (n + 2.0)))
     expected = -math.sinh(s) * math.cosh(s)
     assert abs(brute - expected) < 1e-8
-    assert abs(sq.expectation(st, (("a", 0), ("a", 0))) - expected) < 1e-8
+    assert abs(mode_moments(st, 0)[1] - expected) < 1e-8
 
 
 def test_squeezed_explicit_cutoff_too_small():
@@ -185,64 +189,69 @@ def test_squeeze_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# expectation machinery
+# one-mode moments
 
 def test_expectation_number_operator():
-    st = sq.number_state(3, 6)
-    val = sq.expectation(st, (("ad", 0), ("a", 0)))
-    assert abs(val - 3.0) < 1e-12
+    st = sq.number_state((3, 1), (6, 2))
+    assert mode_moments(st, 0) == (0.0, 0.0, 3.0)
+    assert mode_moments(st, 1) == (0.0, 0.0, 1.0)
 
 
 def test_expectation_hermitian_is_real():
+    """<a†a> is a real float, equal to the dense number operator's expectation."""
     st = sq.coherent_state(1.5 + 0.5j)
-    val = sq.expectation(st, (("ad", 0), ("a", 0)))
-    assert abs(val.imag) < 1e-10
-
-
-def test_expectation_term_sum():
-    st = sq.coherent_state(2.0)
-    terms = [(2.0, (("a", 0),)), (1.0, (("ad", 0), ("a", 0)))]
-    val = sq.expectation(st, terms)
-    assert abs(val - (2.0 * 2.0 + 4.0)) < 1e-8
+    a, ad = dense_ladder(st.mode_dims[0])
+    number = mode_moments(st, 0)[2]
+    assert isinstance(number, float)
+    assert abs(number - np.vdot(st.amps, ad @ a @ st.amps)) < 1e-12
 
 
 def test_expectation_mode_out_of_range():
-    st = sq.vacuum_state(4)
-    with pytest.raises(ValueError):
-        sq.expectation(st, (("a", 1),))
+    for mode in (1, -1):
+        with pytest.raises(ValueError, match="mode index"):
+            mode_moments(sq.vacuum_state(4), mode)
 
 
-def test_apply_ladder_matches_dense():
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-    a0, ad0 = dense_ladder(5)
-    assert np.allclose(apply_ladder(amps, "a", 0), np.tensordot(a0, amps, axes=(1, 0)))
-    assert np.allclose(apply_ladder(amps, "ad", 0), np.tensordot(ad0, amps, axes=(1, 0)))
+def _dense_on_mode(op: np.ndarray, amps: np.ndarray, mode: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(op, amps, axes=(1, mode)), 0, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=strategies.lists(strategies.integers(1, 7), min_size=1, max_size=3),
+    seed=strategies.integers(0, 2**32 - 1),
+    angle=strategies.floats(-math.pi, math.pi),
+)
+def test_mode_moments_match_dense_ladder_matrices(dims, seed, angle):
+    """Every mode of a random 1-3 mode tensor, against the dense truncated a and a†.
+
+    The quadrature check pads every axis with an empty top level, where the
+    truncated ``Q²`` equals the untruncated one.
+    """
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    amps /= np.linalg.norm(amps)
+    padded = np.pad(amps, [(0, 1)] * amps.ndim)
+    for mode, dim in enumerate(dims):
+        a, ad = dense_ladder(dim)
+        lowered = _dense_on_mode(a, amps, mode)
+        expected = (
+            np.vdot(amps, lowered),
+            np.vdot(amps, _dense_on_mode(a, lowered, mode)),
+            np.vdot(amps, _dense_on_mode(ad, lowered, mode)).real,
+        )
+        assert np.allclose(mode_moments(FockState(amps), mode), expected, rtol=0.0, atol=1e-12)
+        a, ad = dense_ladder(dim + 1)
+        q = np.exp(-1j * angle) * a + np.exp(1j * angle) * ad
+        q_psi = _dense_on_mode(q, padded, mode)
+        mean = np.vdot(padded, q_psi).real
+        second = np.vdot(padded, _dense_on_mode(q, q_psi, mode)).real
+        stats = sq.quadrature_stats(FockState(padded), QuadratureSpec(mode, angle))
+        assert np.allclose(stats, (mean, second - mean * mean, second), rtol=0.0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
 # quadratures
-
-def test_two_mode_vacuum_x3_normalized_and_raw():
-    vac = sq.vacuum_state((3, 3))
-    mean, var, intensity = sq.quadrature_stats(vac, QuadratureSpec.x3())
-    assert (mean, var, intensity) == (0.0, 1.0, 1.0)
-    # the bare i(a2 - a3) combination carries vacuum variance 2
-    raw = [
-        (-1.0, (("ad", 0), ("ad", 0))),
-        (-1.0, (("a", 0), ("a", 0))),
-        (1.0, (("ad", 1), ("ad", 1))),
-        (1.0, (("a", 1), ("a", 1))),
-        (1.0, (("ad", 0), ("a", 0))),
-        (1.0, (("a", 0), ("ad", 0))),
-        (1.0, (("ad", 1), ("a", 1))),
-        (1.0, (("a", 1), ("ad", 1))),
-        (-1.0, (("ad", 0), ("a", 1))),
-        (-1.0, (("a", 0), ("ad", 1))),
-        (-1.0, (("ad", 1), ("a", 0))),
-        (-1.0, (("a", 1), ("ad", 0))),
-    ]
-    assert abs(sq.expectation(vac, raw) - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -254,22 +263,24 @@ def test_two_mode_vacuum_x3_normalized_and_raw():
     ],
 )
 def test_uncertainty_product(state):
-    _, var_x, _ = sq.quadrature_stats(state, QuadratureSpec.x2())
-    _, var_y, _ = sq.quadrature_stats(state, QuadratureSpec.y2())
+    _, var_x, _ = sq.quadrature_stats(state, X0)
+    _, var_y, _ = sq.quadrature_stats(state, Y0)
     assert var_x * var_y >= 1.0 - 1e-9
 
 
 def test_distance_intensity_is_photon_number():
     st = sq.coherent_state(2.0 * np.exp(0.4j))
     for angle in (0.0, 0.4, 1.9):
-        assert abs(sq.distance_intensity(st, QuadratureSpec.generic(0, angle)) - 4.0) < 1e-8
+        assert abs(sq.distance_intensity(st, QuadratureSpec(0, angle)) - 4.0) < 1e-8
     sv = sq.squeezed_vacuum(SqueezeParams(0.9))
-    assert abs(sq.distance_intensity(sv, QuadratureSpec.y2()) - math.sinh(0.9) ** 2) < 1e-8
+    assert abs(sq.distance_intensity(sv, Y0) - math.sinh(0.9) ** 2) < 1e-8
 
 
 def test_quadrature_mode_count_mismatch():
     with pytest.raises(ValueError):
-        sq.quadrature_stats(sq.vacuum_state(4), QuadratureSpec.y3())
+        sq.quadrature_stats(sq.vacuum_state(4), QuadratureSpec(1, 0.0))
+    with pytest.raises(ValueError):
+        sq.distance_intensity(sq.vacuum_state(4), QuadratureSpec(1, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +300,10 @@ def test_5050_splitter_on_coherent():
     cfg = sq.BeamSplitterConfig.from_reflectivity(math.sqrt(0.5))
     inp = sq.product_state(sq.coherent_state(alpha), sq.vacuum_state(2))
     out = sq.apply_beam_splitter(inp, cfg)
-    assert abs(sq.expectation(out, (("a", 0),)) - alpha / math.sqrt(2.0)) < 1e-8
+    assert abs(mode_moments(out, 0)[0] - alpha / math.sqrt(2.0)) < 1e-8
     assert abs(out.mean_photons(0) - alpha**2 / 2.0) < 1e-8
     assert abs(out.mean_photons(1) - alpha**2 / 2.0) < 1e-8
-    _, var, _ = sq.quadrature_stats(out, QuadratureSpec.generic(0, 0.0))
+    _, var, _ = sq.quadrature_stats(out, Y0)
     assert abs(var - 1.0) < 1e-8
 
 
@@ -418,16 +429,16 @@ def test_coherent_inputs_transform_by_mode_matrix():
     m = cfg.mode_matrix()
     a1, a2 = 1.1 - 0.2j, 0.4 + 0.8j
     out = sq.apply_mode_unitary(sq.product_state(sq.coherent_state(a1), sq.coherent_state(a2)), m)
-    got = np.array([sq.expectation(out, (("a", 0),)), sq.expectation(out, (("a", 1),))])
+    got = np.array([mode_moments(out, 0)[0], mode_moments(out, 1)[0]])
     assert np.max(np.abs(got - m @ np.array([a1, a2]))) < 1e-8
 
 
 def test_bs_variance_matches_squeezing_formula():
-    """Bright-port variance 1 - r2²(1 - e^{-2s}) at the optimal phases."""
+    """Bright-port variance 1 - r2² + r2² e^{-2s} at the optimal phases."""
     cfg = sq.BeamSplitterConfig.from_reflectivity(math.sqrt(0.3))
     inp = sq.product_state(sq.coherent_state(2.0), sq.squeezed_vacuum(SqueezeParams(0.5)))
     out = sq.apply_beam_splitter(inp, cfg)
-    _, var, _ = sq.quadrature_stats(out, QuadratureSpec.generic(0, 0.0))
+    _, var, _ = sq.quadrature_stats(out, Y0)
     assert abs(var - (1.0 - 0.3 * (1.0 - math.exp(-1.0)))) < 1e-6
 
 

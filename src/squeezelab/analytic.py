@@ -99,26 +99,27 @@ def _transmission(r2):
 
 
 def _bs_intensity(t1, r2, s, alpha_mag):
-    return t1**2 * alpha_mag**2 + r2**2 * np.sinh(s) ** 2
+    return np.square(t1 * alpha_mag) + np.square(r2 * np.sinh(s))
 
 
 def _bs_optimal_variance(r2, s):
     """``1 - r2²(1 - e^{-2s})`` as a sum of non-negative terms, so it keeps full relative accuracy when small."""
-    return (1.0 - r2) * (1.0 + r2) + r2**2 * np.exp(-2.0 * s)
+    return (1.0 - r2) * (1.0 + r2) + np.square(r2) * np.exp(-2.0 * s)
 
 
 def _in_intensity(phi, s, alpha_mag):
-    return alpha_mag**2 * np.sin(0.5 * phi) ** 2 + np.sinh(s) ** 2 * np.cos(0.5 * phi) ** 2
+    return np.square(alpha_mag * np.sin(0.5 * phi)) + np.square(np.sinh(s) * np.cos(0.5 * phi))
 
 
 def _in_variance(phi, s):
     """``1 - (1 - e^{-2s}) cos²(phi/2)``, written like :func:`_bs_optimal_variance` without cancellation."""
-    return np.sin(0.5 * phi) ** 2 + np.exp(-2.0 * s) * np.cos(0.5 * phi) ** 2
+    return np.square(np.sin(0.5 * phi)) + np.exp(-2.0 * s) * np.square(np.cos(0.5 * phi))
 
 
 def _squeeze_parameter(n):
     """Exact inversion of sinh²(s) = (N/2)^{1/2}."""
-    return np.arcsinh((n / 2.0) ** 0.25)
+    # two correctly rounded square roots give the same bits for a float and an array; a 0.25 power need not
+    return np.arcsinh(np.sqrt(np.sqrt(n / 2.0)))
 
 
 def _coherent_photons(n, lam):
@@ -142,13 +143,13 @@ def _scheme_port(variant: str, mix, n, lam):
 def _scheme_approx(variant: str, mix, n, lam, s_exact):
     """Large-N scheme value and its relative deviation from ``s_exact``; ``mix`` as in :func:`_scheme_port`."""
     if variant == "bs":
-        r2sq = mix[1] ** 2
+        r2sq = np.square(mix[1])
         x = 1.0 / (np.sqrt(n) * np.sqrt(8.0))
         ratio = (lam * (1.0 - r2sq) + r2sq * x) / ((1.0 - r2sq) + r2sq * x)
     else:
         # tan(phi/2)² stays finite up to the double nearest pi (about 2.7e32)
         coherent = mix >= math.pi - _COHERENT_ONLY_TOL
-        t2 = np.tan(0.5 * mix) ** 2
+        t2 = np.square(np.tan(0.5 * mix))
         root8, inv_root_n = np.sqrt(8.0), 1.0 / np.sqrt(n)
         ratio = np.where(coherent, lam, (root8 * lam * t2 + inv_root_n) / (root8 * t2 + inv_root_n))
     value = np.sqrt(2.0 * n * ratio)

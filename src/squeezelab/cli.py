@@ -47,7 +47,7 @@ from .crosscheck import (
     beam_splitter_variance_crosscheck,
     interferometer_crosscheck,
 )
-from .fock import TruncationError
+from .fock import SqueezeParams, TruncationError
 from .metrics import fit_power_law, phase_resolution
 from .oscillator import OscillatorConfig, evolve, find_optimal_squeezing
 
@@ -59,8 +59,6 @@ ORACLE_TOLERANCE = 1e-4
 # small deterministic writers
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return repr(float(v))
 
 
@@ -209,6 +207,7 @@ def cmd_sweep(config: dict, out: Path) -> int:
 
 def cmd_mix(config: dict, out: Path) -> int:
     variant, s, alpha, cutoff = config["variant"], config["s"], config["alpha"], config["cutoff"]
+    SqueezeParams(s)  # the valid squeeze range, checked with or without --oracle
     if variant == "bs":
         mixer = BeamSplitterConfig.from_reflectivity(config["r2"], config["delta"], config["psi"])
         optimal_theta = -2.0 * mixer.delta - 2.0 * mixer.psi

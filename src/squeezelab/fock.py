@@ -194,14 +194,19 @@ def _cut_within_tolerance(search: np.ndarray, floor: int) -> tuple[np.ndarray | 
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Squeezing magnitude ``s >= 0`` and phase ``theta`` (mod 2pi)."""
+    """Squeezing magnitude ``s >= 0`` with a finite ``sinh²(s)``, and finite phase ``theta`` (mod 2pi)."""
 
     s: float
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"squeezing magnitude must be >= 0, got {self.s}")
+        try:
+            valid = math.isfinite(self.theta) and self.s >= 0.0 and math.isfinite(self.mean_photons)
+        except OverflowError:  # sinh(s) or its square
+            valid = False
+        if not valid:
+            raise ValueError(f"squeezing needs a finite theta and s >= 0 with a finite sinh(s)^2, "
+                             f"got s = {self.s}, theta = {self.theta}")
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
     @property

@@ -14,8 +14,9 @@ Hamiltonians conserve a charge (``n1 + 2 n_pump`` and
 are propagated by exact eigendecomposition -- there is no step-size error
 anywhere.  Each block has a zero diagonal, so it is bipartite and its
 square splits by sublattice: one real eigensolve of half the block's size
-gives the whole propagation (see :class:`BlockEvolution`).  A dense
-full-tensor propagator (no charge decomposition) is included as the
+gives the whole propagation (see :class:`BlockEvolution`).  The states
+and the observables are read from the same sublattice amplitudes.  A
+dense full-tensor propagator (no charge decomposition) is included as the
 independent cross-check route.
 
 With the pump amplitude real positive, the squeezed quadrature of the
@@ -132,11 +133,6 @@ def _pump_block_amplitudes(cfg: OscillatorConfig) -> np.ndarray:
     return coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
 
 
-def _gauge(dim: int) -> np.ndarray:
-    """``g_k = (-i)^k``: ``conj(g) H g`` is the real ``J`` with ``J[k-1, k] = couplings[k-1]``."""
-    return np.array([1.0, -1j, -1.0, 1j])[np.arange(dim) % 4]
-
-
 def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(sigma², U, MU)`` of the real zero-diagonal tridiagonal ``J`` with off-diagonal ``couplings``.
 
@@ -203,26 +199,17 @@ class _Block:
         w = self.w0[:, None]
         return self.u @ (cos * w), self.mu @ (sin * w)
 
-    def propagate(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """``exp(-i H dt) v`` for an arbitrary block vector ``v``.
+    def state(self, t: float) -> np.ndarray:
+        """The block vector at time ``t``, ``(c / |c|) conj(g_last) g ⊙ [a on A, -i b on B]``.
 
-        ``exp(-iJt) = cos(Jt) - i sin(Jt)``, where ``cos(Jt)`` keeps each
-        sublattice and ``sin(Jt)`` swaps them: on A, ``cos(Jt) = U cos(sigma t) Uᵀ``;
-        on B, ``cos(Jt) = I - MU ((1 - cos(sigma t)) / sigma²) MUᵀ``, with
-        ``(1 - cos(sigma t)) / sigma² = 2 (sin(sigma t / 2) / sigma)²``; from A
-        to B, ``sin(Jt) = MU (sin(sigma t) / sigma) Uᵀ``, and from B to A its
-        transpose.
+        ``a`` and ``b`` are :meth:`sublattice_amplitudes`; with ``g_k = (-i)^k``
+        the phase on site ``k``, ``-i`` on B included, is ``(-1)^floor(j / 2)``, ``j = last - k``.
         """
-        g = _gauge(v.size)
-        x = np.conj(g) * v
-        xb = x[self.on_b]
-        wa, wb = self.u.T @ x[self.on_a], self.mu.T @ xb
-        cos, sin = self.rotation(dt)
-        vers = 2.0 * self.rotation(0.5 * dt)[1] ** 2  # (1 - cos(sigma t)) / sigma²
-        y = np.empty_like(x)
-        y[self.on_a] = self.u @ (cos * wa - 1j * sin * wb)
-        y[self.on_b] = xb - self.mu @ (vers * wb + 1j * sin * wa)
-        return g * y
+        a, b = self.sublattice_amplitudes(np.array([t], dtype=float))
+        v = np.empty(self.couplings.size + 1)
+        v[self.on_a], v[self.on_b] = a[:, 0], b[:, 0]
+        j = np.arange(v.size)[::-1]
+        return self.amp / abs(self.amp) * np.where(j // 2 % 2, -v, v)
 
 
 def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: complex, below: _Block | None) -> _Block:
@@ -247,6 +234,20 @@ def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: comple
     )
 
 
+@dataclass
+class EvolutionResult:
+    """Time series of one oscillator run."""
+
+    times: np.ndarray
+    var_x: np.ndarray
+    intensity_y: np.ndarray
+    pump_n: np.ndarray
+    charge: np.ndarray
+    energy: np.ndarray
+    norm: np.ndarray
+    var_x_min_angle: np.ndarray
+
+
 class BlockEvolution:
     """Exact propagator of one oscillator run, block by block.
 
@@ -256,9 +257,12 @@ class BlockEvolution:
     from ``c e_last``, ``exp(-iJt)`` leaves ``cos(Jt) e_last`` on A and
     ``-i sin(Jt) e_last`` on B.  Both come from one eigensolve of ``J²`` on
     A, a tridiagonal of half the block size (:func:`_sublattice_solve`).  So
-    the amplitudes on each sublattice are ``c`` times real vectors, up to
-    constant per-site phases, and a whole time grid is two real half-size
-    GEMMs per block.  Blocks whose initial weight is below 1e-18 are dropped.
+    a block's state is ``c / |c|`` times a real vector with per-site signs,
+    and a whole time grid is two real half-size GEMMs per block.
+    :meth:`propagate` (states) and :meth:`observables` read the same
+    sublattice amplitudes, and acceptance criteria 5 (the dense route) and
+    6 (``<H²>``) check the states.  Blocks whose initial weight is below
+    1e-18 are dropped.
     """
 
     def __init__(self, cfg: OscillatorConfig):
@@ -270,25 +274,11 @@ class BlockEvolution:
             charge = 2 * n_pump
             self.blocks[charge] = _solve_block(cfg.kind, charge, cfg.coupling, c, self.blocks.get(charge - 2))
 
-    # -- propagation -------------------------------------------------------
+    def propagate(self, t: float) -> dict[int, np.ndarray]:
+        """The state at time ``t`` (negative allowed), block by block."""
+        return {q: blk.state(t) for q, blk in self.blocks.items()}
 
-    def propagate(self, vectors: dict[int, np.ndarray], dt: float) -> dict[int, np.ndarray]:
-        """Advance arbitrary block vectors by ``dt`` (negative allowed)."""
-        return {q: self.blocks[q].propagate(v, dt) for q, v in vectors.items()}
-
-    def initial_vectors(self) -> dict[int, np.ndarray]:
-        out = {}
-        for q, blk in self.blocks.items():
-            out[q] = np.zeros(blk.couplings.size + 1, dtype=np.complex128)
-            out[q][-1] = blk.amp
-        return out
-
-    def state_at(self, t: float) -> dict[int, np.ndarray]:
-        return self.propagate(self.initial_vectors(), t)
-
-    # -- observables -------------------------------------------------------
-
-    def observables(self, times) -> dict[str, np.ndarray]:
+    def observables(self, times) -> EvolutionResult:
         """Observables on a time array, two real half-size GEMMs per block, folded in block by block.
 
         The occupations are squares of the real sublattice amplitudes.  The
@@ -316,18 +306,20 @@ class BlockEvolution:
             lower = a, b
         norm_sq, n_sub, n_pump = stats
         two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
-        return {
-            "var_x": 1.0 + two_n - 2.0 * pair.real,
-            "intensity_y": n_sub,  # <n1>, or <c† c> of the normalized composite mode
-            "pump_n": n_pump,
-            "charge": charge,
-            "energy": np.zeros(t.size),
-            "norm_sq": norm_sq,
-            "var_x_min_angle": 1.0 + two_n - 2.0 * np.abs(pair),
-        }
+        return EvolutionResult(
+            times=t,
+            var_x=1.0 + two_n - 2.0 * pair.real,
+            intensity_y=n_sub,  # <n1>, or <c† c> of the normalized composite mode
+            pump_n=n_pump,
+            charge=charge,
+            energy=np.zeros(t.size),
+            norm=np.sqrt(norm_sq),
+            var_x_min_angle=1.0 + two_n - 2.0 * np.abs(pair),
+        )
 
     def observables_at(self, t: float) -> dict[str, float]:
-        return {k: float(v[0]) for k, v in self.observables([t]).items()}
+        """The fields of a one-point :meth:`observables` record, as floats."""
+        return {k: float(v[0]) for k, v in vars(self.observables([t])).items()}
 
     def var_x_at(self, t: float) -> float:
         return self.observables_at(t)["var_x"]
@@ -373,40 +365,12 @@ class BlockEvolution:
         ))
 
 
-@dataclass
-class EvolutionResult:
-    """Time series of one oscillator run."""
-
-    times: np.ndarray
-    var_x: np.ndarray
-    intensity_y: np.ndarray
-    pump_n: np.ndarray
-    charge: np.ndarray
-    energy: np.ndarray
-    norm: np.ndarray
-    var_x_min_angle: np.ndarray
-
-
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     """Propagate and record observables on an ascending time grid from 0."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be 1-d, start at 0, and be strictly ascending")
-    return _evolution(BlockEvolution(cfg), t)
-
-
-def _evolution(ev: BlockEvolution, t: np.ndarray) -> EvolutionResult:
-    series = ev.observables(t)
-    return EvolutionResult(
-        times=t,
-        var_x=series["var_x"],
-        intensity_y=series["intensity_y"],
-        pump_n=series["pump_n"],
-        charge=series["charge"],
-        energy=series["energy"],
-        norm=np.sqrt(series["norm_sq"]),
-        var_x_min_angle=series["var_x_min_angle"],
-    )
+    return BlockEvolution(cfg).observables(t)
 
 
 @dataclass
@@ -442,16 +406,17 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     most ``MAX_NEWTON_PASSES`` passes.  One propagator serves the scans and
     the refinement.
 
-    A run whose angle-optimized variance is never squeezed on the scan
-    (vacuum pump) is stationary and returns ``t_sq = 0``, ``var_min = 1``.
-    A run that squeezes only away from the ``x`` quadrature (pump phase
-    near pi/2 ... pi) raises ``ValueError``.
+    A run whose angle-optimized variance never drops below 1 on the first
+    window (vacuum pump) is stationary and returns ``t_sq = 0``,
+    ``var_min = 1``; one where only ``var_x`` never does raises
+    ``ValueError``.  No interior minimum after the doublings raises
+    ``RuntimeError``.
     """
     ev = BlockEvolution(cfg)
     scale = math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling
     t_max = 5.0 / scale
     for _ in range(MAX_EXTENSIONS + 1):
-        result = _evolution(ev, np.linspace(0.0, t_max, GRID_POINTS))
+        result = ev.observables(np.linspace(0.0, t_max, GRID_POINTS))
         i = int(np.argmin(result.var_x))
         if result.var_x[i] > 1.0 - 1e-12:
             if np.min(result.var_x_min_angle) > 1.0 - 1e-12:

@@ -152,7 +152,7 @@ def test_criterion_5_block_dense_equivalence():
             dims, states = dense_evolve(cfg, times)
             ev = BlockEvolution(cfg)
             for t, dense in zip(times, states):
-                scattered = blocks_to_dense(cfg, ev.state_at(float(t)), dims)
+                scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
                 worst = max(worst, float(np.max(np.abs(scattered - dense))))
     runtime = time.time() - start
     report(
@@ -179,7 +179,7 @@ def test_criterion_6_conservation_suite(oscillator_sweeps):
             for t in (opt.t_sq, float(result.times[-1])):
                 h2 = sum(
                     float(np.linalg.norm(hamiltonian_block(kind, q, cfg.coupling) @ v) ** 2)
-                    for q, v in ev.state_at(t).items()
+                    for q, v in ev.propagate(t).items()
                 )
                 worst_energy = max(worst_energy, abs(h2 - scale2) / scale2)
     worst = max(worst_norm, worst_charge, worst_energy)

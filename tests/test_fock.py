@@ -182,8 +182,10 @@ def test_squeezed_explicit_cutoff_too_small():
 
 
 def test_squeeze_params_validation():
-    with pytest.raises(ValueError):
-        SqueezeParams(-0.1)
+    for s, theta in ((-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0), (356.0, 0.0), (800.0, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            SqueezeParams(s, theta)
+    assert SqueezeParams(355.0).mean_photons < math.inf
     assert SqueezeParams(1.0, 2.0 * math.pi + 0.3).theta == pytest.approx(0.3)
     assert SqueezeParams(1.0).mean_photons == pytest.approx(math.sinh(1.0) ** 2)
 

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
+from squeezelab import oscillator
+from squeezelab.fock import FockState, QuadratureSpec, mode_moments, quadrature_stats
 from squeezelab.oscillator import (
     BlockEvolution,
     OscillatorConfig,
@@ -146,17 +148,38 @@ def test_block_matches_dense_propagation(kind):
     dims, states = dense_evolve(cfg, times)
     ev = BlockEvolution(cfg)
     for t, dense in zip(times, states):
-        scattered = blocks_to_dense(cfg, ev.state_at(float(t)), dims)
+        scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
         assert np.max(np.abs(scattered - dense)) < 1e-8
 
 
-def test_time_reversal():
-    ev = BlockEvolution(OscillatorConfig("degenerate", 6.0))
-    start = ev.initial_vectors()
-    forward = ev.propagate(start, 0.8)
-    back = ev.propagate(forward, -0.8)
-    worst = max(np.max(np.abs(back[q] - start[q])) for q in start)
-    assert worst < 1e-8
+def _dense_observables(kind, dense):
+    """var_x, var_x_min_angle, intensity_y and pump_n of a dense state tensor, from Fock moments."""
+    state = FockState(dense)
+    pump_n = mode_moments(state, state.n_modes - 1)[2]
+    if kind == "degenerate":
+        _, square, number = mode_moments(state, 0)
+        var_x = quadrature_stats(state, QuadratureSpec(0, -math.pi / 2))[1]
+        return var_x, 1.0 + 2.0 * number - 2.0 * abs(square), number, pump_n
+    n2, n3 = mode_moments(state, 0)[2], mode_moments(state, 1)[2]
+    assert abs(n2 - n3) < 1e-10
+    root = np.sqrt(np.arange(1.0, dense.shape[0]))
+    pair = np.vdot(dense[:-1, :-1], root[:, None, None] * root[None, :, None] * dense[1:, 1:])  # <a2 a3>
+    two_n = n2 + n3
+    return 1.0 + two_n - 2.0 * pair.real, 1.0 + two_n - 2.0 * abs(pair), n2, pump_n
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [4.0, 6.0])
+@pytest.mark.parametrize("pump_phase", [0.0, 0.8])
+def test_observables_match_dense_moments(kind, n, pump_phase):
+    """The observables record against Fock moments of the dense route, at criterion 5's points."""
+    cfg = OscillatorConfig(kind, n, pump_phase=pump_phase)
+    times = np.array([0.0, 0.35, 0.8, 1.4])
+    _, states = dense_evolve(cfg, times)
+    result = BlockEvolution(cfg).observables(times)
+    got = np.array([result.var_x, result.var_x_min_angle, result.intensity_y, result.pump_n]).T
+    want = np.array([_dense_observables(kind, dense) for dense in states])
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_nondegenerate_signal_idler_symmetry():
@@ -212,6 +235,18 @@ def test_pump_phase_away_from_x_quadrature_raises(kind, pump_phase):
     cfg = OscillatorConfig(kind, 16.0, pump_phase=pump_phase)
     assert BlockEvolution(cfg).observables_at(0.2)["var_x_min_angle"] < 0.9
     with pytest.raises(ValueError, match=f"pump phase {pump_phase}"):
+        find_optimal_squeezing(cfg)
+
+
+def test_window_doubles_until_the_minimum_is_interior(monkeypatch):
+    """At pump phase pi a small pump squeezes x only past the first window [0, 2.5]."""
+    cfg = OscillatorConfig("nondegenerate", 4.0, pump_phase=math.pi)
+    opt = find_optimal_squeezing(cfg)
+    assert opt.evolution.times[-1] == 5.0
+    assert 2.5 < opt.t_sq == pytest.approx(2.8012, abs=1e-4)
+    assert opt.var_min == pytest.approx(0.66896, abs=1e-5)
+    monkeypatch.setattr(oscillator, "MAX_EXTENSIONS", 0)
+    with pytest.raises(RuntimeError, match="window extension exhausted"):
         find_optimal_squeezing(cfg)
 
 
@@ -316,19 +351,14 @@ def test_refinement_bisects_without_positive_curvature(monkeypatch):
     n=strategies.floats(0.1, 150.0),
     t_unit=strategies.floats(0.0, 3.0),
 )
-def test_conservation_and_time_reversal_property(kind, n, t_unit):
-    """Norm, charge and energy through observables, and propagate out and back, at random runs."""
+def test_conservation_property(kind, n, t_unit):
+    """Norm, charge and energy through observables, at random runs."""
     cfg = OscillatorConfig(kind, n)
     ev = BlockEvolution(cfg)
-    t = t_unit / math.sqrt(n)
-    obs = ev.observables(np.linspace(0.0, t, 4))
-    assert np.max(np.abs(obs["norm_sq"] - 1.0)) < 1e-9
-    assert np.max(np.abs(obs["charge"] - obs["charge"][0])) < 1e-9 * obs["charge"][0]
-    assert np.max(np.abs(obs["energy"] - obs["energy"][0])) < 1e-9 * ev.energy_scale()
-
-    start = ev.initial_vectors()
-    back = ev.propagate(ev.propagate(start, t), -t)
-    assert max(np.max(np.abs(back[q] - start[q])) for q in start) < 1e-9
+    result = ev.observables(np.linspace(0.0, t_unit / math.sqrt(n), 4))
+    assert np.max(np.abs(result.norm**2 - 1.0)) < 1e-9
+    assert np.max(np.abs(result.charge - result.charge[0])) < 1e-9 * result.charge[0]
+    assert np.max(np.abs(result.energy - result.energy[0])) < 1e-9 * ev.energy_scale()
 
 
 @settings(max_examples=12, deadline=None)
@@ -342,15 +372,15 @@ def test_energy_square_conserved_property(kind, n, t_unit):
     cfg = OscillatorConfig(kind, n)
     ev = BlockEvolution(cfg)
     h_squared = sum(
-        np.linalg.norm(hamiltonian_block(kind, q) @ v) ** 2 for q, v in ev.state_at(t_unit / math.sqrt(n)).items()
+        np.linalg.norm(hamiltonian_block(kind, q) @ v) ** 2 for q, v in ev.propagate(t_unit / math.sqrt(n)).items()
     )
     assert h_squared == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
 
 
-def _block_of_dim(kind, dim):
-    """The block of size ``dim`` that starts on its last site, with unit amplitude."""
+def _block_of_dim(kind, dim, amp=1.0):
+    """The block of size ``dim`` that starts as ``amp`` on its last site."""
     charge = 2 * (dim - 1)
-    return _solve_block(kind, charge, 1.0, 1.0, None), hamiltonian_block(kind, charge)
+    return _solve_block(kind, charge, 1.0, amp, None), hamiltonian_block(kind, charge)
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,13 +394,11 @@ def _block_of_dim(kind, dim):
 @example(kind="nondegenerate", dim=2, t=-1.3, seed=1)
 @example(kind="degenerate", dim=3, t=1.9, seed=2)  # odd: J² on A has a zero mode
 def test_block_propagator_property(kind, dim, t, seed):
-    """Sublattice propagation of random complex vectors against expm, and out and back, at any block size."""
-    blk, h = _block_of_dim(kind, dim)
+    """The state of a block started as ``c e_last`` against expm, at any block size and random ``c``."""
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    forward = blk.propagate(v, t)
-    assert np.max(np.abs(forward - expm(-1j * t * h) @ v)) < 1e-9
-    assert np.max(np.abs(blk.propagate(forward, -t) - v)) < 1e-9
+    c = complex(rng.normal(), rng.normal())
+    blk, h = _block_of_dim(kind, dim, c)
+    assert np.max(np.abs(blk.state(t) - c * expm(-1j * t * h)[:, -1])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +406,10 @@ def test_block_propagator_property(kind, dim, t, seed):
 
 @pytest.mark.parametrize("kind,dim", [("degenerate", 601), ("nondegenerate", 600)])
 def test_sublattice_propagator_large_blocks(kind, dim):
-    """Unit vectors on both sublattices, the start site's among them, against expm of the dense block."""
+    """The state started on the last site against expm of the dense block."""
     blk, h = _block_of_dim(kind, dim)
     for t in (0.002, 0.01, 0.05):
-        reference = expm(-1j * t * h)
-        for index in (dim - 1, dim - 2):  # the start site is on A, its neighbour on B
-            unit = np.zeros(dim, dtype=np.complex128)
-            unit[index] = 1.0
-            assert np.max(np.abs(blk.propagate(unit, t) - reference[:, index])) < 1e-10
+        assert np.max(np.abs(blk.state(t) - expm(-1j * t * h)[:, -1])) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])

@@ -397,6 +397,6 @@ def resolution_surface(n_values, mix_values, efficiency: float, variant: str = "
     mix = (_transmission(m), m) if variant == "bs" else m
     intensity, variance = _scheme_port(variant, mix, n, efficiency)
     _require(variance > 0.0, variance, "variance must be positive, got {}")
-    s_exact = np.sqrt(intensity / variance)
+    s_exact = np.sqrt(intensity) / np.sqrt(variance)  # the roots first, as phase_resolution takes them
     value, deviation = _scheme_approx(variant, mix, n, efficiency, s_exact)
     return np.stack(np.broadcast_arrays(n, m, s_exact, value, deviation), axis=-1).reshape(-1, 5)

@@ -10,9 +10,7 @@ to variance ``N^{-1/2}`` with intensity ``N^{1/2}`` gives the same
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +37,10 @@ class PhaseResolution:
 
 
 def phase_resolution(intensity_y: float, var_x: float, *, numerator: str = "intensity") -> PhaseResolution:
-    """Compute ``S = sqrt(intensity_y / var_x)``.
+    """Compute ``S = sqrt(intensity_y / var_x)``, as ``sqrt(intensity_y) / sqrt(var_x)``.
+
+    The roots come first, so ``S`` is finite wherever it is representable,
+    even where the ratio itself would overflow.
 
     ``numerator`` documents what the caller supplied.  The default is the
     distance-quadrature intensity ``<Y†Y>``.  The ``"unsqueezed_variance"``
@@ -55,7 +56,7 @@ def phase_resolution(intensity_y: float, var_x: float, *, numerator: str = "inte
         raise ValueError(f"variance must be positive, got {var_x}")
     if intensity_y < 0.0:
         raise ValueError(f"intensity must be >= 0, got {intensity_y}")
-    return PhaseResolution(float(intensity_y), float(var_x), float(np.sqrt(intensity_y / var_x)))
+    return PhaseResolution(float(intensity_y), float(var_x), float(np.sqrt(intensity_y) / np.sqrt(var_x)))
 
 
 @dataclass(frozen=True)
@@ -77,30 +78,6 @@ class SpectraInput:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "v_out", v)
         object.__setattr__(self, "w_out", w)
-
-    @classmethod
-    def from_csv(cls, v_path: str | Path, w_path: str | Path) -> "SpectraInput":
-        """Load from two two-column CSV files (omega, value)."""
-        omega_v, v = _read_two_column_csv(v_path)
-        omega_w, w = _read_two_column_csv(w_path)
-        if not np.allclose(omega_v, omega_w):
-            raise ValueError("frequency grids of the two spectra differ")
-        return cls(omega_v, v, w)
-
-
-def _read_two_column_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header line
-            xs.append(x)
-            ys.append(y)
-    return np.asarray(xs), np.asarray(ys)
 
 
 def spectral_phase_resolution(spectra: SpectraInput) -> np.ndarray:

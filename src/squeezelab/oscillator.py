@@ -60,6 +60,7 @@ OscillatorKind = Literal["degenerate", "nondegenerate"]
 GRID_POINTS = 200  # time points per window scan of find_optimal_squeezing
 MAX_EXTENSIONS = 8  # window doublings it tries before giving up
 MAX_NEWTON_PASSES = 48  # cap on its refinement's derivative passes; bisection alone needs up to ~42
+START_WEIGHT_TAIL = 1e-30  # start-site weight of the eigenvector columns a block may drop
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,19 @@ class OscillatorConfig:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
 
 
+def _block_occupations(kind: OscillatorKind, charge: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sub-harmonic occupation (``n1``, or ``m = n2 = n3``) and pump occupation per site of one block.
+
+    Sites run in :func:`block_basis` order, pump occupation ascending.
+    """
+    if charge < 0:
+        raise ValueError("charge must be >= 0")
+    if kind != "degenerate" and charge % 2:
+        raise ValueError("non-degenerate blocks with vacuum signal/idler have even charge")
+    pump = np.arange(charge // 2 + 1)
+    return (charge - 2 * pump if kind == "degenerate" else charge // 2 - pump), pump
+
+
 def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
     """Occupation tuples of one conserved-charge block, pump occupation ascending.
 
@@ -97,21 +111,16 @@ def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
     the ``n2 = n3`` sector reachable from vacuum signal/idler (``charge``
     must be even there).
     """
-    if charge < 0:
-        raise ValueError("charge must be >= 0")
+    sub, pump = (occ.tolist() for occ in _block_occupations(kind, charge))
     if kind == "degenerate":
-        return [(charge - 2 * k, k) for k in range(charge // 2 + 1)]
-    if charge % 2:
-        raise ValueError("non-degenerate blocks with vacuum signal/idler have even charge")
-    half = charge // 2
-    return [(half - k, half - k, k) for k in range(half + 1)]
+        return list(zip(sub, pump))
+    return list(zip(sub, sub, pump))
 
 
 def _block_couplings(kind: OscillatorKind, charge: int, coupling: float = 1.0) -> np.ndarray:
     """Off-diagonal ``b`` of one block, ``H[k-1, k] = i b[k-1]`` in :func:`block_basis` order."""
-    basis = block_basis(kind, charge)
-    k = np.arange(1, len(basis), dtype=float)
-    sub = np.array([occ[0] for occ in basis[1:]], dtype=float)  # occupation before conversion
+    sub = _block_occupations(kind, charge)[0][1:].astype(float)  # occupation before conversion
+    k = np.arange(1, sub.size + 1, dtype=float)
     if kind == "degenerate":
         return 0.5 * coupling * np.sqrt(k * (sub + 1.0) * (sub + 2.0))
     return coupling * np.sqrt(k) * (sub + 1.0)
@@ -142,12 +151,22 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     diagonal is ``b[k-1]² + b[k]²`` and its off-diagonal ``b[k] b[k+1]``
     (Golub and Kahan's link between a zero-diagonal tridiagonal and a
     bidiagonal SVD).  ``MU`` takes two shifted row scalings of ``U``.
+
+    Only the columns the start site (the last one) sees are kept: the
+    lowest ``k``, where ``k`` counts the columns ``j`` whose start-site
+    weight from them up, ``sum_{i >= j} U[-1, i]²``, exceeds
+    ``START_WEIGHT_TAIL``.  By Cauchy-Schwarz the dropped columns move an
+    amplitude of a block started as ``c e_last`` by at most
+    ``|c| sqrt(START_WEIGHT_TAIL)``.
     """
     d = couplings.size + 1
     p = (d - 1) % 2  # first A site
     padded = np.concatenate(([0.0], couplings, [0.0]))  # padded[k] = b[k-1]
     sq = padded * padded
     sigma2, u = eigh_tridiagonal(sq[p:d:2] + sq[p + 1::2], padded[p + 1:d - 1:2] * padded[p + 2:d:2])
+    tail = np.cumsum(u[-1, ::-1] ** 2)[::-1]
+    k = np.count_nonzero(tail > START_WEIGHT_TAIL)
+    sigma2, u = sigma2[:k], u[:, :k].copy()  # a copy, so that the full U is freed
     b = couplings
     if p == 0:  # B site 2m + 1 sits between A sites m and m + 1
         mu = b[0::2, None] * u[:-1] + b[1::2, None] * u[1:]
@@ -159,14 +178,19 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 @dataclass
 class _Block:
-    """One charge block that starts as ``amp e_last``, solved on its start sublattice."""
+    """One charge block that starts as ``amp e_last``, solved on its start sublattice.
+
+    ``eigvals``, ``u`` and ``mu`` hold only the eigenvector columns the start
+    site sees, the lowest ones up to a start-site weight tail of
+    ``START_WEIGHT_TAIL`` = 1e-30 (:func:`_sublattice_solve`).
+    """
 
     couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
     amp: complex              # initial amplitude c on the start site, the last one
     on_a: slice               # sites of sublattice A (the start site's parity) ...
     on_b: slice               # ... and of B
-    eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending
-    u: np.ndarray             # eigenvectors of J² on A, rows on the A sites
+    eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending, of the kept columns only
+    u: np.ndarray             # eigenvectors of J² on A that the start site sees, rows on the A sites
     mu: np.ndarray            # J_BA u, rows on the B sites
     w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
     occ_a: np.ndarray         # rows 1, sub-harmonic and pump occupation, on the A sites
@@ -218,7 +242,7 @@ def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: comple
     sigma2, u, mu = _sublattice_solve(couplings)
     p = couplings.size % 2
     on_a, on_b = slice(p, None, 2), slice(1 - p, None, 2)
-    occ = np.array([(1.0, n[0], n[-1]) for n in block_basis(kind, charge)]).T  # 1, sub-harmonic, pump
+    occ = np.stack((np.ones(couplings.size + 1), *_block_occupations(kind, charge)))  # 1, sub-harmonic, pump
     sub = occ[1]
     if kind == "degenerate":
         pair = np.sqrt(np.maximum(sub * (sub - 1.0), 0.0))
@@ -258,7 +282,11 @@ class BlockEvolution:
     ``-i sin(Jt) e_last`` on B.  Both come from one eigensolve of ``J²`` on
     A, a tridiagonal of half the block size (:func:`_sublattice_solve`).  So
     a block's state is ``c / |c|`` times a real vector with per-site signs,
-    and a whole time grid is two real half-size GEMMs per block.
+    and a whole time grid is two real half-size GEMMs per block.  Only the
+    eigenvector columns the start site sees are kept (``_Block.u`` and
+    ``mu``): those whose start-site weight from them up exceeds
+    ``START_WEIGHT_TAIL`` = 1e-30, so the dropped ones move an amplitude by
+    at most ``|c|`` 1e-15.
     :meth:`propagate` (states) and :meth:`observables` read the same
     sublattice amplitudes, and acceptance criteria 5 (the dense route) and
     6 (``<H²>``) check the states.  Blocks whose initial weight is below

@@ -100,6 +100,16 @@ def test_mix_interferometer_oracle(tmp_path):
     assert payload["oracle"]["max_rel_err"] < 1e-4
 
 
+def test_mix_s_finite_where_the_ratio_overflows(tmp_path):
+    """S is formed as sqrt(I) / sqrt(V): here I / V overflows, S = 1.4e154 does not."""
+    assert main(["mix", "--variant", "in", "--phi", "1.0", "--s", "355", "--alpha", "1",
+                 "--outdir", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "mix.json")
+    assert payload["intensity"] > 1e307 * payload["variance"]
+    assert payload["S"] == pytest.approx(1.4e154, rel=0.05)
+    assert payload["S"] == pytest.approx(math.sqrt(payload["intensity"]) / math.sqrt(payload["variance"]), rel=1e-15)
+
+
 def test_mix_off_optimum_theta_oracle(tmp_path):
     assert main(["mix", "--variant", "bs", "--r2", "0.55", "--s", "0.5", "--alpha", "1",
                  "--theta", "0.8", "--oracle", "--outdir", str(tmp_path)]) == 0

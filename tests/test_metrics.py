@@ -99,19 +99,6 @@ def test_spectra_validation():
         SpectraInput(np.arange(3.0), np.ones(2), np.ones(3))
 
 
-def test_spectra_csv_round_trip(tmp_path):
-    omega = np.linspace(-1, 1, 9)
-    v = 0.5 + omega**2
-    w = 2.0 + omega**2
-    vp, wp = tmp_path / "v.csv", tmp_path / "w.csv"
-    vp.write_text("omega,v\n" + "\n".join(f"{float(o)!r},{float(x)!r}" for o, x in zip(omega, v)) + "\n")
-    wp.write_text("omega,w\n" + "\n".join(f"{float(o)!r},{float(x)!r}" for o, x in zip(omega, w)) + "\n")
-    sp = SpectraInput.from_csv(vp, wp)
-    assert np.allclose(sp.omega, omega)
-    assert np.allclose(sp.v_out, v)
-    assert np.allclose(sp.w_out, w)
-
-
 # ---------------------------------------------------------------------------
 # power-law fit
 

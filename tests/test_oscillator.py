@@ -123,6 +123,24 @@ def test_small_time_undepleted_pump_law(kind):
         assert abs(ev.var_x_at(t) - expected) / expected < 0.02
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
+    n=strategies.floats(4.0, 400.0),
+    r=strategies.floats(1e-3, 0.2),
+)
+@example(kind="degenerate", n=4.0, r=0.2)
+@example(kind="nondegenerate", n=4.0, r=0.2)
+def test_undepleted_pump_law_property(kind, n, r):
+    """var_x = exp(-2r) (1 + O(r³/N)) at r = sqrt(N) t <= 0.2, with the O(r³/N) term below r³/N.
+
+    It is about r³/(6N) degenerate and r³/(3N) non-degenerate, at N = 4 as at
+    N = 400; from r = 1e-3 the bound stays well above the roundoff of var_x.
+    """
+    var_x = BlockEvolution(OscillatorConfig(kind, n)).var_x_at(r / math.sqrt(n))
+    assert abs(var_x / math.exp(-2.0 * r) - 1.0) <= r**3 / n
+
+
 def test_energy_flows_out_of_pump():
     n = 16.0
     opt = find_optimal_squeezing(OscillatorConfig("degenerate", n))
@@ -410,6 +428,30 @@ def test_sublattice_propagator_large_blocks(kind, dim):
     blk, h = _block_of_dim(kind, dim)
     for t in (0.002, 0.01, 0.05):
         assert np.max(np.abs(blk.state(t) - expm(-1j * t * h)[:, -1])) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [16.0, 121.0, 256.0])
+def test_truncated_solve_matches_full_solve(kind, n, monkeypatch):
+    """Dropping the eigenvector columns the start site does not see moves no result beyond 1e-12."""
+    cfg = OscillatorConfig(kind, n)
+    blocks = BlockEvolution(cfg).blocks.values()
+    assert all(blk.u.flags.owndata for blk in blocks)  # a view would keep the full U alive
+    if n == 256.0:
+        assert any(blk.eigvals.size < blk.u.shape[0] for blk in blocks)
+    truncated = find_optimal_squeezing(cfg)
+    monkeypatch.setattr(oscillator, "START_WEIGHT_TAIL", -1.0)  # keeps every column
+    assert all(blk.eigvals.size == blk.u.shape[0] for blk in BlockEvolution(cfg).blocks.values())
+    full = find_optimal_squeezing(cfg)
+
+    got, want = truncated.evolution, full.evolution
+    assert np.array_equal(got.times, want.times)
+    assert np.max(np.abs(got.var_x - want.var_x)) <= 1e-12
+    for name in ("intensity_y", "pump_n"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12 * n, name
+    for name, a, b in (("t_sq", truncated.t_sq, full.t_sq), ("var_min", truncated.var_min, full.var_min),
+                       ("S", truncated.resolution.s, full.resolution.s)):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0), name
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])

@@ -30,7 +30,6 @@ from .fock import (
     QuadratureSpec,
     SqueezeParams,
     TruncationError,
-    apply_beam_splitter,
     apply_mode_unitary,
     coherent_state,
     default_cutoff,

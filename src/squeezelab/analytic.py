@@ -8,6 +8,12 @@ oscillator producing a squeezed vacuum of ``(N/2)^{1/2}`` photons, the
 unconverted pump is down-converted to ``2 N lambda`` coherent photons at
 the sub-harmonic frequency, and the two fields are recombined.
 
+At the optimal phase both mixers are one formula.  The bright port
+weights the coherent input by ``t²`` and the squeezed input by ``r²``
+(``t² + r² = 1``): a beam splitter has ``(t², r²) = (1 - r2², r2²)``, an
+interferometer ``(sin²(phi/2), cos²(phi/2))``.  The port's intensity and
+variance are ``t²|alpha|² + r² sinh²(s)`` and ``t² + r² e^{-2s}``.
+
 Each formula is written once, as a private numpy expression whose
 arguments broadcast.  The public scalar functions and configs evaluate
 those expressions at one point; :func:`resolution_surface` evaluates them
@@ -44,11 +50,6 @@ __all__ = [
     "scheme_phase_resolution_approx",
     "resolution_surface",
 ]
-
-_LOSSLESS_TOL = 1e-12
-
-#: interferometer phases this close to pi pass only the coherent input
-_COHERENT_ONLY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +94,31 @@ def _check_budget(n, lam):
 # ---------------------------------------------------------------------------
 # the closed-form expressions; every argument broadcasts
 
-def _transmission(r2):
-    """``t = (1 - r2²)^{1/2}`` of a symmetric lossless splitter."""
-    return np.sqrt(np.maximum(0.0, 1.0 - r2 * r2))
+def _bs_weights(r2):
+    """``(t², r²)`` of a symmetric lossless splitter; ``t²`` as a product, so it keeps full relative accuracy near r2 = 1."""
+    return (1.0 - r2) * (1.0 + r2), np.square(r2)
 
 
-def _bs_intensity(t1, r2, s, alpha_mag):
-    return np.square(t1 * alpha_mag) + np.square(r2 * np.sinh(s))
+def _in_weights(phi):
+    """``(sin²(phi/2), cos²(phi/2))``, formed directly: ``1 - cos²`` would cancel at small ``phi``."""
+    half = 0.5 * phi
+    return np.square(np.sin(half)), np.square(np.cos(half))
 
 
-def _bs_optimal_variance(r2, s):
-    """``1 - r2²(1 - e^{-2s})`` as a sum of non-negative terms, so it keeps full relative accuracy when small."""
-    return (1.0 - r2) * (1.0 + r2) + np.square(r2) * np.exp(-2.0 * s)
+def _port(weights, alpha_sq, s):
+    """``(intensity, variance)`` of the optimal-phase bright port, a sum of non-negative terms each.
+
+    ``weights`` is the ``(t², r²)`` pair of the mixer, ``alpha_sq`` the
+    coherent input's photon number and ``s`` the squeeze parameter.
+    """
+    t_sq, r_sq = weights
+    return t_sq * alpha_sq + r_sq * np.square(np.sinh(s)), _port_variance(weights, s)
 
 
-def _in_intensity(phi, s, alpha_mag):
-    return np.square(alpha_mag * np.sin(0.5 * phi)) + np.square(np.sinh(s) * np.cos(0.5 * phi))
-
-
-def _in_variance(phi, s):
-    """``1 - (1 - e^{-2s}) cos²(phi/2)``, written like :func:`_bs_optimal_variance` without cancellation."""
-    return np.square(np.sin(0.5 * phi)) + np.exp(-2.0 * s) * np.square(np.cos(0.5 * phi))
+def _port_variance(weights, s):
+    """The variance of :func:`_port` alone; it needs no ``sinh(s)``, so it stays finite where ``sinh²(s)`` overflows."""
+    t_sq, r_sq = weights
+    return t_sq + r_sq * np.exp(-2.0 * s)
 
 
 def _squeeze_parameter(n):
@@ -126,33 +131,21 @@ def _coherent_photons(n, lam):
     return 2.0 * n * lam
 
 
-def _scheme_port(variant: str, mix, n, lam):
-    """``(intensity, variance)`` of the scheme's optimal-phase bright port.
+def _scheme_port(weights, n, lam):
+    """``(intensity, variance)`` of the scheme's bright port: :func:`_port` with the photon budget of ``n``, ``lam``."""
+    return _port(weights, _coherent_photons(n, lam), _squeeze_parameter(n))
 
-    ``mix`` is ``(t1, r2)`` for the beam splitter (``variant == "bs"``) and
-    ``phi`` for the interferometer.
+
+def _scheme_approx(weights, n, lam, s_exact):
+    """Large-N scheme value ``[2N (lam t² + r² x) / (t² + r² x)]^{1/2}`` and its relative deviation from ``s_exact``.
+
+    ``x = N^{-1/2}/sqrt(8)`` approximates ``e^{-2s}``.  Where ``r²`` is
+    negligible against ``t²`` (the interferometer at ``phi = pi``) the ratio
+    is ``lam`` exactly, and the value equals the coherent-only limit.
     """
-    s = _squeeze_parameter(n)
-    alpha = np.sqrt(_coherent_photons(n, lam))
-    if variant == "bs":
-        t1, r2 = mix
-        return _bs_intensity(t1, r2, s, alpha), _bs_optimal_variance(r2, s)
-    return _in_intensity(mix, s, alpha), _in_variance(mix, s)
-
-
-def _scheme_approx(variant: str, mix, n, lam, s_exact):
-    """Large-N scheme value and its relative deviation from ``s_exact``; ``mix`` as in :func:`_scheme_port`."""
-    if variant == "bs":
-        r2sq = np.square(mix[1])
-        x = 1.0 / (np.sqrt(n) * np.sqrt(8.0))
-        ratio = (lam * (1.0 - r2sq) + r2sq * x) / ((1.0 - r2sq) + r2sq * x)
-    else:
-        # tan(phi/2)² stays finite up to the double nearest pi (about 2.7e32)
-        coherent = mix >= math.pi - _COHERENT_ONLY_TOL
-        t2 = np.square(np.tan(0.5 * mix))
-        root8, inv_root_n = np.sqrt(8.0), 1.0 / np.sqrt(n)
-        ratio = np.where(coherent, lam, (root8 * lam * t2 + inv_root_n) / (root8 * t2 + inv_root_n))
-    value = np.sqrt(2.0 * n * ratio)
+    t_sq, r_sq = weights
+    x = 1.0 / (np.sqrt(n) * np.sqrt(8.0))
+    value = np.sqrt(2.0 * n * ((lam * t_sq + r_sq * x) / (t_sq + r_sq * x)))
     return value, np.abs(value - s_exact) / s_exact
 
 
@@ -161,51 +154,46 @@ def _scheme_approx(variant: str, mix, n, lam, s_exact):
 
 @dataclass(frozen=True)
 class BeamSplitterConfig:
-    """Lossless beam splitter: transmission/reflection pairs plus phases.
+    """Lossless symmetric beam splitter with reflection coefficient ``r2``.
 
-    ``delta`` is the overall phase of the element, ``psi`` the relative
-    phase between the reflected and transmitted paths.  Losslessness
-    requires ``t1² + r1² = 1`` and ``t2² + r2² = 1``; the completed 2x2
-    mode map must additionally be unitary, which for real coefficients
-    means ``t1 r1 = t2 r2``.
+    A lossless splitter with real coefficients whose mode map is unitary
+    (``t1 r1 = t2 r2``) is symmetric, so ``r2`` fixes it: ``t = (1 -
+    r2²)^{1/2}`` on both ports.  Its bright port is the weight pair
+    ``(t², r²) = (1 - r2², r2²)`` of the module docstring.  ``delta`` is
+    the overall phase of the element, ``psi`` the relative phase between
+    the reflected and transmitted paths.
     """
 
-    t1: float
-    r1: float
-    t2: float
     r2: float
     delta: float = 0.0
     psi: float = 0.0
 
     def __post_init__(self):
-        for name in ("t1", "r1", "t2", "r2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
+        _check_reflection(self.r2)
         _check_finite(self, "delta", "psi")
-        if abs(self.t1**2 + self.r1**2 - 1.0) > _LOSSLESS_TOL:
-            raise ValueError(f"lossless constraint t1²+r1²=1 violated: {self.t1**2 + self.r1**2}")
-        if abs(self.t2**2 + self.r2**2 - 1.0) > _LOSSLESS_TOL:
-            raise ValueError(f"lossless constraint t2²+r2²=1 violated: {self.t2**2 + self.r2**2}")
 
     @classmethod
     def from_reflectivity(cls, r2: float, delta: float = 0.0, psi: float = 0.0) -> "BeamSplitterConfig":
-        """Symmetric splitter with reflected fraction ``r2²`` on port 2."""
-        _check_reflection(r2)
-        t = float(_transmission(r2))
-        return cls(t1=t, r1=r2, t2=t, r2=r2, delta=delta, psi=psi)
+        """Splitter with reflected fraction ``r2²`` on port 2."""
+        return cls(r2, delta, psi)
+
+    @property
+    def port_weights(self):
+        """``(t², r²)``: the bright port's weights on the coherent and squeezed inputs."""
+        return _bs_weights(self.r2)
 
     def mode_matrix(self) -> np.ndarray:
         """Unitary 2x2 map from input to output mode operators.
 
-        Row 0 is the bright output ``b1 = e^{i delta}(t1 a1 + e^{i psi} r2 a2)``;
+        Row 0 is the bright output ``b1 = e^{i delta}(t a1 + e^{i psi} r2 a2)``;
         row 1 is the orthonormal completion of the dark port.
         """
+        t = math.sqrt(max(0.0, 1.0 - self.r2 * self.r2))
         phase = np.exp(1j * self.delta)
         return phase * np.array(
             [
-                [self.t1, np.exp(1j * self.psi) * self.r2],
-                [-np.exp(-1j * self.psi) * self.r1, self.t2],
+                [t, np.exp(1j * self.psi) * self.r2],
+                [-np.exp(-1j * self.psi) * self.r2, t],
             ],
             dtype=np.complex128,
         )
@@ -215,9 +203,10 @@ class BeamSplitterConfig:
 class InterferometerConfig:
     """Two-arm interferometer with relative phase ``phi`` in [0, pi].
 
-    ``phi = 0`` passes only the squeezed input to the bright output,
-    ``phi = pi`` only the coherent input.  ``psi`` is the arm phase and
-    ``global_phase`` an overall phase on both outputs.
+    Its bright port is the weight pair ``(t², r²) = (sin²(phi/2),
+    cos²(phi/2))``: ``phi = 0`` passes only the squeezed input to the bright
+    output, ``phi = pi`` only the coherent input.  ``psi`` is the arm phase
+    and ``global_phase`` an overall phase on both outputs.
     """
 
     phi: float
@@ -227,6 +216,11 @@ class InterferometerConfig:
     def __post_init__(self):
         _check_phase(self.phi)
         _check_finite(self, "psi", "global_phase")
+
+    @property
+    def port_weights(self):
+        """``(t², r²)``: the bright port's weights on the coherent and squeezed inputs."""
+        return _in_weights(self.phi)
 
     def mode_matrix(self) -> np.ndarray:
         half = 0.5 * self.phi
@@ -259,8 +253,8 @@ def beam_splitter_variance(cfg: BeamSplitterConfig, s: float, theta: float = 0.0
 
 
 def beam_splitter_intensity(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> float:
-    """Bright-port intensity ``t1²|alpha|² + r2² sinh²(s)``; it does not depend on the phases."""
-    return float(_bs_intensity(cfg.t1, cfg.r2, s, alpha_mag))
+    """Bright-port intensity ``(1 - r2²)|alpha|² + r2² sinh²(s)``; it does not depend on the phases."""
+    return float(_port(cfg.port_weights, np.square(alpha_mag), s)[0])
 
 
 def beam_splitter_phase_resolution(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> PhaseResolution:
@@ -268,24 +262,24 @@ def beam_splitter_phase_resolution(cfg: BeamSplitterConfig, s: float, alpha_mag:
 
     Assumes the optimal phase condition ``2 delta + 2 psi + theta = 0``:
     the variance is ``1 - r2² + r2² e^{-2s}``, the intensity is
-    ``t1²|alpha|² + r2² sinh²(s)``.
+    ``(1 - r2²)|alpha|² + r2² sinh²(s)``.
     """
-    return phase_resolution(_bs_intensity(cfg.t1, cfg.r2, s, alpha_mag), _bs_optimal_variance(cfg.r2, s))
+    return phase_resolution(*_port(cfg.port_weights, np.square(alpha_mag), s))
 
 
 def interferometer_variance(phi: float, s: float) -> float:
-    """Squeezed-quadrature variance of the bright interferometer output."""
-    return float(_in_variance(phi, s))
+    """Squeezed-quadrature variance ``sin²(phi/2) + cos²(phi/2) e^{-2s}`` of the bright interferometer output."""
+    return float(_port_variance(_in_weights(phi), s))
 
 
 def interferometer_intensity(phi: float, s: float, alpha_mag: float) -> float:
     """Bright-port intensity: the coherent and squeezed photon numbers weighted by ``sin²(phi/2)`` / ``cos²(phi/2)``."""
-    return float(_in_intensity(phi, s, alpha_mag))
+    return float(_port(_in_weights(phi), np.square(alpha_mag), s)[0])
 
 
 def interferometer_phase_resolution(phi: float, s: float, alpha_mag: float) -> PhaseResolution:
     """Phase resolution of the bright interferometer output."""
-    return phase_resolution(_in_intensity(phi, s, alpha_mag), _in_variance(phi, s))
+    return phase_resolution(*_port(_in_weights(phi), np.square(alpha_mag), s))
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +316,15 @@ class SchemeParams:
     def coherent_photons(self) -> float:
         return float(_coherent_photons(self.pump_photons, self.efficiency))
 
-    def _setting(self) -> tuple[str, object]:
-        """The mixer as the ``(variant, mix)`` pair of :func:`_scheme_port`."""
-        if isinstance(self.mixer, BeamSplitterConfig):
-            return "bs", (self.mixer.t1, self.mixer.r2)
-        return "in", self.mixer.phi
-
 
 def scheme_phase_resolution_exact(params: SchemeParams) -> PhaseResolution:
     """Exact scheme output: the mixing formulas with the scheme's photon budget.
 
     Substitutes ``|alpha|² = 2 N lambda`` and the exact squeeze parameter
-    into the optimal-phase beam-splitter or interferometer result; no
-    large-N approximation is made.
+    into the mixer's optimal-phase bright port; no large-N approximation
+    is made.
     """
-    return phase_resolution(*_scheme_port(*params._setting(), params.pump_photons, params.efficiency))
+    return phase_resolution(*_scheme_port(params.mixer.port_weights, params.pump_photons, params.efficiency))
 
 
 @dataclass(frozen=True)
@@ -358,21 +346,16 @@ class SchemeApproximation:
 def scheme_phase_resolution_approx(params: SchemeParams) -> SchemeApproximation:
     """Large-N asymptotic scheme output (intended for N >= 1e3).
 
-    For the beam splitter (with ``t1² = 1 - r2²``)::
+    With the mixer's bright-port weights ``(t², r²)``::
 
-        S = [2N (lambda (1-r2²) + r2² x) / (1 - r2² + r2² x)]^{1/2}
+        S = [2N (lambda t² + r² x) / (t² + r² x)]^{1/2}
 
-    and for the interferometer::
-
-        S = [2N (sqrt(8) lambda tan²(phi/2) + N^{-1/2})
-                / (sqrt(8) tan²(phi/2) + N^{-1/2})]^{1/2}
-
-    where ``x = N^{-1/2}/sqrt(8)`` approximates ``e^{-2s}``.  At
-    ``phi = pi`` the arm passes only the coherent input and ``S`` is the
-    limit.
+    where ``x = N^{-1/2}/sqrt(8)`` approximates ``e^{-2s}``.  For the
+    interferometer, ``t²/r² = tan²(phi/2)``; at ``phi = pi`` the arm passes
+    only the coherent input and ``S`` is the limit.
     """
     exact = scheme_phase_resolution_exact(params).s
-    value, deviation = _scheme_approx(*params._setting(), params.pump_photons, params.efficiency, exact)
+    value, deviation = _scheme_approx(params.mixer.port_weights, params.pump_photons, params.efficiency, exact)
     return SchemeApproximation(float(value), math.sqrt(params.coherent_photons), float(deviation))
 
 
@@ -390,13 +373,14 @@ def resolution_surface(n_values, mix_values, efficiency: float, variant: str = "
     """
     if variant not in ("bs", "in"):
         raise ValueError(f"variant must be 'bs' or 'in', got {variant!r}")
+    check, weights_of = (_check_reflection, _bs_weights) if variant == "bs" else (_check_phase, _in_weights)
     n = np.asarray(n_values, dtype=float).reshape(-1, 1)
     m = np.asarray(mix_values, dtype=float).reshape(1, -1)
-    (_check_reflection if variant == "bs" else _check_phase)(m)
+    check(m)
     _check_budget(n, efficiency)
-    mix = (_transmission(m), m) if variant == "bs" else m
-    intensity, variance = _scheme_port(variant, mix, n, efficiency)
+    weights = weights_of(m)
+    intensity, variance = _scheme_port(weights, n, efficiency)
     _require(variance > 0.0, variance, "variance must be positive, got {}")
     s_exact = np.sqrt(intensity) / np.sqrt(variance)  # the roots first, as phase_resolution takes them
-    value, deviation = _scheme_approx(variant, mix, n, efficiency, s_exact)
+    value, deviation = _scheme_approx(weights, n, efficiency, s_exact)
     return np.stack(np.broadcast_arrays(n, m, s_exact, value, deviation), axis=-1).reshape(-1, 5)

@@ -49,7 +49,7 @@ from .crosscheck import (
 )
 from .fock import SqueezeParams, TruncationError
 from .metrics import fit_power_law, phase_resolution
-from .oscillator import OscillatorConfig, evolve, find_optimal_squeezing
+from .oscillator import OscillatorConfig, default_t_max, evolve, find_optimal_squeezing
 
 SCHEMA_VERSION = 1
 ORACLE_TOLERANCE = 1e-4
@@ -100,7 +100,7 @@ def parse_range(spec: str) -> np.ndarray:
 def cmd_simulate(config: dict, out: Path) -> int:
     osc = OscillatorConfig(config["kind"], config["N"], config["coupling"], config["pump_phase"])
     if not config["t_max"]:
-        config["t_max"] = 5.0 / (osc.coupling * math.sqrt(max(osc.pump_photons, 1.0)))
+        config["t_max"] = default_t_max(osc)
     grid = np.linspace(0.0, config["t_max"], config["points"])
     opt = find_optimal_squeezing(osc)
     # the optimum's final window scan is the default grid unless the window had to grow

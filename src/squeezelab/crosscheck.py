@@ -23,7 +23,7 @@ from .analytic import (
     beam_splitter_phase_resolution,
     beam_splitter_variance,
     interferometer_phase_resolution,
-    interferometer_variance,
+    interferometer_variance,  # not called here; perfbench/tracing.py patches this name
 )
 from .fock import (
     FockState,
@@ -36,7 +36,7 @@ from .fock import (
     quadrature_stats,
     squeezed_vacuum,
 )
-from .metrics import phase_resolution
+from .metrics import PhaseResolution, phase_resolution
 
 __all__ = [
     "CrosscheckReport",
@@ -84,10 +84,20 @@ def _mixed_output(matrix, alpha: complex, params: SqueezeParams, cutoff: int | N
     return apply_mode_unitary(product_state(beam, squeezed), matrix)
 
 
-def _port_statistics(out: FockState):
+def _crosscheck(mixer, theta: float, alpha: complex, s: float, analytic: PhaseResolution,
+                cutoff: int | None) -> CrosscheckReport:
+    """Compare ``analytic`` with the bright port of ``mixer`` fed ``alpha`` and the squeezed vacuum ``(s, theta)``."""
+    out = _mixed_output(mixer.mode_matrix(), alpha, SqueezeParams(s, theta), cutoff)
     _, variance, _ = quadrature_stats(out, QuadratureSpec(0, 0.0))
     intensity = distance_intensity(out, QuadratureSpec(0, 0.5 * math.pi))
-    return variance, intensity
+    return CrosscheckReport(
+        analytic_variance=analytic.var_x,
+        fock_variance=variance,
+        analytic_intensity=analytic.intensity_y,
+        fock_intensity=intensity,
+        analytic_s=analytic.s,
+        fock_s=phase_resolution(intensity, variance).s,
+    )
 
 
 def beam_splitter_crosscheck(
@@ -96,17 +106,16 @@ def beam_splitter_crosscheck(
     """Optimal-phase beam splitter: formulas vs the truncated-space unitary."""
     theta = -2.0 * cfg.delta - 2.0 * cfg.psi
     alpha = 1j * alpha_mag * complex(math.cos(-cfg.delta), math.sin(-cfg.delta))
-    out = _mixed_output(cfg.mode_matrix(), alpha, SqueezeParams(s, theta), cutoff)
-    variance, intensity = _port_statistics(out)
-    ana = beam_splitter_phase_resolution(cfg, s, alpha_mag)
-    return CrosscheckReport(
-        analytic_variance=ana.var_x,
-        fock_variance=variance,
-        analytic_intensity=ana.intensity_y,
-        fock_intensity=intensity,
-        analytic_s=ana.s,
-        fock_s=phase_resolution(intensity, variance).s,
-    )
+    return _crosscheck(cfg, theta, alpha, s, beam_splitter_phase_resolution(cfg, s, alpha_mag), cutoff)
+
+
+def interferometer_crosscheck(
+    cfg: InterferometerConfig, s: float, alpha_mag: float, cutoff: int | None = None
+) -> CrosscheckReport:
+    """Interferometer bright port: formulas vs the truncated-space unitary."""
+    theta = -2.0 * cfg.global_phase
+    alpha = -alpha_mag * complex(math.cos(cfg.psi - cfg.global_phase), math.sin(cfg.psi - cfg.global_phase))
+    return _crosscheck(cfg, theta, alpha, s, interferometer_phase_resolution(cfg.phi, s, alpha_mag), cutoff)
 
 
 def beam_splitter_variance_crosscheck(
@@ -120,22 +129,3 @@ def beam_splitter_variance_crosscheck(
     out = _mixed_output(cfg.mode_matrix(), complex(alpha_mag), SqueezeParams(s, theta), cutoff)
     _, variance, _ = quadrature_stats(out, QuadratureSpec(0, 0.0))
     return beam_splitter_variance(cfg, s, theta), variance
-
-
-def interferometer_crosscheck(
-    cfg: InterferometerConfig, s: float, alpha_mag: float, cutoff: int | None = None
-) -> CrosscheckReport:
-    """Interferometer bright port: formulas vs the truncated-space unitary."""
-    theta = -2.0 * cfg.global_phase
-    alpha = -alpha_mag * complex(math.cos(cfg.psi - cfg.global_phase), math.sin(cfg.psi - cfg.global_phase))
-    out = _mixed_output(cfg.mode_matrix(), alpha, SqueezeParams(s, theta), cutoff)
-    variance, intensity = _port_statistics(out)
-    ana = interferometer_phase_resolution(cfg.phi, s, alpha_mag)
-    return CrosscheckReport(
-        analytic_variance=interferometer_variance(cfg.phi, s),
-        fock_variance=variance,
-        analytic_intensity=ana.intensity_y,
-        fock_intensity=intensity,
-        analytic_s=ana.s,
-        fock_s=phase_resolution(intensity, variance).s,
-    )

@@ -53,7 +53,6 @@ __all__ = [
     "distance_intensity",
     "phase_resolution_of_mode",
     "apply_mode_unitary",
-    "apply_beam_splitter",
 ]
 
 #: norm must stay this close to 1 after every constructor / unitary
@@ -465,14 +464,3 @@ def apply_mode_unitary(state: FockState, matrix: np.ndarray) -> FockState:
     amps = _apply_rotation(amps, theta)
     amps = _phase_diag(amps, mu1, mu2)
     return _check_norm(FockState(amps))
-
-
-def apply_beam_splitter(state: FockState, cfg) -> FockState:
-    """Mix a two-mode state on a lossless beam splitter.
-
-    ``cfg`` is an :class:`squeezelab.analytic.BeamSplitterConfig` (anything
-    with a ``mode_matrix()`` method works).  Mode 0 of the result is the
-    transmitted-plus-reflected output port analyzed throughout the library.
-    """
-    return apply_mode_unitary(state, cfg.mode_matrix())
-

@@ -23,10 +23,6 @@ __all__ = [
     "fit_power_law",
 ]
 
-#: accepted numerator conventions for phase_resolution
-NUMERATOR_KINDS = ("intensity", "unsqueezed_variance")
-
-
 @dataclass(frozen=True)
 class PhaseResolution:
     """The triple (intensity_Y, var_X, S) for one state or configuration."""
@@ -36,22 +32,13 @@ class PhaseResolution:
     s: float
 
 
-def phase_resolution(intensity_y: float, var_x: float, *, numerator: str = "intensity") -> PhaseResolution:
+def phase_resolution(intensity_y: float, var_x: float) -> PhaseResolution:
     """Compute ``S = sqrt(intensity_y / var_x)``, as ``sqrt(intensity_y) / sqrt(var_x)``.
 
-    The roots come first, so ``S`` is finite wherever it is representable,
+    ``intensity_y`` is the distance-quadrature intensity ``<Y†Y>``.  The
+    roots come first, so ``S`` is finite wherever it is representable,
     even where the ratio itself would overflow.
-
-    ``numerator`` documents what the caller supplied.  The default is the
-    distance-quadrature intensity ``<Y†Y>``.  The ``"unsqueezed_variance"``
-    variant uses the unsqueezed-quadrature variance instead; near the
-    oscillation threshold that quantity grows like ``N`` rather than
-    ``N^{1/2}`` (critical slowing-down builds a time average into it), so
-    the variant over-reports the resolution as ``N^{3/4}``.  It exists so
-    this cautionary behaviour is testable; it is not the default metric.
     """
-    if numerator not in NUMERATOR_KINDS:
-        raise ValueError(f"numerator must be one of {NUMERATOR_KINDS}, got {numerator!r}")
     if var_x <= 0.0:
         raise ValueError(f"variance must be positive, got {var_x}")
     if intensity_y < 0.0:

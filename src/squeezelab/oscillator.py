@@ -50,6 +50,7 @@ __all__ = [
     "block_basis",
     "BlockEvolution",
     "evolve",
+    "default_t_max",
     "find_optimal_squeezing",
     "dense_evolve",
     "blocks_to_dense",
@@ -401,6 +402,15 @@ def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     return BlockEvolution(cfg).observables(t)
 
 
+def default_t_max(cfg: OscillatorConfig) -> float:
+    """End ``5 / (coupling sqrt(max(N, 1)))`` of the first window :func:`find_optimal_squeezing` scans.
+
+    It is the undepleted-pump timescale, and the default end of the
+    ``simulate`` command's time grid.
+    """
+    return 5.0 / (math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling)
+
+
 @dataclass
 class OptimalSqueezing:
     """Refined squeezing optimum of one run.
@@ -422,7 +432,7 @@ class OptimalSqueezing:
 def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     """Locate the time of maximal sub-harmonic squeezing.
 
-    Scans ``GRID_POINTS`` times over ``[0, 5 / sqrt(max(N, 1))]`` (the
+    Scans ``GRID_POINTS`` times over ``[0, default_t_max(cfg)]`` (the
     undepleted-pump timescale), doubling the window up to
     ``MAX_EXTENSIONS`` times until the variance minimum is interior, then
     solves ``var_x'(t) = 0`` inside the grid bracket around that minimum by
@@ -441,8 +451,7 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     ``RuntimeError``.
     """
     ev = BlockEvolution(cfg)
-    scale = math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling
-    t_max = 5.0 / scale
+    t_max = default_t_max(cfg)
     for _ in range(MAX_EXTENSIONS + 1):
         result = ev.observables(np.linspace(0.0, t_max, GRID_POINTS))
         i = int(np.argmin(result.var_x))

@@ -229,7 +229,12 @@ def test_criterion_7_scheme_asymptotics():
 
 
 def test_criterion_8_quadrature_only_variant():
-    """Near-threshold critical slowing makes the variance-based variant read N^(3/4)."""
+    """Near-threshold critical slowing makes the variance-based variant read N^(3/4).
+
+    Near the oscillation threshold the unsqueezed-quadrature variance grows
+    like N rather than N^(1/2): critical slowing-down builds a time average
+    into it.  Put in place of the intensity, it over-reports S as N^(3/4).
+    """
     start = time.time()
     omega = np.linspace(-4.0, 4.0, 161)
     n_grid = np.geomspace(1e2, 1e6, 9)
@@ -242,7 +247,7 @@ def test_criterion_8_quadrature_only_variant():
         spectra = SpectraInput(omega, v, w)
         ratio = spectral_phase_resolution(spectra)
         center = int(np.argmin(np.abs(omega)))
-        res = phase_resolution(w[center], v[center], numerator="unsqueezed_variance")
+        res = phase_resolution(w[center], v[center])  # the unsqueezed variance in place of the intensity
         assert res.s == pytest.approx(ratio[center], rel=1e-12)
         s_peak.append(res.s)
     fit = fit_power_law(n_grid, s_peak)

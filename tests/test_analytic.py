@@ -13,9 +13,11 @@ from squeezelab.analytic import (
     BeamSplitterConfig,
     InterferometerConfig,
     SchemeParams,
+    beam_splitter_intensity,
     beam_splitter_phase_resolution,
     beam_splitter_variance,
     resolution_surface,
+    interferometer_intensity,
     interferometer_phase_resolution,
     interferometer_variance,
     scheme_phase_resolution_approx,
@@ -86,9 +88,9 @@ def test_configs_reject_non_finite_fields(make, field, value):
 
 
 def test_lossless_validation():
-    with pytest.raises(ValueError):
-        BeamSplitterConfig(t1=0.9, r1=0.9, t2=0.5, r2=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
+        BeamSplitterConfig(r2=1.2)
+    with pytest.raises(ValueError, match="outside"):
         BeamSplitterConfig.from_reflectivity(1.2)
 
 
@@ -99,6 +101,11 @@ def test_interferometer_passes_coherent_straight_through():
     res = interferometer_phase_resolution(math.pi, 1.0, 2.0)
     assert interferometer_variance(math.pi, 1.0) == pytest.approx(1.0)
     assert res.s == pytest.approx(2.0)
+
+
+def test_interferometer_variance_where_sinh_squared_overflows():
+    # past s = 355, sinh(s)² overflows a double; the variance needs only e^{-2s}
+    assert interferometer_variance(1.0, 400.0) == pytest.approx(math.sin(0.5) ** 2, rel=1e-15)
 
 
 def test_interferometer_squeezed_only():
@@ -157,6 +164,60 @@ def test_variance_oracle_agreement_at_strong_squeezing(r2_sq):
     cfg = BeamSplitterConfig.from_reflectivity(math.sqrt(r2_sq))
     ana, fock = sq.beam_splitter_variance_crosscheck(cfg, 1.5, theta=0.4, alpha_mag=3.0)
     assert abs(ana - fock) / abs(ana) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the interferometer at phi is the beam splitter at r2 = cos(phi/2)
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=st.just(0.0) | st.floats(0.05, math.pi),
+    s=st.floats(0.0, 1.5),
+    alpha=st.floats(0.0, 3.0),
+    n=st.floats(1.0, 1e12),
+    lam=st.floats(1e-12, 1.0),
+)
+@example(phi=math.pi, s=1.0, alpha=0.0, n=1.0, lam=1e-12)
+def test_interferometer_is_beam_splitter_at_cos_half_phi(phi, s, alpha, n, lam):
+    """Both mixers are one bright-port formula; only the weights ``(t², r²)`` differ.
+
+    The beam splitter forms ``t² = 1 - r2²`` from ``r2 = cos(phi/2)``, whose
+    rounding (up to 2^-52 in ``t²``) exceeds 1e-13 of ``t²`` below phi = 0.05.
+    That is why the interferometer forms ``sin²(phi/2)`` directly; phi = 0,
+    where ``cos(phi/2)`` is exact, stays in.
+    """
+    bs = BeamSplitterConfig(math.cos(0.5 * phi))
+    in_res, bs_res = interferometer_phase_resolution(phi, s, alpha), beam_splitter_phase_resolution(bs, s, alpha)
+    in_scheme, bs_scheme = SchemeParams(n, lam, InterferometerConfig(phi)), SchemeParams(n, lam, bs)
+    pairs = [
+        (interferometer_variance(phi, s), bs_res.var_x),
+        (interferometer_intensity(phi, s, alpha), beam_splitter_intensity(bs, s, alpha)),
+        (in_res.s, bs_res.s),
+        (scheme_phase_resolution_exact(in_scheme).s, scheme_phase_resolution_exact(bs_scheme).s),
+        (scheme_phase_resolution_approx(in_scheme).value, scheme_phase_resolution_approx(bs_scheme).value),
+    ]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("phi, s, alpha", [(0.4, 0.3, 1.0), (math.pi / 2, 0.5, 2.0), (2.6, 0.8, 1.5)])
+def test_interferometer_oracle_is_beam_splitter_oracle(phi, s, alpha):
+    """The same identity on the Fock oracle, which builds the two mixers from different mode matrices."""
+    rep_in = sq.interferometer_crosscheck(InterferometerConfig(phi), s, alpha)
+    rep_bs = sq.beam_splitter_crosscheck(BeamSplitterConfig(math.cos(0.5 * phi)), s, alpha)
+    for field in ("fock_variance", "fock_intensity", "fock_s"):
+        got, want = getattr(rep_in, field), getattr(rep_bs, field)
+        assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.floats(1.0, 1e12), lam=st.floats(1e-12, 1.0))
+@example(n=1.0, lam=1e-12)
+@example(n=1e12, lam=1.0)
+def test_open_interferometer_approx_is_the_coherent_limit(n, lam):
+    """At phi = pi, ``r² = cos²(pi/2)`` (about 4e-33) leaves the large-N ratio at exactly ``lambda``."""
+    approx = scheme_phase_resolution_approx(SchemeParams(n, lam, InterferometerConfig(math.pi)))
+    assert approx.value == approx.limit
 
 
 # ---------------------------------------------------------------------------

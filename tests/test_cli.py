@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from squeezelab import resolution_surface
+import squeezelab.cli as cli
+from squeezelab import OscillatorConfig, resolution_surface
 from squeezelab.cli import main, parse_range
+from squeezelab.oscillator import GRID_POINTS, default_t_max
 
 
 def read_json(path):
@@ -41,6 +43,18 @@ def test_simulate_writes_trajectory(tmp_path):
     assert summary["schema"] == 1
     assert summary["var_min"] < 1.0
     assert summary["S"] > 1.0
+
+
+def test_simulate_default_window_reuses_the_optimum_scan(tmp_path, monkeypatch):
+    """With the default points and t_max, the trajectory is the optimum's own window scan: no second propagation."""
+    def no_evolve(*args):
+        raise AssertionError("simulate propagated the default grid a second time")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    assert main(["simulate", "--kind", "degenerate", "--N", "16", "--outdir", str(tmp_path)]) == 0
+    config = read_json(tmp_path / "summary.json")["config"]
+    assert config["t_max"] == default_t_max(OscillatorConfig("degenerate", 16.0))
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + GRID_POINTS
 
 
 def test_simulate_vacuum_pump_flat(tmp_path):

@@ -289,9 +289,9 @@ def test_quadrature_mode_count_mismatch():
 # beam splitter / mode mixing
 
 def test_identity_splitter_preserves_state():
-    cfg = sq.BeamSplitterConfig(t1=1.0, r1=0.0, t2=1.0, r2=0.0)
+    cfg = sq.BeamSplitterConfig.from_reflectivity(0.0)
     inp = sq.product_state(sq.coherent_state(1.2 + 0.3j), sq.vacuum_state(2))
-    out = sq.apply_beam_splitter(inp, cfg)
+    out = sq.apply_mode_unitary(inp, cfg.mode_matrix())
     d1 = inp.mode_dims[0]
     assert np.max(np.abs(out.amps[:d1, 0] - inp.amps[:, 0])) < 1e-12
     assert abs(out.norm() - 1.0) < 1e-9
@@ -301,7 +301,7 @@ def test_5050_splitter_on_coherent():
     alpha = 2.0
     cfg = sq.BeamSplitterConfig.from_reflectivity(math.sqrt(0.5))
     inp = sq.product_state(sq.coherent_state(alpha), sq.vacuum_state(2))
-    out = sq.apply_beam_splitter(inp, cfg)
+    out = sq.apply_mode_unitary(inp, cfg.mode_matrix())
     assert abs(mode_moments(out, 0)[0] - alpha / math.sqrt(2.0)) < 1e-8
     assert abs(out.mean_photons(0) - alpha**2 / 2.0) < 1e-8
     assert abs(out.mean_photons(1) - alpha**2 / 2.0) < 1e-8
@@ -315,7 +315,7 @@ def test_mixing_conserves_norm_and_photons():
     inp = FockState(amps)
     total_before = inp.mean_photons(0) + inp.mean_photons(1)
     cfg = sq.BeamSplitterConfig.from_reflectivity(0.6, delta=0.2, psi=1.1)
-    out = sq.apply_beam_splitter(inp, cfg)
+    out = sq.apply_mode_unitary(inp, cfg.mode_matrix())
     assert abs(out.norm() - 1.0) < 1e-9
     assert abs(out.mean_photons(0) + out.mean_photons(1) - total_before) < 1e-9
 
@@ -421,7 +421,7 @@ def test_rotation_memo_rebuilds_for_a_larger_input(monkeypatch):
 def test_beam_splitter_conserves_norm_and_photons_property(r2, delta, psi, s, alpha):
     inp = sq.product_state(sq.coherent_state(alpha), sq.squeezed_vacuum(SqueezeParams(s)))
     total_before = inp.mean_photons(0) + inp.mean_photons(1)
-    out = sq.apply_beam_splitter(inp, sq.BeamSplitterConfig.from_reflectivity(r2, delta=delta, psi=psi))
+    out = sq.apply_mode_unitary(inp, sq.BeamSplitterConfig.from_reflectivity(r2, delta=delta, psi=psi).mode_matrix())
     assert abs(out.norm() - 1.0) < 1e-9
     assert abs(out.mean_photons(0) + out.mean_photons(1) - total_before) < 1e-9
 
@@ -439,16 +439,17 @@ def test_bs_variance_matches_squeezing_formula():
     """Bright-port variance 1 - r2² + r2² e^{-2s} at the optimal phases."""
     cfg = sq.BeamSplitterConfig.from_reflectivity(math.sqrt(0.3))
     inp = sq.product_state(sq.coherent_state(2.0), sq.squeezed_vacuum(SqueezeParams(0.5)))
-    out = sq.apply_beam_splitter(inp, cfg)
+    out = sq.apply_mode_unitary(inp, cfg.mode_matrix())
     _, var, _ = sq.quadrature_stats(out, Y0)
     assert abs(var - (1.0 - 0.3 * (1.0 - math.exp(-1.0)))) < 1e-6
 
 
 def test_nonunitary_coefficients_rejected():
-    cfg = sq.BeamSplitterConfig(t1=0.6, r1=0.8, t2=0.8, r2=0.6)
+    # the old four-coefficient splitter t1=0.6, r1=0.8, t2=0.8, r2=0.6: lossless rows, but t1 r1 != t2 r2
+    matrix = np.array([[0.6, 0.6], [-0.8, 0.8]], dtype=complex)
     inp = sq.product_state(sq.vacuum_state(2), sq.vacuum_state(2))
-    with pytest.raises(ValueError):
-        sq.apply_beam_splitter(inp, cfg)
+    with pytest.raises(ValueError, match="not unitary"):
+        sq.apply_mode_unitary(inp, matrix)
 
 
 def test_mixing_requires_two_modes():

@@ -38,15 +38,6 @@ def test_resolution_triple_consistency():
     assert res.s**2 * res.var_x == pytest.approx(res.intensity_y, rel=1e-12)
 
 
-def test_variant_numerator_flag():
-    # same arithmetic, different documented meaning of the numerator
-    plain = phase_resolution(16.0, 0.25).s
-    variant = phase_resolution(16.0, 0.25, numerator="unsqueezed_variance").s
-    assert plain == variant
-    with pytest.raises(ValueError):
-        phase_resolution(1.0, 1.0, numerator="nonsense")
-
-
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         phase_resolution(1.0, 0.0)

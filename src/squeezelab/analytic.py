@@ -112,7 +112,10 @@ def _port(weights, alpha_sq, s):
     coherent input's photon number and ``s`` the squeeze parameter.
     """
     t_sq, r_sq = weights
-    return t_sq * alpha_sq + r_sq * np.square(np.sinh(s)), _port_variance(weights, s)
+    with np.errstate(over="ignore"):
+        sinh_sq = np.square(np.sinh(s))
+    _require(_finite(sinh_sq), s, "squeezing needs a finite sinh(s)^2, got s = {}")  # as fock.SqueezeParams
+    return t_sq * alpha_sq + r_sq * sinh_sq, _port_variance(weights, s)
 
 
 def _port_variance(weights, s):

@@ -158,16 +158,16 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(log_mag) * phase
 
 
-def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState:
+def coherent_state(alpha: complex) -> FockState:
     """Single-mode coherent state of amplitude ``alpha``.
 
-    The occupation cutoff starts at ``|alpha|² + 6|alpha| + 10`` (callers
-    may pass more) and is raised to the smallest one whose truncated-norm
-    deficit is at most ``DEFICIT_TOL``, searched up to two further
-    standard deviations; :class:`TruncationError` if none is found.
+    The occupation cutoff starts at ``|alpha|² + 6|alpha| + 10`` and is
+    raised to the smallest one whose truncated-norm deficit is at most
+    ``DEFICIT_TOL``, searched up to two further standard deviations;
+    :class:`TruncationError` if none is found.
     """
     mean = abs(alpha) ** 2
-    floor = default_cutoff(mean) if cutoff is None else max(int(cutoff), default_cutoff(mean))
+    floor = default_cutoff(mean)
     search = _coherent_amplitudes(alpha, floor + int(math.ceil(2.0 * math.sqrt(mean))) + 11)
     amps, deficit = _cut_within_tolerance(search, floor)
     if amps is None:

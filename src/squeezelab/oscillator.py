@@ -14,10 +14,12 @@ Hamiltonians conserve a charge (``n1 + 2 n_pump`` and
 are propagated by exact eigendecomposition -- there is no step-size error
 anywhere.  Each block has a zero diagonal, so it is bipartite and its
 square splits by sublattice: one real eigensolve of half the block's size
-gives the whole propagation (see :class:`BlockEvolution`).  The states
-and the observables are read from the same sublattice amplitudes.  A
-dense full-tensor propagator (no charge decomposition) is included as the
-independent cross-check route.
+gives the whole propagation (see :class:`BlockEvolution`).  The pump
+phase ``phi`` is a frame rotation, ``exp(i phi charge / 2)``, which commutes
+with both Hamiltonians: the blocks propagate real amplitudes, and ``phi``
+enters only as ``e^{iK phi}`` on the charge-2K block and ``cos(phi)`` in
+the ``x``-quadrature read-out.  A dense full-tensor propagator (no charge
+decomposition) is included as the independent cross-check route.
 
 With the pump amplitude real positive, the squeezed quadrature of the
 sub-harmonic is ``-i(a† - a)``, ``QuadratureSpec(mode, -pi/2)`` of
@@ -138,11 +140,6 @@ def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) 
     return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
-def _pump_block_amplitudes(cfg: OscillatorConfig) -> np.ndarray:
-    """Initial coherent-pump coefficients c_K, K = 0 .. pump cutoff."""
-    return coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
-
-
 def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(sigma², U, MU)`` of the real zero-diagonal tridiagonal ``J`` with off-diagonal ``couplings``.
 
@@ -187,7 +184,7 @@ class _Block:
     """
 
     couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
-    amp: complex              # initial amplitude c on the start site, the last one
+    amp: float                # initial amplitude |c| on the start site, the last one
     on_a: slice               # sites of sublattice A (the start site's parity) ...
     on_b: slice               # ... and of B
     eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending, of the kept columns only
@@ -196,7 +193,6 @@ class _Block:
     w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
     occ_a: np.ndarray         # rows 1, sub-harmonic and pump occupation, on the A sites
     occ_b: np.ndarray         # the same on the B sites
-    pair_phase: complex | None  # conj(c_below / |c_below|) c / |c|; None without a block at charge q - 2
     pair_a: np.ndarray        # <block q-2 | a1² or a2 a3 | block q> per site, signed, on A but the last site
     pair_b: np.ndarray        # the same on B
     sigma: np.ndarray = field(init=False)      # sqrt(max(sigma², 0))
@@ -225,7 +221,7 @@ class _Block:
         return self.u @ (cos * w), self.mu @ (sin * w)
 
     def state(self, t: float) -> np.ndarray:
-        """The block vector at time ``t``, ``(c / |c|) conj(g_last) g ⊙ [a on A, -i b on B]``.
+        """The real block vector at time ``t``, ``conj(g_last) g ⊙ [a on A, -i b on B]``.
 
         ``a`` and ``b`` are :meth:`sublattice_amplitudes`; with ``g_k = (-i)^k``
         the phase on site ``k``, ``-i`` on B included, is ``(-1)^floor(j / 2)``, ``j = last - k``.
@@ -234,11 +230,11 @@ class _Block:
         v = np.empty(self.couplings.size + 1)
         v[self.on_a], v[self.on_b] = a[:, 0], b[:, 0]
         j = np.arange(v.size)[::-1]
-        return self.amp / abs(self.amp) * np.where(j // 2 % 2, -v, v)
+        return np.where(j // 2 % 2, -v, v)
 
 
-def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: complex, below: _Block | None) -> _Block:
-    """Solve the block of ``charge`` that starts as ``amp e_last``; ``below`` is the kept block at ``charge - 2``."""
+def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: float) -> _Block:
+    """Solve the block of ``charge`` that starts as ``amp e_last``, ``amp >= 0``."""
     couplings = _block_couplings(kind, charge, coupling)
     sigma2, u, mu = _sublattice_solve(couplings)
     p = couplings.size % 2
@@ -252,10 +248,9 @@ def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: comple
     # Site k here meets site k of the block below, whose start site is one
     # lower, so A and B swap; the constant site phases of the two real
     # amplitudes multiply to +1 on this block's B sites and -1 on its A sites.
-    pair_phase = None if below is None else np.conj(below.amp) / abs(below.amp) * amp / abs(amp)
     return _Block(
-        couplings, amp, on_a, on_b, sigma2, u, mu, abs(amp) * u[-1],
-        occ[:, on_a], occ[:, on_b], pair_phase, -pair[on_a][:-1], pair[on_b],
+        couplings, amp, on_a, on_b, sigma2, u, mu, amp * u[-1],
+        occ[:, on_a], occ[:, on_b], -pair[on_a][:-1], pair[on_b],
     )
 
 
@@ -276,18 +271,18 @@ class EvolutionResult:
 class BlockEvolution:
     """Exact propagator of one oscillator run, block by block.
 
+    The blocks start from ``|c_K|``, the amplitudes of the zero-phase
+    coherent pump; the pump phase enters only as ``e^{iK phi}`` on block 2K
+    in :meth:`propagate` and as ``cos(phi)`` on the pair term of ``var_x``.
     In the gauge ``g_k = (-i)^k`` a block is a real zero-diagonal
     tridiagonal ``J``, so it is bipartite: sublattice A holds the sites of
     the start site's parity (the block's last site), B the others.  Starting
-    from ``c e_last``, ``exp(-iJt)`` leaves ``cos(Jt) e_last`` on A and
+    from ``|c| e_last``, ``exp(-iJt)`` leaves ``cos(Jt) e_last`` on A and
     ``-i sin(Jt) e_last`` on B.  Both come from one eigensolve of ``J²`` on
-    A, a tridiagonal of half the block size (:func:`_sublattice_solve`).  So
-    a block's state is ``c / |c|`` times a real vector with per-site signs,
-    and a whole time grid is two real half-size GEMMs per block.  Only the
-    eigenvector columns the start site sees are kept (``_Block.u`` and
-    ``mu``): those whose start-site weight from them up exceeds
-    ``START_WEIGHT_TAIL`` = 1e-30, so the dropped ones move an amplitude by
-    at most ``|c|`` 1e-15.
+    A, a tridiagonal of half the block size (:func:`_sublattice_solve`), of
+    which only the columns the start site sees are kept.  So a block's state
+    is a real vector with per-site signs, and a whole time grid is two real
+    half-size GEMMs per block.
     :meth:`propagate` (states) and :meth:`observables` read the same
     sublattice amplitudes, and acceptance criteria 5 (the dense route) and
     6 (``<H²>``) check the states.  Blocks whose initial weight is below
@@ -297,47 +292,46 @@ class BlockEvolution:
     def __init__(self, cfg: OscillatorConfig):
         self.cfg = cfg
         self.blocks: dict[int, _Block] = {}
-        for n_pump, c in enumerate(_pump_block_amplitudes(cfg)):
-            if abs(c) ** 2 < 1e-18:
-                continue
-            charge = 2 * n_pump
-            self.blocks[charge] = _solve_block(cfg.kind, charge, cfg.coupling, c, self.blocks.get(charge - 2))
+        for n_pump, c in enumerate(coherent_state(math.sqrt(cfg.pump_photons)).amps.real):
+            if c * c >= 1e-18:
+                self.blocks[2 * n_pump] = _solve_block(cfg.kind, 2 * n_pump, cfg.coupling, c)
 
     def propagate(self, t: float) -> dict[int, np.ndarray]:
-        """The state at time ``t`` (negative allowed), block by block."""
-        return {q: blk.state(t) for q, blk in self.blocks.items()}
+        """The state at time ``t`` (negative allowed), block by block: ``e^{iK phi}`` times block 2K's real vector."""
+        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * blk.state(t) for q, blk in self.blocks.items()}
 
     def observables(self, times) -> EvolutionResult:
         """Observables on a time array, two real half-size GEMMs per block, folded in block by block.
 
         The occupations are squares of the real sublattice amplitudes.  The
         pair term ``<a1²>`` / ``<a2 a3>`` couples charge ``q`` to ``q - 2``;
-        only the block below is kept for it, and its real sum takes the
-        blocks' relative phase ``pair_phase``.  Energy ``<H>`` is 0 in every
-        block at all times: the amplitudes are ``c`` times a real vector, so
-        each bond term ``Im(conj(v[k-1]) v[k])`` vanishes.  It is reported as
-        that exact 0, so its drift no longer tests the propagator; ``<H²>``,
-        the squared :meth:`energy_scale`, does.
+        only the block below is kept for it.  Its sum is ``e^{i phi} P``, ``P``
+        real, so ``var_x = 1 + 2n - 2 cos(phi) P`` and ``var_x_min_angle =
+        1 + 2n - 2|P|``.  Energy ``<H>`` is 0 in every block at all times: the
+        amplitudes are a phase times a real vector, so each bond term
+        ``Im(conj(v[k-1]) v[k])`` vanishes.  It is reported as that exact 0,
+        so its drift no longer tests the propagator; ``<H²>``, the squared
+        :meth:`energy_scale`, does.
         """
         t = np.asarray(times, dtype=float)
         stats = np.zeros((3, t.size))  # norm², <n_sub> (<n1>, or <n2> = <n3>), <n_pump>
         charge = np.zeros(t.size)
-        pair = np.zeros(t.size, dtype=np.complex128)
+        pair = np.zeros(t.size)
         lower = None
         for q, blk in self.blocks.items():
             a, b = blk.sublattice_amplitudes(t)
             weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
             stats += weights
             charge += q * weights[0]
-            if blk.pair_phase is not None:
+            if q - 2 in self.blocks:
                 lower_a, lower_b = lower
-                pair += blk.pair_phase * (blk.pair_a @ (lower_b * a[:-1]) + blk.pair_b @ (lower_a * b))
+                pair += blk.pair_a @ (lower_b * a[:-1]) + blk.pair_b @ (lower_a * b)
             lower = a, b
         norm_sq, n_sub, n_pump = stats
         two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
         return EvolutionResult(
             times=t,
-            var_x=1.0 + two_n - 2.0 * pair.real,
+            var_x=1.0 + two_n - 2.0 * math.cos(self.cfg.pump_phase) * pair,
             intensity_y=n_sub,  # <n1>, or <c† c> of the normalized composite mode
             pump_n=n_pump,
             charge=charge,
@@ -364,9 +358,10 @@ class BlockEvolution:
         derivative) columns give the k-th derivative as
         ``sum_j binom(k, j) A[j, k - j]``.
         """
-        acc = np.zeros((3, 3))  # 2 <n_sub> - 2 Re<pair>, column by column
+        acc = np.zeros((3, 3))  # 2 <n_sub> - 2 cos(phi) P, column by column
+        pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
         lower = None
-        for blk in self.blocks.values():
+        for q, blk in self.blocks.items():
             cos, sin = blk.rotation(t)
             cols = np.empty((blk.w0.size, 4))  # S, C, -sigma² S, -sigma² C
             np.multiply(sin, blk.w0, out=cols[:, 0])
@@ -375,9 +370,9 @@ class BlockEvolution:
             a = blk.u @ cols[:, 1:]
             b = blk.mu @ cols[:, :3]
             acc += 2.0 * (a.T @ (blk.occ_a[1, :, None] * a) + b.T @ (blk.occ_b[1, :, None] * b))
-            if blk.pair_phase is not None:
+            if q - 2 in self.blocks:
                 lower_a, lower_b = lower
-                acc -= 2.0 * blk.pair_phase.real * (
+                acc -= pair_weight * (
                     lower_b.T @ (blk.pair_a[:, None] * a[:-1]) + lower_a.T @ (blk.pair_b[:, None] * b)
                 )
             lower = a, b
@@ -390,7 +385,7 @@ class BlockEvolution:
         its square is ``<H²>``, which the propagation conserves.
         """
         return math.sqrt(sum(
-            abs(blk.amp) ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
+            blk.amp ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
         ))
 
 
@@ -516,10 +511,9 @@ def dense_evolve(cfg: OscillatorConfig, times):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be 1-d, start at 0, and be strictly ascending")
-    coeffs = _pump_block_amplitudes(cfg)
-    d_pump = coeffs.size
+    pump_vec = coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
+    d_pump = pump_vec.size
     dims = (2 * d_pump - 1, d_pump) if cfg.kind == "degenerate" else (d_pump, d_pump, d_pump)
-    pump_vec = coeffs
     kappa = cfg.coupling
 
     if cfg.kind == "degenerate":

@@ -108,6 +108,22 @@ def test_interferometer_variance_where_sinh_squared_overflows():
     assert interferometer_variance(1.0, 400.0) == pytest.approx(math.sin(0.5) ** 2, rel=1e-15)
 
 
+@pytest.mark.parametrize("intensity", [
+    lambda s: beam_splitter_intensity(BeamSplitterConfig(0.5), s, 1.0),
+    lambda s: beam_splitter_phase_resolution(BeamSplitterConfig(0.5), s, 1.0).intensity_y,
+    lambda s: interferometer_intensity(1.0, s, 1.0),
+    lambda s: interferometer_phase_resolution(1.0, s, 1.0).intensity_y,
+], ids=["bs_intensity", "bs_resolution", "in_intensity", "in_resolution"])
+def test_intensity_needs_finite_sinh_squared(intensity):
+    """Where sinh²(s) overflows, the intensity functions raise as SqueezeParams does, without a warning."""
+    assert math.isfinite(intensity(355.0))
+    for s in (400.0, 800.0):
+        with pytest.raises(ValueError, match=f"s = {s}"):
+            sq.SqueezeParams(s)
+        with pytest.raises(ValueError, match=f"s = {s}"):
+            intensity(s)
+
+
 def test_interferometer_squeezed_only():
     s = 0.8
     res = interferometer_phase_resolution(0.0, s, 2.0)

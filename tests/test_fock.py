@@ -83,12 +83,6 @@ def test_coherent_phase_resolution_invariance(mag):
     assert abs(res.s - mag) < 1e-4
 
 
-def test_coherent_small_cutoff_auto_raised():
-    st = sq.coherent_state(2.0, cutoff=3)
-    assert st.mode_dims[0] >= default_cutoff(4.0) + 1
-    assert abs(st.mean_photons() - 4.0) < 1e-8
-
-
 def test_coherent_cutoff_below_140_photons_is_the_floor():
     for mag in (1.0, 6.0, 11.0, math.sqrt(139.0)):
         assert sq.coherent_state(mag).mode_dims[0] == default_cutoff(mag**2) + 1

@@ -161,13 +161,15 @@ def test_conservation_along_trajectory():
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 def test_block_matches_dense_propagation(kind):
-    cfg = OscillatorConfig(kind, 4.0)
-    times = np.array([0.0, 0.4, 0.9])
-    dims, states = dense_evolve(cfg, times)
-    ev = BlockEvolution(cfg)
-    for t, dense in zip(times, states):
-        scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
-        assert np.max(np.abs(scattered - dense)) < 1e-8
+    """Also away from zero pump phase: the frame rotation e^{iK phi} against the dense route's complex pump."""
+    for pump_phase in (0.0, -2.1, 3.0):
+        cfg = OscillatorConfig(kind, 4.0, pump_phase=pump_phase)
+        times = np.array([0.0, 0.4, 0.9])
+        dims, states = dense_evolve(cfg, times)
+        ev = BlockEvolution(cfg)
+        for t, dense in zip(times, states):
+            scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
+            assert np.max(np.abs(scattered - dense)) < 1e-8, pump_phase
 
 
 def _dense_observables(kind, dense):
@@ -188,7 +190,7 @@ def _dense_observables(kind, dense):
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("n", [4.0, 6.0])
-@pytest.mark.parametrize("pump_phase", [0.0, 0.8])
+@pytest.mark.parametrize("pump_phase", [0.0, 0.8, -2.1, 3.0])
 def test_observables_match_dense_moments(kind, n, pump_phase):
     """The observables record against Fock moments of the dense route, at criterion 5's points."""
     cfg = OscillatorConfig(kind, n, pump_phase=pump_phase)
@@ -396,9 +398,9 @@ def test_energy_square_conserved_property(kind, n, t_unit):
 
 
 def _block_of_dim(kind, dim, amp=1.0):
-    """The block of size ``dim`` that starts as ``amp`` on its last site."""
+    """The block of size ``dim`` that starts as ``amp >= 0`` on its last site."""
     charge = 2 * (dim - 1)
-    return _solve_block(kind, charge, 1.0, amp, None), hamiltonian_block(kind, charge)
+    return _solve_block(kind, charge, 1.0, amp), hamiltonian_block(kind, charge)
 
 
 @settings(max_examples=40, deadline=None)
@@ -412,11 +414,15 @@ def _block_of_dim(kind, dim, amp=1.0):
 @example(kind="nondegenerate", dim=2, t=-1.3, seed=1)
 @example(kind="degenerate", dim=3, t=1.9, seed=2)  # odd: J² on A has a zero mode
 def test_block_propagator_property(kind, dim, t, seed):
-    """The state of a block started as ``c e_last`` against expm, at any block size and random ``c``."""
+    """The state of a block started as ``c e_last`` against expm, at any block size and random ``c``.
+
+    The block propagates the real ``|c|``; the phase ``c / |c|`` is applied
+    outside it, as :meth:`BlockEvolution.propagate` applies the pump phase.
+    """
     rng = np.random.default_rng(seed)
     c = complex(rng.normal(), rng.normal())
-    blk, h = _block_of_dim(kind, dim, c)
-    assert np.max(np.abs(blk.state(t) - c * expm(-1j * t * h)[:, -1])) < 1e-9
+    blk, h = _block_of_dim(kind, dim, abs(c))
+    assert np.max(np.abs(c / abs(c) * blk.state(t) - c * expm(-1j * t * h)[:, -1])) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ oscillator producing a squeezed vacuum of ``(N/2)^{1/2}`` photons, the
 unconverted pump is down-converted to ``2 N lambda`` coherent photons at
 the sub-harmonic frequency, and the two fields are recombined.
 
-At the optimal phase both mixers are one formula.  The bright port
-weights the coherent input by ``t²`` and the squeezed input by ``r²``
-(``t² + r² = 1``): a beam splitter has ``(t², r²) = (1 - r2², r2²)``, an
-interferometer ``(sin²(phi/2), cos²(phi/2))``.  The port's intensity and
-variance are ``t²|alpha|² + r² sinh²(s)`` and ``t² + r² e^{-2s}``.
+At the optimal phase both mixers are one linear map, the bright port
+``t²·coherent + r²·squeezed`` over a moment of each input (``t² + r² =
+1``): a beam splitter has ``(t², r²) = (1 - r2², r2²)``, an
+interferometer ``(sin²(phi/2), cos²(phi/2))``.  Fed the photon numbers
+``(|alpha|², sinh²(s))`` it gives the intensity, fed the variances
+``(1, e^{-2s})`` the variance.  The large-N scheme is the same port fed
+the squeezed moments ``((N/2)^{1/2}, N^{-1/2}/sqrt(8))``.
 
 Each formula is written once, as a private numpy expression whose
 arguments broadcast.  The public scalar functions and configs evaluate
@@ -105,23 +107,23 @@ def _in_weights(phi):
     return np.square(np.sin(half)), np.square(np.cos(half))
 
 
-def _port(weights, alpha_sq, s):
-    """``(intensity, variance)`` of the optimal-phase bright port, a sum of non-negative terms each.
+def _port(weights, coherent, squeezed):
+    """The optimal-phase bright port, ``t²·coherent + r²·squeezed``: a sum of non-negative terms.
 
-    ``weights`` is the ``(t², r²)`` pair of the mixer, ``alpha_sq`` the
-    coherent input's photon number and ``s`` the squeeze parameter.
+    ``weights`` is the mixer's ``(t², r²)``; ``coherent`` and ``squeezed``
+    are one moment of each input.  Fed photon numbers it gives the port's
+    intensity, fed squeezed-quadrature variances its variance.
     """
     t_sq, r_sq = weights
+    return t_sq * coherent + r_sq * squeezed
+
+
+def _vacuum_port(weights, alpha_sq, s):
+    """``(intensity, variance)`` of the port fed ``alpha_sq`` coherent photons and the squeezed vacuum ``s``."""
     with np.errstate(over="ignore"):
         sinh_sq = np.square(np.sinh(s))
     _require(_finite(sinh_sq), s, "squeezing needs a finite sinh(s)^2, got s = {}")  # as fock.SqueezeParams
-    return t_sq * alpha_sq + r_sq * sinh_sq, _port_variance(weights, s)
-
-
-def _port_variance(weights, s):
-    """The variance of :func:`_port` alone; it needs no ``sinh(s)``, so it stays finite where ``sinh²(s)`` overflows."""
-    t_sq, r_sq = weights
-    return t_sq + r_sq * np.exp(-2.0 * s)
+    return _port(weights, alpha_sq, sinh_sq), _port(weights, 1.0, np.exp(-2.0 * s))
 
 
 def _squeeze_parameter(n):
@@ -134,21 +136,13 @@ def _coherent_photons(n, lam):
     return 2.0 * n * lam
 
 
-def _scheme_port(weights, n, lam):
-    """``(intensity, variance)`` of the scheme's bright port: :func:`_port` with the photon budget of ``n``, ``lam``."""
-    return _port(weights, _coherent_photons(n, lam), _squeeze_parameter(n))
-
-
 def _scheme_approx(weights, n, lam, s_exact):
-    """Large-N scheme value ``[2N (lam t² + r² x) / (t² + r² x)]^{1/2}`` and its relative deviation from ``s_exact``.
+    """Large-N value ``sqrt(I) / sqrt(V)`` of the scheme's port, and its relative deviation from ``s_exact``.
 
-    ``x = N^{-1/2}/sqrt(8)`` approximates ``e^{-2s}``.  Where ``r²`` is
-    negligible against ``t²`` (the interferometer at ``phi = pi``) the ratio
-    is ``lam`` exactly, and the value equals the coherent-only limit.
+    The squeezed input's moments are ``((N/2)^{1/2}, x = N^{-1/2}/sqrt(8))``.
     """
-    t_sq, r_sq = weights
-    x = 1.0 / (np.sqrt(n) * np.sqrt(8.0))
-    value = np.sqrt(2.0 * n * ((lam * t_sq + r_sq * x) / (t_sq + r_sq * x)))
+    intensity = _port(weights, _coherent_photons(n, lam), np.sqrt(n / 2.0))
+    value = np.sqrt(intensity) / np.sqrt(_port(weights, 1.0, 1.0 / (np.sqrt(n) * np.sqrt(8.0))))
     return value, np.abs(value - s_exact) / s_exact
 
 
@@ -246,43 +240,41 @@ def beam_splitter_variance(cfg: BeamSplitterConfig, s: float, theta: float = 0.0
     variance, which depends on the phases only through ``2 delta + 2 psi
     + theta`` and is minimal when that combination vanishes.  With
     ``c = 2 delta + 2 psi + theta`` it is
-    ``1 - r2² + r2² (e^{-2s} cos²(c/2) + e^{2s} sin²(c/2))``, a sum of
-    non-negative terms.
+    ``1 - r2² + r2² (e^{-2s} cos²(c/2) + e^{2s} sin²(c/2))``: the bright
+    port fed that squeezed-input variance.
     """
     half = cfg.delta + cfg.psi + 0.5 * theta
     # squared factors: e^{2s} alone would overflow from s = 355 on, even where sin(c/2) = 0
     low, high = math.exp(-s) * math.cos(half), math.exp(s) * math.sin(half)
-    return (1.0 - cfg.r2) * (1.0 + cfg.r2) + cfg.r2**2 * (low * low + high * high)
+    return float(_port(cfg.port_weights, 1.0, low * low + high * high))
 
 
 def beam_splitter_intensity(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> float:
     """Bright-port intensity ``(1 - r2²)|alpha|² + r2² sinh²(s)``; it does not depend on the phases."""
-    return float(_port(cfg.port_weights, np.square(alpha_mag), s)[0])
+    return float(_vacuum_port(cfg.port_weights, np.square(alpha_mag), s)[0])
 
 
 def beam_splitter_phase_resolution(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> PhaseResolution:
-    """Best-case phase resolution of the bright output port.
+    """Best-case phase resolution of the bright output port, at the optimal phase ``2 delta + 2 psi + theta = 0``.
 
-    Assumes the optimal phase condition ``2 delta + 2 psi + theta = 0``:
-    the variance is ``1 - r2² + r2² e^{-2s}``, the intensity is
-    ``(1 - r2²)|alpha|² + r2² sinh²(s)``.
+    The variance is ``1 - r2² + r2² e^{-2s}``, the intensity ``(1 - r2²)|alpha|² + r2² sinh²(s)``.
     """
-    return phase_resolution(*_port(cfg.port_weights, np.square(alpha_mag), s))
+    return phase_resolution(*_vacuum_port(cfg.port_weights, np.square(alpha_mag), s))
 
 
 def interferometer_variance(phi: float, s: float) -> float:
     """Squeezed-quadrature variance ``sin²(phi/2) + cos²(phi/2) e^{-2s}`` of the bright interferometer output."""
-    return float(_port_variance(_in_weights(phi), s))
+    return float(_port(_in_weights(phi), 1.0, np.exp(-2.0 * s)))
 
 
 def interferometer_intensity(phi: float, s: float, alpha_mag: float) -> float:
     """Bright-port intensity: the coherent and squeezed photon numbers weighted by ``sin²(phi/2)`` / ``cos²(phi/2)``."""
-    return float(_port(_in_weights(phi), np.square(alpha_mag), s)[0])
+    return float(_vacuum_port(_in_weights(phi), np.square(alpha_mag), s)[0])
 
 
 def interferometer_phase_resolution(phi: float, s: float, alpha_mag: float) -> PhaseResolution:
     """Phase resolution of the bright interferometer output."""
-    return phase_resolution(*_port(_in_weights(phi), np.square(alpha_mag), s))
+    return phase_resolution(*_vacuum_port(_in_weights(phi), np.square(alpha_mag), s))
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +319,17 @@ def scheme_phase_resolution_exact(params: SchemeParams) -> PhaseResolution:
     into the mixer's optimal-phase bright port; no large-N approximation
     is made.
     """
-    return phase_resolution(*_scheme_port(params.mixer.port_weights, params.pump_photons, params.efficiency))
+    weights = params.mixer.port_weights
+    return phase_resolution(*_vacuum_port(weights, params.coherent_photons, params.squeeze_parameter))
 
 
 @dataclass(frozen=True)
 class SchemeApproximation:
     """Large-N evaluation of the scheme plus its deviation from exact.
 
-    ``value`` keeps the sub-leading ``N^{-1/2}/sqrt(8)`` mixing terms
-    (the ``e^{-2s}`` tail of the squeezed noise); ``limit`` is the
-    small-mixing limit ``sqrt(2 N lambda)``.  The full prefactor belongs
-    inside the square root: ``S = [2N (...)]^{1/2}``, as the coherent-only
-    limit fixes.
+    ``value`` keeps the sub-leading ``N^{-1/2}/sqrt(8)`` mixing terms (the
+    ``e^{-2s}`` tail of the squeezed noise); ``limit`` is the small-mixing
+    limit ``sqrt(2 N lambda)``, which fixes ``S = [2N (...)]^{1/2}``.
     """
 
     value: float
@@ -353,9 +344,11 @@ def scheme_phase_resolution_approx(params: SchemeParams) -> SchemeApproximation:
 
         S = [2N (lambda t² + r² x) / (t² + r² x)]^{1/2}
 
-    where ``x = N^{-1/2}/sqrt(8)`` approximates ``e^{-2s}``.  For the
-    interferometer, ``t²/r² = tan²(phi/2)``; at ``phi = pi`` the arm passes
-    only the coherent input and ``S`` is the limit.
+    where ``x = N^{-1/2}/sqrt(8)`` approximates ``e^{-2s}``.  It is
+    evaluated as ``sqrt(I) / sqrt(V)`` of the exact scheme's bright port
+    with the squeezed input's moments ``(sinh²(s), e^{-2s})`` replaced by
+    ``((N/2)^{1/2}, x)``.  At the interferometer's ``phi = pi`` the arm
+    passes only the coherent input and ``S`` is the limit.
     """
     exact = scheme_phase_resolution_exact(params).s
     value, deviation = _scheme_approx(params.mixer.port_weights, params.pump_photons, params.efficiency, exact)
@@ -382,7 +375,7 @@ def resolution_surface(n_values, mix_values, efficiency: float, variant: str = "
     check(m)
     _check_budget(n, efficiency)
     weights = weights_of(m)
-    intensity, variance = _scheme_port(weights, n, efficiency)
+    intensity, variance = _vacuum_port(weights, _coherent_photons(n, efficiency), _squeeze_parameter(n))
     _require(variance > 0.0, variance, "variance must be positive, got {}")
     s_exact = np.sqrt(intensity) / np.sqrt(variance)  # the roots first, as phase_resolution takes them
     value, deviation = _scheme_approx(weights, n, efficiency, s_exact)

@@ -49,7 +49,7 @@ from .crosscheck import (
 )
 from .fock import SqueezeParams, TruncationError
 from .metrics import fit_power_law, phase_resolution
-from .oscillator import OscillatorConfig, default_t_max, evolve, find_optimal_squeezing
+from .oscillator import BlockEvolution, OscillatorConfig, default_t_max, find_optimal_squeezing
 
 SCHEMA_VERSION = 1
 ORACLE_TOLERANCE = 1e-4
@@ -99,12 +99,19 @@ def parse_range(spec: str) -> np.ndarray:
 
 def cmd_simulate(config: dict, out: Path) -> int:
     osc = OscillatorConfig(config["kind"], config["N"], config["coupling"], config["pump_phase"])
+    if config["points"] < 1:
+        raise ValueError(f"--points must be at least 1, got {config['points']}")
     if not config["t_max"]:
         config["t_max"] = default_t_max(osc)
+    if config["t_max"] < 0.0:
+        raise ValueError(f"--t-max must be >= 0, got {config['t_max']}")
     grid = np.linspace(0.0, config["t_max"], config["points"])
-    opt = find_optimal_squeezing(osc)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"--t-max {config['t_max']} is too small for {config['points']} distinct times")
+    ev = BlockEvolution(osc)  # one eigensolve serves the optimum search and the trajectory
+    opt = ev.optimal_squeezing()
     # the optimum's final window scan is the default grid unless the window had to grow
-    result = opt.evolution if np.array_equal(opt.evolution.times, grid) else evolve(osc, grid)
+    result = opt.evolution if np.array_equal(opt.evolution.times, grid) else ev.observables(grid)
     _write_csv(
         out / "trajectory.csv",
         ["t", "var_X", "intensity_Y", "pump_n"],

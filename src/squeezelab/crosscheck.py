@@ -58,24 +58,11 @@ class CrosscheckReport:
     fock_s: float
 
     @property
-    def variance_rel_err(self) -> float:
-        return _rel(self.analytic_variance, self.fock_variance)
-
-    @property
-    def intensity_rel_err(self) -> float:
-        return _rel(self.analytic_intensity, self.fock_intensity)
-
-    @property
-    def s_rel_err(self) -> float:
-        return _rel(self.analytic_s, self.fock_s)
-
-    @property
     def max_rel_err(self) -> float:
-        return max(self.variance_rel_err, self.intensity_rel_err, self.s_rel_err)
-
-
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), 1e-12)
+        """The largest error of the variance, the intensity and S, each relative to the analytic value."""
+        pairs = ((self.analytic_variance, self.fock_variance), (self.analytic_intensity, self.fock_intensity),
+                 (self.analytic_s, self.fock_s))
+        return max(abs(a - b) / max(abs(a), 1e-12) for a, b in pairs)
 
 
 def _mixed_output(matrix, alpha: complex, params: SqueezeParams, cutoff: int | None) -> FockState:

@@ -388,6 +388,72 @@ class BlockEvolution:
             blk.amp ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
         ))
 
+    def optimal_squeezing(self) -> OptimalSqueezing:
+        """Locate the time of maximal sub-harmonic squeezing.
+
+        Scans ``GRID_POINTS`` times over ``[0, default_t_max(self.cfg)]``
+        (the undepleted-pump timescale), doubling the window up to
+        ``MAX_EXTENSIONS`` times until the variance minimum is interior, then
+        solves ``var_x'(t) = 0`` inside the grid bracket around that minimum
+        by Newton steps on the analytic time derivatives of
+        :meth:`var_x_derivatives`.  A step is taken when ``var_x'' > 0`` and
+        it stays inside the bracket, which shrinks by the sign of ``var_x'``
+        on every pass; otherwise the bracket is bisected.  It stops when
+        ``var_x'`` is 0 or a step is at most 1e-12 of ``t``, after at most
+        ``MAX_NEWTON_PASSES`` passes.  This propagator serves the scans and
+        the refinement, and the result keeps no reference to it.
+
+        A run whose angle-optimized variance never drops below 1 on the first
+        window (vacuum pump) is stationary and returns ``t_sq = 0``,
+        ``var_min = 1``; one where only ``var_x`` never does raises
+        ``ValueError``.  No interior minimum after the doublings raises
+        ``RuntimeError``.
+        """
+        t_max = default_t_max(self.cfg)
+        for _ in range(MAX_EXTENSIONS + 1):
+            result = self.observables(np.linspace(0.0, t_max, GRID_POINTS))
+            i = int(np.argmin(result.var_x))
+            if result.var_x[i] > 1.0 - 1e-12:
+                if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
+                    # stationary run (vacuum pump): nothing to refine
+                    return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
+                raise ValueError(
+                    f"pump phase {self.cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
+                    f"drops below 1 on [0, {t_max:.6g}]; use a pump phase near 0"
+                )
+            if 0 < i < GRID_POINTS - 1:
+                break
+            t_max *= 2.0
+        else:
+            raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
+
+        lo, t_sq, hi = (float(x) for x in result.times[i - 1:i + 2])
+        for _ in range(MAX_NEWTON_PASSES):
+            _, slope, curvature = self.var_x_derivatives(t_sq)
+            if slope == 0.0:
+                break
+            if slope > 0.0:
+                hi = t_sq
+            else:
+                lo = t_sq
+            newton = t_sq - slope / curvature if curvature > 0.0 else math.nan
+            t_new = newton if lo < newton < hi else 0.5 * (lo + hi)
+            converged = abs(t_new - t_sq) <= 1e-12 * t_sq
+            t_sq = t_new
+            if converged:
+                break
+        obs = self.observables_at(t_sq)
+        resolution = phase_resolution(obs["intensity_y"], obs["var_x"])
+        s_angle = phase_resolution(obs["intensity_y"], obs["var_x_min_angle"]).s
+        return OptimalSqueezing(
+            t_sq=t_sq,
+            var_min=obs["var_x"],
+            resolution=resolution,
+            var_min_angle=obs["var_x_min_angle"],
+            s_min_angle=s_angle,
+            evolution=result,
+        )
+
 
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     """Propagate and record observables on an ascending time grid from 0."""
@@ -425,71 +491,8 @@ class OptimalSqueezing:
 
 
 def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
-    """Locate the time of maximal sub-harmonic squeezing.
-
-    Scans ``GRID_POINTS`` times over ``[0, default_t_max(cfg)]`` (the
-    undepleted-pump timescale), doubling the window up to
-    ``MAX_EXTENSIONS`` times until the variance minimum is interior, then
-    solves ``var_x'(t) = 0`` inside the grid bracket around that minimum by
-    Newton steps on the analytic time derivatives of
-    :meth:`BlockEvolution.var_x_derivatives`.  A step is taken when
-    ``var_x'' > 0`` and it stays inside the bracket, which shrinks by the
-    sign of ``var_x'`` on every pass; otherwise the bracket is bisected.  It
-    stops when ``var_x'`` is 0 or a step is at most 1e-12 of ``t``, after at
-    most ``MAX_NEWTON_PASSES`` passes.  One propagator serves the scans and
-    the refinement.
-
-    A run whose angle-optimized variance never drops below 1 on the first
-    window (vacuum pump) is stationary and returns ``t_sq = 0``,
-    ``var_min = 1``; one where only ``var_x`` never does raises
-    ``ValueError``.  No interior minimum after the doublings raises
-    ``RuntimeError``.
-    """
-    ev = BlockEvolution(cfg)
-    t_max = default_t_max(cfg)
-    for _ in range(MAX_EXTENSIONS + 1):
-        result = ev.observables(np.linspace(0.0, t_max, GRID_POINTS))
-        i = int(np.argmin(result.var_x))
-        if result.var_x[i] > 1.0 - 1e-12:
-            if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
-                # stationary run (vacuum pump): nothing to refine
-                return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
-            raise ValueError(
-                f"pump phase {cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
-                f"drops below 1 on [0, {t_max:.6g}]; use a pump phase near 0"
-            )
-        if 0 < i < GRID_POINTS - 1:
-            break
-        t_max *= 2.0
-    else:
-        raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
-
-    lo, t_sq, hi = (float(x) for x in result.times[i - 1:i + 2])
-    for _ in range(MAX_NEWTON_PASSES):
-        _, slope, curvature = ev.var_x_derivatives(t_sq)
-        if slope == 0.0:
-            break
-        if slope > 0.0:
-            hi = t_sq
-        else:
-            lo = t_sq
-        newton = t_sq - slope / curvature if curvature > 0.0 else math.nan
-        t_new = newton if lo < newton < hi else 0.5 * (lo + hi)
-        converged = abs(t_new - t_sq) <= 1e-12 * t_sq
-        t_sq = t_new
-        if converged:
-            break
-    obs = ev.observables_at(t_sq)
-    resolution = phase_resolution(obs["intensity_y"], obs["var_x"])
-    s_angle = phase_resolution(obs["intensity_y"], obs["var_x_min_angle"]).s
-    return OptimalSqueezing(
-        t_sq=t_sq,
-        var_min=obs["var_x"],
-        resolution=resolution,
-        var_min_angle=obs["var_x_min_angle"],
-        s_min_angle=s_angle,
-        evolution=result,
-    )
+    """Locate the time of maximal sub-harmonic squeezing: :meth:`BlockEvolution.optimal_squeezing` of a new propagator."""
+    return BlockEvolution(cfg).optimal_squeezing()
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,35 @@ def test_surface_rejects_bad_values_as_scalar_configs_do(n_values, mix_values, l
 
 
 # ---------------------------------------------------------------------------
-# closed-form variances against 50-digit arithmetic
+# closed forms against 50-digit arithmetic
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant_mix=st.sampled_from(["bs", "in"]).flatmap(
+        lambda v: st.tuples(st.just(v), st.floats(0.0, MIX_MAX[v]))
+    ),
+    n=st.floats(1.0, 1e12),
+    lam=st.floats(1e-12, 1.0),
+)
+@example(variant_mix=("bs", 0.0), n=1.0, lam=1e-12)
+@example(variant_mix=("bs", 1.0), n=1e12, lam=1.0)
+@example(variant_mix=("bs", 1.0), n=1.0, lam=1e-12)
+@example(variant_mix=("in", 0.0), n=1e12, lam=1e-12)
+@example(variant_mix=("in", math.pi), n=1.0, lam=1.0)
+@example(variant_mix=("in", math.pi), n=1e12, lam=1e-12)
+def test_scheme_approx_is_the_documented_ratio(variant_mix, n, lam):
+    """The large-N value, the port fed the large-N moments, is ``[2N (lam t² + r² x) / (t² + r² x)]^{1/2}``."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    variant, mix = variant_mix
+    mixer = BeamSplitterConfig(mix) if variant == "bs" else InterferometerConfig(mix)
+    got = scheme_phase_resolution_approx(SchemeParams(n, lam, mixer)).value
+    mix_, n_, lam_ = mp.mpf(mix), mp.mpf(n), mp.mpf(lam)
+    t_sq, r_sq = (1 - mix_**2, mix_**2) if variant == "bs" else (mp.sin(mix_ / 2) ** 2, mp.cos(mix_ / 2) ** 2)
+    x = 1 / mp.sqrt(8 * n_)
+    exact = mp.sqrt(2 * n_ * (lam_ * t_sq + r_sq * x) / (t_sq + r_sq * x))
+    assert abs(got - exact) <= 1e-15 * exact
+
 
 @settings(max_examples=200, deadline=None)
 @given(

@@ -8,7 +8,7 @@ import pytest
 import squeezelab.cli as cli
 from squeezelab import OscillatorConfig, resolution_surface
 from squeezelab.cli import main, parse_range
-from squeezelab.oscillator import GRID_POINTS, default_t_max
+from squeezelab.oscillator import GRID_POINTS, BlockEvolution, default_t_max
 
 
 def read_json(path):
@@ -46,12 +46,22 @@ def test_simulate_writes_trajectory(tmp_path):
 
 
 def test_simulate_default_window_reuses_the_optimum_scan(tmp_path, monkeypatch):
-    """With the default points and t_max, the trajectory is the optimum's own window scan: no second propagation."""
-    def no_evolve(*args):
-        raise AssertionError("simulate propagated the default grid a second time")
+    """With the default points and t_max, the trajectory is the optimum's own window scan: no observables pass after it."""
+    searched = []
+    search, observables = BlockEvolution.optimal_squeezing, BlockEvolution.observables
 
-    monkeypatch.setattr(cli, "evolve", no_evolve)
+    def recorded_search(self):
+        searched.append(search(self))
+        return searched[-1]
+
+    def observables_before_the_search_ends(self, times):
+        assert not searched, "simulate propagated the default grid a second time"
+        return observables(self, times)
+
+    monkeypatch.setattr(BlockEvolution, "optimal_squeezing", recorded_search)
+    monkeypatch.setattr(BlockEvolution, "observables", observables_before_the_search_ends)
     assert main(["simulate", "--kind", "degenerate", "--N", "16", "--outdir", str(tmp_path)]) == 0
+    assert len(searched) == 1
     config = read_json(tmp_path / "summary.json")["config"]
     assert config["t_max"] == default_t_max(OscillatorConfig("degenerate", 16.0))
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + GRID_POINTS
@@ -257,6 +267,23 @@ def test_pump_phase_away_from_x_quadrature_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--points", "0"], "--points must be at least 1, got 0"),
+    (["--t-max", "-1"], "--t-max must be >= 0, got -1.0"),
+    (["--points", "1", "--t-max", "-1"], "--t-max must be >= 0, got -1.0"),
+    (["--points", "3", "--t-max", "5e-324"], "--t-max 5e-324 is too small for 3 distinct times"),
+], ids=["points-0", "t-max-negative", "one-point-t-max-negative", "t-max-subnormal"])
+def test_simulate_bad_grid_exit_2_before_the_optimum_search(tmp_path, capsys, monkeypatch, extra, message):
+    def no_search(*args, **kwargs):
+        raise AssertionError("simulate started the optimum search")
+
+    monkeypatch.setattr(cli, "find_optimal_squeezing", no_search)
+    monkeypatch.setattr(BlockEvolution, "__init__", no_search)
+    assert main(["simulate", "--kind", "degenerate", "--N", "4", *extra, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_truncation_failure_exit_3(tmp_path):
     code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "2.0", "--alpha", "1",
                  "--cutoff", "10", "--oracle", "--outdir", str(tmp_path)])
@@ -287,7 +314,7 @@ def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypat
 
     monkeypatch.setattr(BlockEvolution, "__init__", counting)
     assert main(["simulate", "--kind", "nondegenerate", "--N", "30", *extra, "--outdir", str(tmp_path)]) == 0
-    assert len(builds) == (2 if extra else 1)
+    assert len(builds) == 1  # the optimum search and a requested grid share one eigensolve
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     summary = read_json(tmp_path / "summary.json")
     assert (summary["t_sq"], summary["var_min"], summary["S"]) == (opt.t_sq, opt.var_min, opt.resolution.s)

@@ -46,6 +46,7 @@ from .crosscheck import (
     beam_splitter_crosscheck,
     beam_splitter_variance_crosscheck,
     interferometer_crosscheck,
+    relative_error,
 )
 from .fock import SqueezeParams, TruncationError
 from .metrics import fit_power_law, phase_resolution
@@ -240,7 +241,7 @@ def cmd_mix(config: dict, out: Path) -> int:
     if config["oracle"]:
         if variant == "bs" and not at_optimum:
             ana, fock = beam_splitter_variance_crosscheck(mixer, s, config["theta"], alpha, cutoff)
-            max_err = abs(ana - fock) / max(abs(ana), 1e-12)
+            max_err = relative_error(ana, fock)
             oracle = {"analytic_variance": ana, "fock_variance": fock, "max_rel_err": max_err}
         else:
             check = (

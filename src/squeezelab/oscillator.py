@@ -32,7 +32,7 @@ normalized composite mode ``i(a2 - a3)/sqrt(2)``); for small
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -174,33 +174,28 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return sigma2, u, mu
 
 
-@dataclass
-class _Block:
-    """One charge block that starts as ``amp e_last``, solved on its start sublattice.
+@dataclass(frozen=True)
+class _BlockSolve:
+    """The part of one charge block's solve that depends only on ``(kind, charge, coupling)``.
 
     ``eigvals``, ``u`` and ``mu`` hold only the eigenvector columns the start
     site sees, the lowest ones up to a start-site weight tail of
-    ``START_WEIGHT_TAIL`` = 1e-30 (:func:`_sublattice_solve`).
+    ``START_WEIGHT_TAIL`` = 1e-30 (:func:`_sublattice_solve`).  The solves are
+    memoized across runs (:func:`_shared_solve`), so every array is read-only.
     """
 
     couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
-    amp: float                # initial amplitude |c| on the start site, the last one
     on_a: slice               # sites of sublattice A (the start site's parity) ...
     on_b: slice               # ... and of B
     eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending, of the kept columns only
+    sigma: np.ndarray         # sqrt(max(sigma², 0))
+    inv_sigma: np.ndarray     # 1 / sigma, 0 on a zero mode
     u: np.ndarray             # eigenvectors of J² on A that the start site sees, rows on the A sites
     mu: np.ndarray            # J_BA u, rows on the B sites
-    w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
     occ_a: np.ndarray         # rows 1, sub-harmonic and pump occupation, on the A sites
     occ_b: np.ndarray         # the same on the B sites
     pair_a: np.ndarray        # <block q-2 | a1² or a2 a3 | block q> per site, signed, on A but the last site
     pair_b: np.ndarray        # the same on B
-    sigma: np.ndarray = field(init=False)      # sqrt(max(sigma², 0))
-    inv_sigma: np.ndarray = field(init=False)  # 1 / sigma, 0 on a zero mode
-
-    def __post_init__(self):
-        self.sigma = np.sqrt(np.maximum(self.eigvals, 0.0))
-        self.inv_sigma = np.divide(1.0, self.sigma, out=np.zeros_like(self.sigma), where=self.sigma > 0.0)
 
     def rotation(self, t) -> tuple[np.ndarray, np.ndarray]:
         """``cos(sigma t)`` and ``sin(sigma t) / sigma``, shape ``sigma.shape + shape(t)``.
@@ -213,6 +208,14 @@ class _Block:
         """
         x = np.multiply.outer(self.sigma, t)
         return np.cos(x), np.sin(x) * self.inv_sigma.reshape(self.sigma.shape + (1,) * np.ndim(t))
+
+
+@dataclass(frozen=True)
+class _Block(_BlockSolve):
+    """One charge block that starts as ``amp e_last``: a shared :class:`_BlockSolve` and the run's start vector."""
+
+    amp: float                # initial amplitude |c| on the start site, the last one
+    w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
 
     def sublattice_amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Real amplitudes ``(U cos(sigma t) w0, MU (sin(sigma t) / sigma) w0)``, shape (sites, len(t))."""
@@ -233,10 +236,27 @@ class _Block:
         return np.where(j // 2 % 2, -v, v)
 
 
-def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: float) -> _Block:
-    """Solve the block of ``charge`` that starts as ``amp e_last``, ``amp >= 0``."""
+#: per kind, ``(coupling, START_WEIGHT_TAIL, {charge: solve})`` of the blocks solved so far
+_solve_cache: dict[str, tuple[float, float, dict[int, _BlockSolve]]] = {}
+
+
+def _shared_solve(kind: OscillatorKind, charge: int, coupling: float) -> _BlockSolve:
+    """The solve of the block of ``charge``, its arrays read-only, memoized across runs.
+
+    One ladder of solves is kept per kind, for the last coupling and
+    ``START_WEIGHT_TAIL`` used; a call with another coupling or tail drops
+    that kind's ladder.
+    """
+    built_coupling, built_tail, ladder = _solve_cache.get(kind, (None, None, {}))
+    if (built_coupling, built_tail) != (coupling, START_WEIGHT_TAIL):
+        ladder = {}
+        _solve_cache[kind] = (coupling, START_WEIGHT_TAIL, ladder)
+    if charge in ladder:
+        return ladder[charge]
     couplings = _block_couplings(kind, charge, coupling)
     sigma2, u, mu = _sublattice_solve(couplings)
+    sigma = np.sqrt(np.maximum(sigma2, 0.0))
+    inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
     p = couplings.size % 2
     on_a, on_b = slice(p, None, 2), slice(1 - p, None, 2)
     occ = np.stack((np.ones(couplings.size + 1), *_block_occupations(kind, charge)))  # 1, sub-harmonic, pump
@@ -248,10 +268,21 @@ def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: float)
     # Site k here meets site k of the block below, whose start site is one
     # lower, so A and B swap; the constant site phases of the two real
     # amplitudes multiply to +1 on this block's B sites and -1 on its A sites.
-    return _Block(
-        couplings, amp, on_a, on_b, sigma2, u, mu, amp * u[-1],
+    solve = _BlockSolve(
+        couplings, on_a, on_b, sigma2, sigma, inv_sigma, u, mu,
         occ[:, on_a], occ[:, on_b], -pair[on_a][:-1], pair[on_b],
     )
+    for value in vars(solve).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    ladder[charge] = solve
+    return solve
+
+
+def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: float) -> _Block:
+    """The block of ``charge`` that starts as ``amp e_last``, ``amp >= 0``, on its memoized solve."""
+    solve = _shared_solve(kind, charge, coupling)
+    return _Block(**vars(solve), amp=amp, w0=amp * solve.u[-1])
 
 
 @dataclass
@@ -287,6 +318,12 @@ class BlockEvolution:
     sublattice amplitudes, and acceptance criteria 5 (the dense route) and
     6 (``<H²>``) check the states.  Blocks whose initial weight is below
     1e-18 are dropped.
+
+    A block's solve depends on ``(kind, charge, coupling)`` only; N enters
+    through ``|c_K|`` and the start vector ``w0``.  So the solves are kept,
+    read-only, and reused by every later run of the same kind and coupling
+    (:func:`_shared_solve`).  The memo holds the union of the blocks solved:
+    about 11 MiB for both kinds at N <= 121.
     """
 
     def __init__(self, cfg: OscillatorConfig):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import squeezelab as sq
+from squeezelab import crosscheck
 from squeezelab.analytic import (
     BeamSplitterConfig,
     InterferometerConfig,
@@ -23,6 +24,7 @@ from squeezelab.analytic import (
     scheme_phase_resolution_approx,
     scheme_phase_resolution_exact,
 )
+from squeezelab.fock import QuadratureSpec, distance_intensity, quadrature_stats
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,19 @@ def test_beam_splitter_crosscheck_point():
 def test_interferometer_crosscheck_point():
     rep = sq.interferometer_crosscheck(InterferometerConfig(phi=math.pi / 2), 0.5, 2.0)
     assert rep.max_rel_err < 1e-4
+
+
+def test_crosscheck_reads_one_moment_pass(monkeypatch):
+    """The variance and <a†a> of the bright port come from one mode_moments call, bit for bit."""
+    states = []
+    original = crosscheck.mode_moments
+    monkeypatch.setattr(crosscheck, "mode_moments", lambda state, mode: states.append(state) or original(state, mode))
+    reports = (sq.beam_splitter_crosscheck(BeamSplitterConfig.from_reflectivity(0.3, delta=0.2), 0.7, 2.0),
+               sq.interferometer_crosscheck(InterferometerConfig(phi=1.1, psi=0.3), 0.7, 2.0))
+    assert len(states) == 2
+    for rep, out in zip(reports, states):
+        assert rep.fock_variance == quadrature_stats(out, QuadratureSpec(0, 0.0))[1]
+        assert rep.fock_intensity == distance_intensity(out, QuadratureSpec(0, 0.5 * math.pi))
 
 
 def test_variance_crosscheck_off_optimum():

@@ -8,6 +8,7 @@ import pytest
 import squeezelab.cli as cli
 from squeezelab import OscillatorConfig, resolution_surface
 from squeezelab.cli import main, parse_range
+from squeezelab.crosscheck import relative_error
 from squeezelab.oscillator import GRID_POINTS, BlockEvolution, default_t_max
 
 
@@ -138,7 +139,9 @@ def test_mix_off_optimum_theta_oracle(tmp_path):
     assert main(["mix", "--variant", "bs", "--r2", "0.55", "--s", "0.5", "--alpha", "1",
                  "--theta", "0.8", "--oracle", "--outdir", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "mix.json")
-    assert payload["oracle"]["within_tolerance"] is True
+    oracle = payload["oracle"]
+    assert oracle["within_tolerance"] is True
+    assert oracle["max_rel_err"] == relative_error(oracle["analytic_variance"], oracle["fock_variance"])
     assert payload["variance"] > 1.0 - 0.55**2  # worse than the optimum
 
 

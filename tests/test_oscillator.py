@@ -469,3 +469,58 @@ def test_pump_above_140_photons_conserves_norm_and_charge(kind):
     assert np.max(np.abs(result.norm - 1.0)) < 1e-9
     assert np.max(np.abs(result.charge - result.charge[0])) / result.charge[0] < 1e-9
     assert np.min(result.var_x) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the memo of block solves
+
+def _same_optimum(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a.evolution, f.name), getattr(b.evolution, f.name))
+        for f in dataclasses.fields(a.evolution)
+    ) and (a.t_sq, a.var_min, a.resolution, a.var_min_angle, a.s_min_angle) == (
+        b.t_sq, b.var_min, b.resolution, b.var_min_angle, b.s_min_angle
+    )
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkeypatch):
+    """An ascending then a descending sweep on one memo give the bits of a fresh memo per point."""
+    n_values = [float(n) for n in np.geomspace(4.0, 121.0, 5)]
+    cold = {}
+    for n in n_values:
+        monkeypatch.setattr(oscillator, "_solve_cache", {})
+        cold[n] = find_optimal_squeezing(OscillatorConfig(kind, n, coupling))
+    monkeypatch.setattr(oscillator, "_solve_cache", {})
+    for n in n_values:
+        assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n, coupling)), cold[n]), n
+    solves = []
+    original = oscillator._sublattice_solve
+    monkeypatch.setattr(oscillator, "_sublattice_solve", lambda b: solves.append(b.size) or original(b))
+    for n in reversed(n_values):
+        assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n, coupling)), cold[n]), n
+    assert solves == []  # the ascending sweep solved every block the descending one needs
+
+
+def test_memoized_solve_is_read_only():
+    blk = _solve_block("degenerate", 12, 1.0, 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        blk.u[0, 0] = 1.0
+    arrays = [name for name, value in vars(blk).items() if isinstance(value, np.ndarray) and name != "w0"]
+    assert len(arrays) == 10 and not any(getattr(blk, name).flags.writeable for name in arrays)
+    again = _solve_block("degenerate", 12, 1.0, 2.0)
+    assert again.u is blk.u and again.amp == 2.0
+    assert np.array_equal(again.w0, 2.0 * blk.u[-1]) and np.array_equal(blk.w0, 0.5 * blk.u[-1])
+
+
+def test_memo_keeps_one_coupling_per_kind(monkeypatch):
+    monkeypatch.setattr(oscillator, "_solve_cache", {})
+    find_optimal_squeezing(OscillatorConfig("nondegenerate", 22.0))
+    find_optimal_squeezing(OscillatorConfig("degenerate", 22.0))
+    find_optimal_squeezing(OscillatorConfig("degenerate", 22.0, coupling=0.7))
+    coupling, tail, ladder = oscillator._solve_cache["degenerate"]
+    assert (coupling, tail) == (0.7, oscillator.START_WEIGHT_TAIL)
+    for q, solve in ladder.items():
+        assert np.array_equal(solve.couplings, oscillator._block_couplings("degenerate", q, 0.7)), q
+    assert oscillator._solve_cache["nondegenerate"][0] == 1.0

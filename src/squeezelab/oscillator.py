@@ -72,8 +72,8 @@ class OscillatorConfig:
 
     ``pump_photons`` is the mean photon number of the initial coherent
     pump (0 is allowed and gives a stationary vacuum run).  ``coupling``
-    rescales time only; it defaults to 1 and times are quoted in units of
-    its inverse.
+    is the unit of time (both Hamiltonians are linear in it); it defaults
+    to 1, and the longest window the optimum search scans must stay finite.
     """
 
     kind: OscillatorKind
@@ -91,6 +91,8 @@ class OscillatorConfig:
             raise ValueError(f"pump photon number must be >= 0, got {self.pump_photons}")
         if self.coupling <= 0.0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
+        if not math.isfinite(2.0**MAX_EXTENSIONS * default_t_max(self)):
+            raise ValueError(f"coupling {self.coupling} is too small: its time window is not finite")
 
 
 def _block_occupations(kind: OscillatorKind, charge: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +122,13 @@ def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
     return list(zip(sub, sub, pump))
 
 
-def _block_couplings(kind: OscillatorKind, charge: int, coupling: float = 1.0) -> np.ndarray:
-    """Off-diagonal ``b`` of one block, ``H[k-1, k] = i b[k-1]`` in :func:`block_basis` order."""
+def _block_couplings(kind: OscillatorKind, charge: int) -> np.ndarray:
+    """Off-diagonal ``b`` of one block at coupling 1, ``H[k-1, k] = i b[k-1]`` in :func:`block_basis` order."""
     sub = _block_occupations(kind, charge)[0][1:].astype(float)  # occupation before conversion
     k = np.arange(1, sub.size + 1, dtype=float)
     if kind == "degenerate":
-        return 0.5 * coupling * np.sqrt(k * (sub + 1.0) * (sub + 2.0))
-    return coupling * np.sqrt(k) * (sub + 1.0)
+        return 0.5 * np.sqrt(k * (sub + 1.0) * (sub + 2.0))
+    return np.sqrt(k) * (sub + 1.0)
 
 
 def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) -> np.ndarray:
@@ -136,7 +138,7 @@ def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) 
     turning one pump photon into a sub-harmonic pair moves one step down
     the pump index.
     """
-    b = _block_couplings(kind, charge, coupling)
+    b = coupling * _block_couplings(kind, charge)
     return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
@@ -176,7 +178,7 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 @dataclass(frozen=True)
 class _BlockSolve:
-    """The part of one charge block's solve that depends only on ``(kind, charge, coupling)``.
+    """The coupling-1 solve of one charge block, which depends only on ``(kind, charge)``; coupling scales time.
 
     ``eigvals``, ``u`` and ``mu`` hold only the eigenvector columns the start
     site sees, the lowest ones up to a start-site weight tail of
@@ -184,7 +186,7 @@ class _BlockSolve:
     memoized across runs (:func:`_shared_solve`), so every array is read-only.
     """
 
-    couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
+    couplings: np.ndarray     # H[k-1, k] = i couplings[k-1] at coupling 1
     on_a: slice               # sites of sublattice A (the start site's parity) ...
     on_b: slice               # ... and of B
     eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending, of the kept columns only
@@ -236,24 +238,15 @@ class _Block(_BlockSolve):
         return np.where(j // 2 % 2, -v, v)
 
 
-#: per kind, ``(coupling, START_WEIGHT_TAIL, {charge: solve})`` of the blocks solved so far
-_solve_cache: dict[str, tuple[float, float, dict[int, _BlockSolve]]] = {}
+#: the coupling-1 solves of the blocks solved so far, by ``(kind, charge)``; every coupling shares them
+_solve_cache: dict[tuple[str, int], _BlockSolve] = {}
 
 
-def _shared_solve(kind: OscillatorKind, charge: int, coupling: float) -> _BlockSolve:
-    """The solve of the block of ``charge``, its arrays read-only, memoized across runs.
-
-    One ladder of solves is kept per kind, for the last coupling and
-    ``START_WEIGHT_TAIL`` used; a call with another coupling or tail drops
-    that kind's ladder.
-    """
-    built_coupling, built_tail, ladder = _solve_cache.get(kind, (None, None, {}))
-    if (built_coupling, built_tail) != (coupling, START_WEIGHT_TAIL):
-        ladder = {}
-        _solve_cache[kind] = (coupling, START_WEIGHT_TAIL, ladder)
-    if charge in ladder:
-        return ladder[charge]
-    couplings = _block_couplings(kind, charge, coupling)
+def _shared_solve(kind: OscillatorKind, charge: int) -> _BlockSolve:
+    """The coupling-1 solve of the block of ``charge``, its arrays read-only, memoized across runs."""
+    if (kind, charge) in _solve_cache:
+        return _solve_cache[kind, charge]
+    couplings = _block_couplings(kind, charge)
     sigma2, u, mu = _sublattice_solve(couplings)
     sigma = np.sqrt(np.maximum(sigma2, 0.0))
     inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
@@ -275,13 +268,13 @@ def _shared_solve(kind: OscillatorKind, charge: int, coupling: float) -> _BlockS
     for value in vars(solve).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    ladder[charge] = solve
+    _solve_cache[kind, charge] = solve
     return solve
 
 
-def _solve_block(kind: OscillatorKind, charge: int, coupling: float, amp: float) -> _Block:
+def _solve_block(kind: OscillatorKind, charge: int, amp: float) -> _Block:
     """The block of ``charge`` that starts as ``amp e_last``, ``amp >= 0``, on its memoized solve."""
-    solve = _shared_solve(kind, charge, coupling)
+    solve = _shared_solve(kind, charge)
     return _Block(**vars(solve), amp=amp, w0=amp * solve.u[-1])
 
 
@@ -319,11 +312,12 @@ class BlockEvolution:
     6 (``<H²>``) check the states.  Blocks whose initial weight is below
     1e-18 are dropped.
 
-    A block's solve depends on ``(kind, charge, coupling)`` only; N enters
+    The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
+    also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
+    of ``var_x``.  A block's solve depends on ``(kind, charge)`` only; N enters
     through ``|c_K|`` and the start vector ``w0``.  So the solves are kept,
-    read-only, and reused by every later run of the same kind and coupling
-    (:func:`_shared_solve`).  The memo holds the union of the blocks solved:
-    about 11 MiB for both kinds at N <= 121.
+    read-only, and reused by every later run of the same kind at any coupling
+    (:func:`_shared_solve`): about 11 MiB for both kinds at N <= 121.
     """
 
     def __init__(self, cfg: OscillatorConfig):
@@ -331,11 +325,12 @@ class BlockEvolution:
         self.blocks: dict[int, _Block] = {}
         for n_pump, c in enumerate(coherent_state(math.sqrt(cfg.pump_photons)).amps.real):
             if c * c >= 1e-18:
-                self.blocks[2 * n_pump] = _solve_block(cfg.kind, 2 * n_pump, cfg.coupling, c)
+                self.blocks[2 * n_pump] = _solve_block(cfg.kind, 2 * n_pump, c)
 
     def propagate(self, t: float) -> dict[int, np.ndarray]:
         """The state at time ``t`` (negative allowed), block by block: ``e^{iK phi}`` times block 2K's real vector."""
-        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * blk.state(t) for q, blk in self.blocks.items()}
+        tau = self.cfg.coupling * t
+        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * blk.state(tau) for q, blk in self.blocks.items()}
 
     def observables(self, times) -> EvolutionResult:
         """Observables on a time array, two real half-size GEMMs per block, folded in block by block.
@@ -351,12 +346,13 @@ class BlockEvolution:
         :meth:`energy_scale`, does.
         """
         t = np.asarray(times, dtype=float)
+        tau = self.cfg.coupling * t
         stats = np.zeros((3, t.size))  # norm², <n_sub> (<n1>, or <n2> = <n3>), <n_pump>
         charge = np.zeros(t.size)
         pair = np.zeros(t.size)
         lower = None
         for q, blk in self.blocks.items():
-            a, b = blk.sublattice_amplitudes(t)
+            a, b = blk.sublattice_amplitudes(tau)
             weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
             stats += weights
             charge += q * weights[0]
@@ -385,21 +381,21 @@ class BlockEvolution:
         return self.observables_at(t)["var_x"]
 
     def var_x_derivatives(self, t: float) -> tuple[float, float, float]:
-        """``var_x`` and its first and second time derivatives at one time, in one pass over the blocks.
+        """``var_x`` and its first and second time derivatives at one time, as floats, in one pass over the blocks.
 
-        With ``C = cos(sigma t) w0`` and ``S = (sin(sigma t) / sigma) w0``, the
-        A amplitudes and their two derivatives are ``U (C, -sigma² S,
-        -sigma² C)`` and the B amplitudes ``MU (S, C, -sigma² S)``: two real
-        half-size GEMMs per block.  Both sums of ``var_x`` are bilinear in
-        the real amplitudes; their 3x3 matrices over (value, first, second
-        derivative) columns give the k-th derivative as
-        ``sum_j binom(k, j) A[j, k - j]``.
+        With ``C = cos(sigma tau) w0`` and ``S = (sin(sigma tau) / sigma) w0`` at
+        ``tau = kappa t``, the A amplitudes and their two ``tau``-derivatives are
+        ``U (C, -sigma² S, -sigma² C)`` and the B amplitudes ``MU (S, C, -sigma² S)``:
+        two real half-size GEMMs per block.  Both sums of ``var_x`` are bilinear in
+        the real amplitudes; their 3x3 matrices over (value, first, second derivative)
+        columns give the k-th derivative as ``kappa^k sum_j binom(k, j) A[j, k - j]``.
         """
+        kappa = self.cfg.coupling
         acc = np.zeros((3, 3))  # 2 <n_sub> - 2 cos(phi) P, column by column
         pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
         lower = None
         for q, blk in self.blocks.items():
-            cos, sin = blk.rotation(t)
+            cos, sin = blk.rotation(kappa * t)
             cols = np.empty((blk.w0.size, 4))  # S, C, -sigma² S, -sigma² C
             np.multiply(sin, blk.w0, out=cols[:, 0])
             np.multiply(cos, blk.w0, out=cols[:, 1])
@@ -413,15 +409,16 @@ class BlockEvolution:
                     lower_b.T @ (blk.pair_a[:, None] * a[:-1]) + lower_a.T @ (blk.pair_b[:, None] * b)
                 )
             lower = a, b
-        return 1.0 + acc[0, 0], acc[0, 1] + acc[1, 0], acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0]
+        slope, curvature = float(acc[0, 1] + acc[1, 0]), float(acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0])
+        return float(1.0 + acc[0, 0]), kappa * slope, kappa * kappa * curvature
 
     def energy_scale(self) -> float:
         """||H psi0||, the natural scale for energy checks.
 
-        Each block starts as ``c e_last``, so ``||H init||² = |c|² couplings[-1]²``;
+        Each block starts as ``c e_last``, so ``||H init||² = kappa² |c|² couplings[-1]²``;
         its square is ``<H²>``, which the propagation conserves.
         """
-        return math.sqrt(sum(
+        return self.cfg.coupling * math.sqrt(sum(
             blk.amp ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
         ))
 

@@ -241,9 +241,10 @@ def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "400", "--alpha", "1"], None),  # sinh(s)^2 overflows
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "800", "--alpha", "1"], None),  # sinh(s) overflows
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "-1", "--alpha", "1"], None),
+    (["simulate", "--kind", "degenerate", "--N", "4", "--coupling", "1e-310"], None),  # 1 / coupling overflows
 ], ids=["sweep-N-inf", "surface-N-nan", "surface-N-inf", "surface-mix-nan", "scheme-N-nan", "mix-s-nan",
         "mix-alpha-nan", "mix-delta-nan", "mix-psi-inf", "config-scheme-N-nan", "config-mix-s-inf",
-        "mix-s-400", "mix-s-800", "mix-s-negative"])
+        "mix-s-400", "mix-s-800", "mix-s-negative", "simulate-coupling-1e-310"])
 def test_non_finite_input_exit_2_before_any_work(tmp_path, capsys, argv, file_cfg):
     out = tmp_path / "out"
     if file_cfg is not None:

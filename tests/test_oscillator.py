@@ -79,6 +79,8 @@ def test_config_validation():
         OscillatorConfig("degenerate", -1.0)
     with pytest.raises(ValueError):
         OscillatorConfig("degenerate", 4.0, coupling=0.0)
+    with pytest.raises(ValueError, match="coupling 1e-310 is too small"):  # 1 / coupling overflows
+        OscillatorConfig("degenerate", 4.0, coupling=1e-310)
 
 
 @pytest.mark.parametrize("field", ["pump_photons", "coupling", "pump_phase"])
@@ -161,15 +163,18 @@ def test_conservation_along_trajectory():
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 def test_block_matches_dense_propagation(kind):
-    """Also away from zero pump phase: the frame rotation e^{iK phi} against the dense route's complex pump."""
-    for pump_phase in (0.0, -2.1, 3.0):
-        cfg = OscillatorConfig(kind, 4.0, pump_phase=pump_phase)
+    """Also away from zero pump phase: the frame rotation e^{iK phi} against the dense route's complex pump.
+
+    And away from coupling 1, which the dense route keeps in its Hamiltonian.
+    """
+    for pump_phase, coupling in ((0.0, 1.0), (-2.1, 1.0), (3.0, 1.0), (0.0, 0.7), (-2.1, 2.5)):
+        cfg = OscillatorConfig(kind, 4.0, coupling, pump_phase)
         times = np.array([0.0, 0.4, 0.9])
         dims, states = dense_evolve(cfg, times)
         ev = BlockEvolution(cfg)
         for t, dense in zip(times, states):
             scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
-            assert np.max(np.abs(scattered - dense)) < 1e-8, pump_phase
+            assert np.max(np.abs(scattered - dense)) < 1e-8, (pump_phase, coupling)
 
 
 def _dense_observables(kind, dense):
@@ -192,14 +197,18 @@ def _dense_observables(kind, dense):
 @pytest.mark.parametrize("n", [4.0, 6.0])
 @pytest.mark.parametrize("pump_phase", [0.0, 0.8, -2.1, 3.0])
 def test_observables_match_dense_moments(kind, n, pump_phase):
-    """The observables record against Fock moments of the dense route, at criterion 5's points."""
-    cfg = OscillatorConfig(kind, n, pump_phase=pump_phase)
+    """The observables record against Fock moments of the dense route, at criterion 5's points.
+
+    At coupling 1 and at 2.5 (N = 4) or 0.7 (N = 6): the dense route keeps the coupling in its Hamiltonian.
+    """
     times = np.array([0.0, 0.35, 0.8, 1.4])
-    _, states = dense_evolve(cfg, times)
-    result = BlockEvolution(cfg).observables(times)
-    got = np.array([result.var_x, result.var_x_min_angle, result.intensity_y, result.pump_n]).T
-    want = np.array([_dense_observables(kind, dense) for dense in states])
-    assert np.max(np.abs(got - want)) < 1e-10
+    for coupling in (1.0, 2.5 if n == 4.0 else 0.7):
+        cfg = OscillatorConfig(kind, n, coupling, pump_phase)
+        _, states = dense_evolve(cfg, times)
+        result = BlockEvolution(cfg).observables(times)
+        got = np.array([result.var_x, result.var_x_min_angle, result.intensity_y, result.pump_n]).T
+        want = np.array([_dense_observables(kind, dense) for dense in states])
+        assert np.max(np.abs(got - want)) < 1e-10, coupling
 
 
 def test_nondegenerate_signal_idler_symmetry():
@@ -308,14 +317,18 @@ def test_var_x_at_equals_full_observables(kind):
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("n", [1.0, 9.5, 60.0])
 def test_var_x_derivatives_match_finite_differences(kind, n):
-    ev = BlockEvolution(OscillatorConfig(kind, n))
-    for t in (0.3 / math.sqrt(n), 1.1 / math.sqrt(n), 2.5 / math.sqrt(n)):
-        value, slope, curvature = ev.var_x_derivatives(t)
-        h = 1e-3 * t
-        plus, mid, minus = ev.var_x_at(t + h), ev.var_x_at(t), ev.var_x_at(t - h)
-        assert value == pytest.approx(mid, abs=1e-13)
-        assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-5)
-        assert curvature == pytest.approx((plus - 2.0 * mid + minus) / h**2, rel=1e-5)
+    """Also at couplings other than 1, where the derivatives take one and two powers of the coupling."""
+    for coupling in (1.0, 0.7, 2.5):
+        ev = BlockEvolution(OscillatorConfig(kind, n, coupling))
+        for t in np.array([0.3, 1.1, 2.5]) / (coupling * math.sqrt(n)):
+            derivatives = ev.var_x_derivatives(float(t))
+            assert all(type(x) is float for x in derivatives)
+            value, slope, curvature = derivatives
+            h = 1e-3 * t
+            plus, mid, minus = ev.var_x_at(t + h), ev.var_x_at(t), ev.var_x_at(t - h)
+            assert value == pytest.approx(mid, abs=1e-13)
+            assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-5), coupling
+            assert curvature == pytest.approx((plus - 2.0 * mid + minus) / h**2, rel=1e-5), coupling
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
@@ -332,6 +345,7 @@ def test_newton_refinement_against_golden_section(kind, n, monkeypatch):
     monkeypatch.setattr(BlockEvolution, "var_x_derivatives", counting)
     opt = find_optimal_squeezing(OscillatorConfig(kind, n))
     assert 1 <= len(calls) <= 8
+    assert type(opt.t_sq) is float
     ev = calls[0]
     _, slope, curvature = original(ev, opt.t_sq)
     assert curvature > 0.0
@@ -385,14 +399,16 @@ def test_conservation_property(kind, n, t_unit):
 @given(
     kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
     n=strategies.floats(0.1, 150.0),
+    coupling=strategies.floats(0.1, 10.0),
     t_unit=strategies.floats(0.0, 3.0),
 )
-def test_energy_square_conserved_property(kind, n, t_unit):
-    """<H²> of the block states equals its start value ||H psi0||², at random runs and times."""
-    cfg = OscillatorConfig(kind, n)
+def test_energy_square_conserved_property(kind, n, coupling, t_unit):
+    """<H²> of the block states equals its start value ||H psi0||², at random runs, couplings and times."""
+    cfg = OscillatorConfig(kind, n, coupling)
     ev = BlockEvolution(cfg)
+    t = t_unit / (coupling * math.sqrt(n))
     h_squared = sum(
-        np.linalg.norm(hamiltonian_block(kind, q) @ v) ** 2 for q, v in ev.propagate(t_unit / math.sqrt(n)).items()
+        np.linalg.norm(hamiltonian_block(kind, q, cfg.coupling) @ v) ** 2 for q, v in ev.propagate(t).items()
     )
     assert h_squared == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
 
@@ -400,7 +416,7 @@ def test_energy_square_conserved_property(kind, n, t_unit):
 def _block_of_dim(kind, dim, amp=1.0):
     """The block of size ``dim`` that starts as ``amp >= 0`` on its last site."""
     charge = 2 * (dim - 1)
-    return _solve_block(kind, charge, 1.0, amp), hamiltonian_block(kind, charge)
+    return _solve_block(kind, charge, amp), hamiltonian_block(kind, charge)
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,6 +463,7 @@ def test_truncated_solve_matches_full_solve(kind, n, monkeypatch):
         assert any(blk.eigvals.size < blk.u.shape[0] for blk in blocks)
     truncated = find_optimal_squeezing(cfg)
     monkeypatch.setattr(oscillator, "START_WEIGHT_TAIL", -1.0)  # keeps every column
+    monkeypatch.setattr(oscillator, "_solve_cache", {})  # the memo is keyed by (kind, charge), not by the tail
     assert all(blk.eigvals.size == blk.u.shape[0] for blk in BlockEvolution(cfg).blocks.values())
     full = find_optimal_squeezing(cfg)
 
@@ -504,23 +521,69 @@ def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkey
 
 
 def test_memoized_solve_is_read_only():
-    blk = _solve_block("degenerate", 12, 1.0, 0.5)
+    blk = _solve_block("degenerate", 12, 0.5)
     with pytest.raises(ValueError, match="read-only"):
         blk.u[0, 0] = 1.0
     arrays = [name for name, value in vars(blk).items() if isinstance(value, np.ndarray) and name != "w0"]
     assert len(arrays) == 10 and not any(getattr(blk, name).flags.writeable for name in arrays)
-    again = _solve_block("degenerate", 12, 1.0, 2.0)
+    again = _solve_block("degenerate", 12, 2.0)
     assert again.u is blk.u and again.amp == 2.0
     assert np.array_equal(again.w0, 2.0 * blk.u[-1]) and np.array_equal(blk.w0, 0.5 * blk.u[-1])
 
 
-def test_memo_keeps_one_coupling_per_kind(monkeypatch):
+def test_other_coupling_reuses_the_solves(monkeypatch):
+    """The memo holds coupling-1 solves by (kind, charge): a run at coupling 0.7 after one at 1 solves nothing."""
     monkeypatch.setattr(oscillator, "_solve_cache", {})
-    find_optimal_squeezing(OscillatorConfig("nondegenerate", 22.0))
     find_optimal_squeezing(OscillatorConfig("degenerate", 22.0))
+    keys = set(oscillator._solve_cache)
+    assert keys and all(kind == "degenerate" for kind, _ in keys)
+    solves = []
+    original = oscillator._sublattice_solve
+    monkeypatch.setattr(oscillator, "_sublattice_solve", lambda b: solves.append(b.size) or original(b))
     find_optimal_squeezing(OscillatorConfig("degenerate", 22.0, coupling=0.7))
-    coupling, tail, ladder = oscillator._solve_cache["degenerate"]
-    assert (coupling, tail) == (0.7, oscillator.START_WEIGHT_TAIL)
-    for q, solve in ladder.items():
-        assert np.array_equal(solve.couplings, oscillator._block_couplings("degenerate", q, 0.7)), q
-    assert oscillator._solve_cache["nondegenerate"][0] == 1.0
+    assert solves == [] and set(oscillator._solve_cache) == keys
+
+
+# ---------------------------------------------------------------------------
+# the coupling is the unit of time
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("coupling", [0.7, 2.5, 1e-170, 1e300])
+def test_observables_at_coupling_are_those_at_coupling_1_in_scaled_time(kind, coupling):
+    """Bit for bit: the run at coupling kappa and time t reads the coupling-1 run at kappa t."""
+    n = 22.0
+    times = np.linspace(0.0, 3.0 / math.sqrt(n), 9) / coupling
+    got = BlockEvolution(OscillatorConfig(kind, n, coupling)).observables(times)
+    want = BlockEvolution(OscillatorConfig(kind, n)).observables(coupling * times)
+    for field in dataclasses.fields(got):
+        if field.name != "times":
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("coupling", [1e-170, 1e-160, 1e155, 1e300])
+def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling):
+    """``kappa t_sq``, ``var_min`` and ``S`` at extreme couplings against coupling 1, N = 22.
+
+    The runs differ only in where the refinement stops.  It stops when a step
+    is at most 1e-12 of ``t``; where ``kappa²`` over- or underflows, the
+    curvature is not a finite positive number and every step bisects, so the
+    stop leaves ``t_sq`` within 1e-12 of ``t`` of the optimum on each side:
+    ``kappa t_sq`` agrees to 2e-12.  ``var_x'`` vanishes at the optimum, so
+    that shift moves ``var_min`` only to second order (about 1e-24); what is
+    left is the rounding of ``var_x = 1 + 2n - 2P``, whose terms of size
+    ``2n`` cancel down to ``var_x``, about ``eps 2n / var_x`` per rounding
+    (2.6e-14 here), allowed 16 times.  ``S = sqrt(n / var_x)`` moves by half
+    the ``var_x`` bound and by ``d ln S / d ln t`` (about 1.7 here, below 2)
+    times the ``t`` bound.
+    """
+    n = 22.0
+    ref = find_optimal_squeezing(OscillatorConfig(kind, n))
+    opt = find_optimal_squeezing(OscillatorConfig(kind, n, coupling))
+    eps = np.finfo(float).eps
+    t_bound = 2e-12
+    var_bound = 16.0 * eps * 2.0 * ref.resolution.intensity_y / ref.var_min
+    assert type(opt.t_sq) is float
+    assert coupling * opt.t_sq == pytest.approx(ref.t_sq, rel=t_bound, abs=0.0)
+    assert opt.var_min == pytest.approx(ref.var_min, rel=var_bound, abs=0.0)
+    assert opt.resolution.s == pytest.approx(ref.resolution.s, rel=0.5 * var_bound + 2.0 * t_bound, abs=0.0)

@@ -111,8 +111,7 @@ def cmd_simulate(config: dict, out: Path) -> int:
         raise ValueError(f"--t-max {config['t_max']} is too small for {config['points']} distinct times")
     ev = BlockEvolution(osc)  # one eigensolve serves the optimum search and the trajectory
     opt = ev.optimal_squeezing()
-    # the optimum's final window scan is the default grid unless the window had to grow
-    result = opt.evolution if np.array_equal(opt.evolution.times, grid) else ev.observables(grid)
+    result = ev.observables(grid)
     _write_csv(
         out / "trajectory.csv",
         ["t", "var_X", "intensity_Y", "pump_n"],

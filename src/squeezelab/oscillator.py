@@ -60,7 +60,7 @@ __all__ = [
 
 OscillatorKind = Literal["degenerate", "nondegenerate"]
 
-GRID_POINTS = 200  # time points per window scan of find_optimal_squeezing
+GRID_POINTS = 32  # time points per window scan of find_optimal_squeezing: they only bracket its minimum
 MAX_EXTENSIONS = 8  # window doublings it tries before giving up
 MAX_NEWTON_PASSES = 48  # cap on its refinement's derivative passes; bisection alone needs up to ~42
 START_WEIGHT_TAIL = 1e-30  # start-site weight of the eigenvector columns a block may drop
@@ -314,8 +314,9 @@ class BlockEvolution:
 
     The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
     also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
-    of ``var_x``.  A block's solve depends on ``(kind, charge)`` only; N enters
-    through ``|c_K|`` and the start vector ``w0``.  So the solves are kept,
+    of ``var_x``, which :meth:`optimal_squeezing` never forms: it works in
+    ``tau = kappa t``.  A block's solve depends on ``(kind, charge)`` only; N
+    enters through ``|c_K|`` and the start vector ``w0``.  So the solves are kept,
     read-only, and reused by every later run of the same kind at any coupling
     (:func:`_shared_solve`): about 11 MiB for both kinds at N <= 121.
     """
@@ -383,19 +384,28 @@ class BlockEvolution:
     def var_x_derivatives(self, t: float) -> tuple[float, float, float]:
         """``var_x`` and its first and second time derivatives at one time, as floats, in one pass over the blocks.
 
-        With ``C = cos(sigma tau) w0`` and ``S = (sin(sigma tau) / sigma) w0`` at
-        ``tau = kappa t``, the A amplitudes and their two ``tau``-derivatives are
-        ``U (C, -sigma² S, -sigma² C)`` and the B amplitudes ``MU (S, C, -sigma² S)``:
-        two real half-size GEMMs per block.  Both sums of ``var_x`` are bilinear in
-        the real amplitudes; their 3x3 matrices over (value, first, second derivative)
-        columns give the k-th derivative as ``kappa^k sum_j binom(k, j) A[j, k - j]``.
+        They are those of :meth:`_var_x_tau_derivatives` at ``tau = kappa t``,
+        times ``kappa`` and ``kappa²``.
         """
         kappa = self.cfg.coupling
+        value, slope, curvature = self._var_x_tau_derivatives(kappa * t)
+        return value, kappa * slope, kappa * kappa * curvature
+
+    def _var_x_tau_derivatives(self, tau: float) -> tuple[float, float, float]:
+        """``var_x`` and its first and second derivatives in ``tau = kappa t`` at one ``tau``, as floats.
+
+        With ``C = cos(sigma tau) w0`` and ``S = (sin(sigma tau) / sigma) w0``, the
+        A amplitudes and their two ``tau``-derivatives are ``U (C, -sigma² S,
+        -sigma² C)`` and the B amplitudes ``MU (S, C, -sigma² S)``: two real
+        half-size GEMMs per block.  Both sums of ``var_x`` are bilinear in the
+        real amplitudes; their 3x3 matrices over (value, first, second derivative)
+        columns give the k-th derivative as ``sum_j binom(k, j) A[j, k - j]``.
+        """
         acc = np.zeros((3, 3))  # 2 <n_sub> - 2 cos(phi) P, column by column
         pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
         lower = None
         for q, blk in self.blocks.items():
-            cos, sin = blk.rotation(kappa * t)
+            cos, sin = blk.rotation(tau)
             cols = np.empty((blk.w0.size, 4))  # S, C, -sigma² S, -sigma² C
             np.multiply(sin, blk.w0, out=cols[:, 0])
             np.multiply(cos, blk.w0, out=cols[:, 1])
@@ -409,8 +419,7 @@ class BlockEvolution:
                     lower_b.T @ (blk.pair_a[:, None] * a[:-1]) + lower_a.T @ (blk.pair_b[:, None] * b)
                 )
             lower = a, b
-        slope, curvature = float(acc[0, 1] + acc[1, 0]), float(acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0])
-        return float(1.0 + acc[0, 0]), kappa * slope, kappa * kappa * curvature
+        return float(1.0 + acc[0, 0]), float(acc[0, 1] + acc[1, 0]), float(acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0])
 
     def energy_scale(self) -> float:
         """||H psi0||, the natural scale for energy checks.
@@ -425,67 +434,97 @@ class BlockEvolution:
     def optimal_squeezing(self) -> OptimalSqueezing:
         """Locate the time of maximal sub-harmonic squeezing.
 
-        Scans ``GRID_POINTS`` times over ``[0, default_t_max(self.cfg)]``
-        (the undepleted-pump timescale), doubling the window up to
-        ``MAX_EXTENSIONS`` times until the variance minimum is interior, then
-        solves ``var_x'(t) = 0`` inside the grid bracket around that minimum
-        by Newton steps on the analytic time derivatives of
-        :meth:`var_x_derivatives`.  A step is taken when ``var_x'' > 0`` and
-        it stays inside the bracket, which shrinks by the sign of ``var_x'``
-        on every pass; otherwise the bracket is bisected.  It stops when
-        ``var_x'`` is 0 or a step is at most 1e-12 of ``t``, after at most
-        ``MAX_NEWTON_PASSES`` passes.  This propagator serves the scans and
-        the refinement, and the result keeps no reference to it.
+        The search runs in ``tau = kappa t`` and divides by ``kappa`` once, for
+        ``t_sq`` and the scan's times.  It scans ``GRID_POINTS`` = 32 times over
+        ``[0, 5 / sqrt(max(N, 1))]`` (``kappa`` times :func:`default_t_max`, the
+        undepleted-pump timescale), doubling the window up to ``MAX_EXTENSIONS``
+        times until the lowest ``var_x`` is below ``1 - 1e-12`` at an interior
+        point ``t_i``; then it solves ``var_x'(t) = 0`` in ``(t_{i-1}, t_{i+1})``
+        by Newton steps on the analytic ``tau``-derivatives of ``var_x``.  A step
+        is taken when ``var_x'' > 0`` and it stays inside the bracket, which
+        shrinks by the sign of ``var_x'`` on every pass; otherwise the bracket is
+        bisected.  It stops when ``var_x'`` is 0 or a step is at most 1e-12 of
+        ``tau``, after at most ``MAX_NEWTON_PASSES`` passes.  ``var_min`` is
+        ``var_x`` of the last pass, at most that last step from ``t_sq``, where
+        ``var_x'`` vanishes, so the two differ only at second order.  The pass
+        adds ``<n>`` and the pair term into one sum block by block, which at
+        N = 256 rounds about 20 times less than :meth:`observables`, whose
+        separate sums cancel only at the end.  The intensity and
+        ``var_x_min_angle`` are read at ``t_sq`` by :meth:`observables_at`.
+        This propagator serves the scans and the refinement, and the result
+        keeps no reference to it.
 
-        A run whose angle-optimized variance never drops below 1 on the first
-        window (vacuum pump) is stationary and returns ``t_sq = 0``,
-        ``var_min = 1``; one where only ``var_x`` never does raises
-        ``ValueError``.  No interior minimum after the doublings raises
+        The coarse scan can step over the shallow early dip of ``var_x`` that a
+        pump phase near ``pi/2`` leaves, at about ``t = cos(phi) / (2 kappa
+        sqrt(N))``.  So when the scan's lowest ``var_x`` is at ``t = 0`` or not
+        below ``1 - 1e-12``, ``var_x'`` is negative at 0 (``cos(phi) > 0``,
+        ``N > 0``) and positive at the first scan time ``t_1``, the search
+        refines in ``(0, t_1)`` instead.
+
+        A run whose angle-optimized variance never drops below ``1 - 1e-12`` on
+        the first window (vacuum pump) is stationary and returns ``t_sq = 0``,
+        ``var_min = 1``.  Otherwise ``ValueError`` is raised when the scan's
+        lowest ``var_x`` is at ``t = 0`` or not below ``1 - 1e-12`` and the
+        slopes do not bracket ``(0, t_1)`` as above, or when the refined
+        ``var_min`` is not below ``1 - 1e-12`` (at ``phi = pi/2`` the dip is
+        about 1e-33 deep).  No interior minimum after the doublings raises
         ``RuntimeError``.
         """
-        t_max = default_t_max(self.cfg)
+        kappa = self.cfg.coupling
+        tau_max = 5.0 / math.sqrt(max(self.cfg.pump_photons, 1.0))
         for _ in range(MAX_EXTENSIONS + 1):
-            result = self.observables(np.linspace(0.0, t_max, GRID_POINTS))
+            tau = np.linspace(0.0, tau_max, GRID_POINTS)
+            result = self.observables(tau / kappa)
             i = int(np.argmin(result.var_x))
-            if result.var_x[i] > 1.0 - 1e-12:
+            if i == 0 or result.var_x[i] > 1.0 - 1e-12:
                 if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
                     # stationary run (vacuum pump): nothing to refine
                     return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
-                raise ValueError(
-                    f"pump phase {self.cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
-                    f"drops below 1 on [0, {t_max:.6g}]; use a pump phase near 0"
-                )
-            if 0 < i < GRID_POINTS - 1:
+                lo, hi = 0.0, float(tau[1])
+                if not self._var_x_tau_derivatives(lo)[1] < 0.0 < self._var_x_tau_derivatives(hi)[1]:
+                    raise self._away_from_x(tau_max / kappa)
+                tau_sq = 0.5 * hi
                 break
-            t_max *= 2.0
+            if i < GRID_POINTS - 1:
+                lo, tau_sq, hi = (float(x) for x in tau[i - 1:i + 2])
+                break
+            tau_max *= 2.0
         else:
             raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
 
-        lo, t_sq, hi = (float(x) for x in result.times[i - 1:i + 2])
         for _ in range(MAX_NEWTON_PASSES):
-            _, slope, curvature = self.var_x_derivatives(t_sq)
+            var_min, slope, curvature = self._var_x_tau_derivatives(tau_sq)
             if slope == 0.0:
                 break
             if slope > 0.0:
-                hi = t_sq
+                hi = tau_sq
             else:
-                lo = t_sq
-            newton = t_sq - slope / curvature if curvature > 0.0 else math.nan
-            t_new = newton if lo < newton < hi else 0.5 * (lo + hi)
-            converged = abs(t_new - t_sq) <= 1e-12 * t_sq
-            t_sq = t_new
+                lo = tau_sq
+            newton = tau_sq - slope / curvature if curvature > 0.0 else math.nan
+            tau_new = newton if lo < newton < hi else 0.5 * (lo + hi)
+            converged = abs(tau_new - tau_sq) <= 1e-12 * tau_sq
+            tau_sq = tau_new
             if converged:
                 break
+        if var_min > 1.0 - 1e-12:
+            raise self._away_from_x(tau_max / kappa)
+        t_sq = tau_sq / kappa
         obs = self.observables_at(t_sq)
-        resolution = phase_resolution(obs["intensity_y"], obs["var_x"])
+        resolution = phase_resolution(obs["intensity_y"], var_min)
         s_angle = phase_resolution(obs["intensity_y"], obs["var_x_min_angle"]).s
         return OptimalSqueezing(
             t_sq=t_sq,
-            var_min=obs["var_x"],
+            var_min=var_min,
             resolution=resolution,
             var_min_angle=obs["var_x_min_angle"],
             s_min_angle=s_angle,
             evolution=result,
+        )
+
+    def _away_from_x(self, t_max: float) -> ValueError:
+        return ValueError(
+            f"pump phase {self.cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
+            f"drops below 1 on [0, {t_max:.6g}]; use a pump phase near 0"
         )
 
 
@@ -498,10 +537,11 @@ def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
 
 
 def default_t_max(cfg: OscillatorConfig) -> float:
-    """End ``5 / (coupling sqrt(max(N, 1)))`` of the first window :func:`find_optimal_squeezing` scans.
+    """``5 / (coupling sqrt(max(N, 1)))``: the undepleted-pump timescale.
 
-    It is the undepleted-pump timescale, and the default end of the
-    ``simulate`` command's time grid.
+    It is the default end of the ``simulate`` command's time grid, and the
+    end of the first window :func:`find_optimal_squeezing` scans, which that
+    search forms as ``(5 / sqrt(max(N, 1))) / coupling``.
     """
     return 5.0 / (math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling)
 
@@ -513,7 +553,10 @@ class OptimalSqueezing:
     ``resolution`` is the phase resolution at ``t_sq`` with the fixed
     ``x``-quadrature; ``s_min_angle`` re-optimizes the quadrature angle at
     the same time (the two coincide up to rounding for zero pump phase).
-    ``evolution`` is the final window scan.
+    ``evolution`` is the final window scan, ``GRID_POINTS`` = 32 times that
+    only bracket the optimum: ``t_sq`` lies strictly inside it, before its
+    second time when the search refined in ``(0, t_1)``.  For a trajectory,
+    evaluate :meth:`BlockEvolution.observables` on a grid of your own.
     """
 
     t_sq: float
@@ -525,7 +568,14 @@ class OptimalSqueezing:
 
 
 def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
-    """Locate the time of maximal sub-harmonic squeezing: :meth:`BlockEvolution.optimal_squeezing` of a new propagator."""
+    """Locate the time of maximal sub-harmonic squeezing: :meth:`BlockEvolution.optimal_squeezing` of a new propagator.
+
+    A 32-point window scan brackets the minimum of ``var_x`` and Newton steps
+    refine it; a pump phase near ``pi/2``, whose shallow dip the scan steps
+    over, is refined in ``(0, t_1)``.  ``ValueError`` when ``var_x`` does not
+    drop below ``1 - 1e-12`` (see the method for the exact condition),
+    ``RuntimeError`` when no interior minimum is found.
+    """
     return BlockEvolution(cfg).optimal_squeezing()
 
 

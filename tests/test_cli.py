@@ -9,7 +9,7 @@ import squeezelab.cli as cli
 from squeezelab import OscillatorConfig, resolution_surface
 from squeezelab.cli import main, parse_range
 from squeezelab.crosscheck import relative_error
-from squeezelab.oscillator import GRID_POINTS, BlockEvolution, default_t_max
+from squeezelab.oscillator import BlockEvolution, default_t_max
 
 
 def read_json(path):
@@ -46,26 +46,32 @@ def test_simulate_writes_trajectory(tmp_path):
     assert summary["S"] > 1.0
 
 
-def test_simulate_default_window_reuses_the_optimum_scan(tmp_path, monkeypatch):
-    """With the default points and t_max, the trajectory is the optimum's own window scan: no observables pass after it."""
-    searched = []
-    search, observables = BlockEvolution.optimal_squeezing, BlockEvolution.observables
+def test_simulate_default_window_builds_one_propagator(tmp_path, monkeypatch):
+    """With the default points and t_max, one propagator serves the search and the trajectory, evolve() on that grid."""
+    from squeezelab.oscillator import evolve
 
-    def recorded_search(self):
-        searched.append(search(self))
-        return searched[-1]
+    osc = OscillatorConfig("degenerate", 16.0)
+    grid = np.linspace(0.0, default_t_max(osc), 200)  # the --points default
+    want = evolve(osc, grid)
+    cli._write_csv(
+        tmp_path / "want.csv",
+        ["t", "var_X", "intensity_Y", "pump_n"],
+        zip(want.times, want.var_x, want.intensity_y, want.pump_n),
+    )
+    builds = []
+    original = BlockEvolution.__init__
 
-    def observables_before_the_search_ends(self, times):
-        assert not searched, "simulate propagated the default grid a second time"
-        return observables(self, times)
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(BlockEvolution, "optimal_squeezing", recorded_search)
-    monkeypatch.setattr(BlockEvolution, "observables", observables_before_the_search_ends)
-    assert main(["simulate", "--kind", "degenerate", "--N", "16", "--outdir", str(tmp_path)]) == 0
-    assert len(searched) == 1
-    config = read_json(tmp_path / "summary.json")["config"]
-    assert config["t_max"] == default_t_max(OscillatorConfig("degenerate", 16.0))
-    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + GRID_POINTS
+    monkeypatch.setattr(BlockEvolution, "__init__", counting)
+    out = tmp_path / "out"
+    assert main(["simulate", "--kind", "degenerate", "--N", "16", "--outdir", str(out)]) == 0
+    assert len(builds) == 1
+    assert read_json(out / "summary.json")["config"]["t_max"] == default_t_max(osc)
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + grid.size
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_simulate_vacuum_pump_flat(tmp_path):
@@ -296,13 +302,13 @@ def test_truncation_failure_exit_3(tmp_path):
 
 @pytest.mark.parametrize("extra", [[], ["--points", "57", "--t-max", "0.9"]])
 def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypatch, extra):
-    """trajectory.csv is evolve() on the requested grid; the default grid reuses the optimum's scan."""
+    """trajectory.csv is evolve() on the requested grid, the default one included."""
     from squeezelab import cli
     from squeezelab.oscillator import BlockEvolution, OscillatorConfig, evolve, find_optimal_squeezing
 
     osc = OscillatorConfig("nondegenerate", 30.0)
     opt = find_optimal_squeezing(osc)
-    grid = np.linspace(0.0, 0.9, 57) if extra else opt.evolution.times
+    grid = np.linspace(0.0, 0.9, 57) if extra else np.linspace(0.0, default_t_max(osc), 200)
     want = evolve(osc, grid)
     cli._write_csv(
         tmp_path / "want.csv",

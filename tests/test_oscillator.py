@@ -336,18 +336,18 @@ def test_var_x_derivatives_match_finite_differences(kind, n):
 def test_newton_refinement_against_golden_section(kind, n, monkeypatch):
     """Few derivative passes; var_x' vanishes at t_sq; no worse than a tight golden-section search."""
     calls = []
-    original = BlockEvolution.var_x_derivatives
+    original = BlockEvolution._var_x_tau_derivatives
 
-    def counting(self, t):
+    def counting(self, tau):
         calls.append(self)
-        return original(self, t)
+        return original(self, tau)
 
-    monkeypatch.setattr(BlockEvolution, "var_x_derivatives", counting)
+    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", counting)
     opt = find_optimal_squeezing(OscillatorConfig(kind, n))
     assert 1 <= len(calls) <= 8
     assert type(opt.t_sq) is float
     ev = calls[0]
-    _, slope, curvature = original(ev, opt.t_sq)
+    _, slope, curvature = ev.var_x_derivatives(opt.t_sq)
     assert curvature > 0.0
     assert abs(slope) <= 1e-12 * curvature * opt.t_sq  # a Newton step below 1e-12 of t_sq
 
@@ -365,18 +365,63 @@ def test_refinement_bisects_without_positive_curvature(monkeypatch):
     cfg = OscillatorConfig("degenerate", 4.0)
     newton = find_optimal_squeezing(cfg)
     calls = []
-    original = BlockEvolution.var_x_derivatives
+    original = BlockEvolution._var_x_tau_derivatives
 
-    def no_curvature(self, t):
-        calls.append(t)
-        value, slope, _ = original(self, t)
+    def no_curvature(self, tau):
+        calls.append(tau)
+        value, slope, _ = original(self, tau)
         return value, slope, -1.0
 
-    monkeypatch.setattr(BlockEvolution, "var_x_derivatives", no_curvature)
+    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", no_curvature)
     bisected = find_optimal_squeezing(cfg)
     assert 8 < len(calls) <= MAX_NEWTON_PASSES
     assert bisected.t_sq == pytest.approx(newton.t_sq, rel=1e-10)
     assert bisected.var_min == pytest.approx(newton.var_min, abs=1e-14)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
+    n=strategies.floats(0.5, 256.0),
+    pump_phase=strategies.floats(-1.5, 1.5),
+)
+@example(kind="degenerate", n=121.0, pump_phase=1.5)  # the early dip lies before the first scan time
+def test_coarse_bracket_finds_the_minimum_property(kind, n, pump_phase):
+    """The 32-point bracket refines to ``var_x' = 0`` at the lowest ``var_x`` a 400-point scan of its window sees."""
+    ev = BlockEvolution(OscillatorConfig(kind, n, pump_phase=pump_phase))
+    opt = ev.optimal_squeezing()
+    fine = ev.observables(np.linspace(0.0, opt.evolution.times[-1], 400))
+    assert opt.var_min <= np.min(fine.var_x) + 1e-12
+    _, slope, curvature = ev.var_x_derivatives(opt.t_sq)
+    assert abs(slope) <= 1e-12 * curvature * opt.t_sq
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [1.0, 22.0, 121.0])
+def test_early_dip_near_half_pi_is_bracketed_before_the_first_scan_time(kind, n, monkeypatch):
+    """Near ``phi = pi/2`` the dip of ``var_x`` bottoms near ``cos(phi) / (2 kappa sqrt(N))``, before ``t_1``.
+
+    The 32-point scan sees no point of it below 1, so the search refines in
+    ``(0, t_1)``.  At ``|phi|`` = 1.45 and 1.52 a 200-point scan, the earlier
+    search, still sees the dip: both agree to 1e-11.  At 1.56 only the
+    ``(0, t_1)`` bracket finds it.
+    """
+    for phi in (1.45, -1.45, 1.52):
+        cfg = OscillatorConfig(kind, n, pump_phase=phi)
+        opt = find_optimal_squeezing(cfg)
+        assert opt.t_sq < opt.evolution.times[1]
+        with monkeypatch.context() as patched:
+            patched.setattr(oscillator, "GRID_POINTS", 200)
+            fine = find_optimal_squeezing(cfg)
+        for got, want in ((opt.t_sq, fine.t_sq), (opt.var_min, fine.var_min),
+                          (opt.resolution.s, fine.resolution.s), (opt.s_min_angle, fine.s_min_angle)):
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0), phi
+    cfg = OscillatorConfig(kind, n, pump_phase=1.56)
+    opt = find_optimal_squeezing(cfg)
+    assert opt.t_sq < opt.evolution.times[1]
+    assert opt.var_min < 1.0
+    bottom = math.cos(cfg.pump_phase) / (2.0 * cfg.coupling * math.sqrt(n))
+    assert opt.var_min <= BlockEvolution(cfg).observables_at(bottom)["var_x"]
 
 
 @settings(max_examples=12, deadline=None)
@@ -562,24 +607,35 @@ def test_observables_at_coupling_are_those_at_coupling_1_in_scaled_time(kind, co
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("coupling", [1e-170, 1e-160, 1e155, 1e300])
-def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling):
-    """``kappa t_sq``, ``var_min`` and ``S`` at extreme couplings against coupling 1, N = 22.
+def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling, monkeypatch):
+    """``kappa t_sq``, ``var_min``, ``S`` and the derivative passes at extreme couplings against coupling 1, N = 22.
 
-    The runs differ only in where the refinement stops.  It stops when a step
-    is at most 1e-12 of ``t``; where ``kappa²`` over- or underflows, the
-    curvature is not a finite positive number and every step bisects, so the
-    stop leaves ``t_sq`` within 1e-12 of ``t`` of the optimum on each side:
-    ``kappa t_sq`` agrees to 2e-12.  ``var_x'`` vanishes at the optimum, so
-    that shift moves ``var_min`` only to second order (about 1e-24); what is
-    left is the rounding of ``var_x = 1 + 2n - 2P``, whose terms of size
-    ``2n`` cancel down to ``var_x``, about ``eps 2n / var_x`` per rounding
-    (2.6e-14 here), allowed 16 times.  ``S = sqrt(n / var_x)`` moves by half
-    the ``var_x`` bound and by ``d ln S / d ln t`` (about 1.7 here, below 2)
-    times the ``t`` bound.
+    The search runs in ``tau = kappa t``, so it takes the passes of the
+    coupling-1 run, at the same ``tau``, and ``kappa`` never meets the
+    curvature.  The runs differ only where the result is read:
+    ``t_sq = tau_sq / kappa`` is one rounding off, so ``kappa t_sq`` agrees to
+    a few ulp, well inside 2e-12, and the observables are read at ``kappa
+    t_sq``.  ``var_x'`` vanishes at the optimum, so that shift moves
+    ``var_min`` only to second order; what is left is the rounding of
+    ``var_x = 1 + 2n - 2P``, whose terms of size ``2n`` cancel down to
+    ``var_x``, about ``eps 2n / var_x`` per rounding (2.6e-14 here), allowed
+    16 times.  ``S = sqrt(n / var_x)`` moves by half the ``var_x`` bound and
+    by ``d ln S / d ln t`` (about 1.7 here, below 2) times the ``t`` bound.
     """
+    passes = []
+    original = BlockEvolution._var_x_tau_derivatives
+
+    def counting(self, tau):
+        passes[-1] += 1
+        return original(self, tau)
+
+    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", counting)
     n = 22.0
+    passes.append(0)
     ref = find_optimal_squeezing(OscillatorConfig(kind, n))
+    passes.append(0)
     opt = find_optimal_squeezing(OscillatorConfig(kind, n, coupling))
+    assert passes[1] == passes[0]  # the coupling-1 refinement, not bisection (34 passes)
     eps = np.finfo(float).eps
     t_bound = 2e-12
     var_bound = 16.0 * eps * 2.0 * ref.resolution.intensity_y / ref.var_min

@@ -31,9 +31,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import lgamma
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .metrics import phase_resolution
 
@@ -59,6 +60,8 @@ __all__ = [
 NORM_TOL = 1e-9
 #: maximum tolerated truncated-norm deficit for state constructors
 DEFICIT_TOL = 1e-10
+#: largest occupation cutoff a constructor accepts (the squeezed recursion takes cutoff / 2 Python steps)
+MAX_CUTOFF = 2**20
 
 
 class TruncationError(Exception):
@@ -71,7 +74,8 @@ def default_cutoff(mean_photons: float) -> int:
     Uses ``<n> + 6 sqrt(<n>) + 10``, which puts the truncation several
     standard deviations into the Poisson tail.  Constructors raise it
     further where the truncated-norm deficit still exceeds ``DEFICIT_TOL``
-    (for coherent states from ``<n> = 140`` on).
+    (for coherent states from about ``<n> = 136`` on, for squeezed vacua
+    from ``s`` about 0.22 on).
     """
     mean_photons = max(float(mean_photons), 0.0)
     return int(math.ceil(mean_photons + 6.0 * math.sqrt(mean_photons) + 10.0))
@@ -161,34 +165,35 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 def coherent_state(alpha: complex) -> FockState:
     """Single-mode coherent state of amplitude ``alpha``.
 
-    The occupation cutoff starts at ``|alpha|² + 6|alpha| + 10`` and is
-    raised to the smallest one whose truncated-norm deficit is at most
-    ``DEFICIT_TOL``, searched up to two further standard deviations;
-    :class:`TruncationError` if none is found.
+    The occupation cutoff is the smallest one at or above the
+    :func:`default_cutoff` floor whose truncated-norm deficit, the Poisson
+    tail ``pdtrc(cutoff, |alpha|²)``, is at most ``DEFICIT_TOL``; the floor
+    first misses that bound at about 136 photons.  A cutoff above
+    ``MAX_CUTOFF`` raises :class:`TruncationError`.
     """
     mean = abs(alpha) ** 2
-    floor = default_cutoff(mean)
-    search = _coherent_amplitudes(alpha, floor + int(math.ceil(2.0 * math.sqrt(mean))) + 11)
-    amps, deficit = _cut_within_tolerance(search, floor)
-    if amps is None:
-        last = search.size - 1
-        raise TruncationError(f"coherent state |alpha|²={mean:g}: norm deficit {deficit:.3e} at cutoff {last}")
+    cutoff = _cutoff(lambda n: special.pdtrc(n, mean), default_cutoff(mean), f"coherent state |alpha|²={mean:g}")
+    amps = _coherent_amplitudes(alpha, cutoff + 1)
     return _check_norm(FockState(amps / np.linalg.norm(amps)))
 
 
-def _cut_within_tolerance(search: np.ndarray, floor: int) -> tuple[np.ndarray | None, float]:
-    """``search`` cut at the smallest cutoff ``>= floor`` whose norm deficit is ``<= DEFICIT_TOL``.
+def _cutoff(deficit: Callable[[int], float], floor: int, what: str) -> int:
+    """Smallest cutoff ``>= floor`` whose closed-form truncated-norm ``deficit`` is ``<= DEFICIT_TOL``.
 
-    Returns ``(amplitudes, deficit)``; the amplitudes are ``None`` when no
-    cutoff within ``search`` meets the tolerance, and the deficit is then
-    that of all of ``search``.
+    ``deficit(n)`` is the weight beyond occupation ``n`` and does not grow
+    with ``n``.  The search doubles the cutoff from ``floor`` until the
+    deficit meets the tolerance, then bisects back.  A cutoff above
+    ``MAX_CUTOFF`` raises :class:`TruncationError`.
     """
-    deficits = 1.0 - np.cumsum(np.abs(search) ** 2)
-    meets = np.flatnonzero(deficits[floor:] <= DEFICIT_TOL)
-    if meets.size == 0:
-        return None, float(deficits[-1])
-    cut = floor + int(meets[0])
-    return search[: cut + 1], float(deficits[cut])
+    lo, hi = floor - 1, floor
+    while hi > MAX_CUTOFF or deficit(hi) > DEFICIT_TOL:
+        if hi >= MAX_CUTOFF:
+            raise TruncationError(f"{what}: needs a cutoff above the largest one, {MAX_CUTOFF}")
+        lo, hi = hi, min(2 * hi, MAX_CUTOFF)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if deficit(mid) <= DEFICIT_TOL else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -231,31 +236,26 @@ def _squeezed_amplitudes(params: SqueezeParams, dim: int) -> np.ndarray:
 def squeezed_vacuum(params: SqueezeParams, cutoff: int | None = None) -> FockState:
     """Single-mode squeezed vacuum ``|0, s e^{i theta}>``.
 
-    Only even occupations are populated.  With ``cutoff=None`` the cutoff
+    Only even occupations are populated, and the pair number ``n // 2`` is
+    negative-binomial (``r = 1/2``, success probability ``sech² s``), so the
+    truncated-norm deficit beyond cutoff ``n`` is
+    ``betainc(n // 2 + 1, 1/2, tanh² s)``.  With ``cutoff=None`` the cutoff
     is the smallest one at or above the :func:`default_cutoff` floor whose
-    truncated-norm deficit is at most ``DEFICIT_TOL`` (the search length is
-    doubled from the floor until some cutoff qualifies); an explicit cutoff
-    is used as given and rejected if it leaves too large a deficit.
+    deficit is at most ``DEFICIT_TOL`` (see :func:`_cutoff`); an explicit
+    cutoff is used as given and rejected if it leaves too large a deficit
+    or is above ``MAX_CUTOFF``.
     """
+    tanh2 = math.tanh(params.s) ** 2
+    deficit = lambda n: special.betainc(n // 2 + 1, 0.5, tanh2)
+    what = f"squeezed vacuum s={params.s:g}"
+    if cutoff is not None and (cutoff > MAX_CUTOFF or deficit(cutoff) > DEFICIT_TOL):
+        raise TruncationError(f"{what} at cutoff {cutoff}: norm deficit {deficit(cutoff):.3e} "
+                              f"(the largest cutoff is {MAX_CUTOFF})")
     if params.s == 0.0:
         return vacuum_state(2 if cutoff is None else cutoff + 1)
-    if cutoff is not None:
-        amps = _squeezed_amplitudes(params, int(cutoff) + 1)
-        deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
-        if deficit > DEFICIT_TOL:
-            raise TruncationError(
-                f"squeezed vacuum s={params.s:g} at cutoff {cutoff}: norm deficit {deficit:.3e}"
-            )
-    else:
-        floor = default_cutoff(params.mean_photons)
-        trial = floor
-        for _ in range(20):
-            amps, _ = _cut_within_tolerance(_squeezed_amplitudes(params, trial + 1), floor)
-            if amps is not None:
-                break
-            trial *= 2
-        else:
-            raise TruncationError(f"squeezed vacuum s={params.s:g}: cutoff search did not converge")
+    if cutoff is None:
+        cutoff = _cutoff(deficit, default_cutoff(params.mean_photons), what)
+    amps = _squeezed_amplitudes(params, int(cutoff) + 1)
     return _check_norm(FockState(amps / np.linalg.norm(amps)))
 
 
@@ -348,6 +348,9 @@ def phase_resolution_of_mode(state: FockState, mode: int = 0):
 # ---------------------------------------------------------------------------
 # passive two-mode mixing
 
+#: largest memory, in bytes, that one two-mode mix may ask for (output tensor and rotation bands)
+MAX_MIX_BYTES = 4 * 2**30
+
 #: ``(theta, d1, d2, bands)`` of the last :func:`_rotation_bands` build (``d1 = 0``: none yet)
 _rotation_cache: tuple[float, int, int, list[np.ndarray]] = (0.0, 0, 0, [])
 
@@ -413,6 +416,11 @@ def _phase_diag(amps: np.ndarray, phi1: float, phi2: float) -> np.ndarray:
 def _apply_rotation(amps: np.ndarray, theta: float) -> np.ndarray:
     d1, d2 = amps.shape
     total = d1 + d2 - 1
+    # the complex output, and the real bands: band n is n + 1 rows by one column per input |m, n - m>
+    need = 16 * total**2 + 4 * d1 * d2 * (d1 + d2)
+    if need > MAX_MIX_BYTES:
+        raise TruncationError(f"mixing a {d1} x {d2} input needs {need / 2**30:.1f} GiB, "
+                              f"above the {MAX_MIX_BYTES / 2**30:g} GiB bound")
     out = np.zeros((total, total), dtype=np.complex128)
     built_d2, bands = _rotation_bands(theta, d1, d2)
     for n in range(total):

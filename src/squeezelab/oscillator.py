@@ -443,8 +443,9 @@ class BlockEvolution:
         by Newton steps on the analytic ``tau``-derivatives of ``var_x``.  A step
         is taken when ``var_x'' > 0`` and it stays inside the bracket, which
         shrinks by the sign of ``var_x'`` on every pass; otherwise the bracket is
-        bisected.  It stops when ``var_x'`` is 0 or a step is at most 1e-12 of
-        ``tau``, after at most ``MAX_NEWTON_PASSES`` passes.  ``var_min`` is
+        bisected.  It stops when ``var_x'`` is 0, a Newton step rounds to zero
+        or a step is at most 1e-12 of ``tau``, after at most
+        ``MAX_NEWTON_PASSES`` passes.  ``var_min`` is
         ``var_x`` of the last pass, at most that last step from ``t_sq``, where
         ``var_x'`` vanishes, so the two differ only at second order.  The pass
         adds ``<n>`` and the pair term into one sum block by block, which at
@@ -501,6 +502,8 @@ class BlockEvolution:
             else:
                 lo = tau_sq
             newton = tau_sq - slope / curvature if curvature > 0.0 else math.nan
+            if newton == tau_sq:  # the step rounds to zero: converged at tau_sq
+                break
             tau_new = newton if lo < newton < hi else 0.5 * (lo + hi)
             converged = abs(tau_new - tau_sq) <= 1e-12 * tau_sq
             tau_sq = tau_new

@@ -294,10 +294,15 @@ def test_simulate_bad_grid_exit_2_before_the_optimum_search(tmp_path, capsys, mo
     assert not any(tmp_path.iterdir())
 
 
-def test_truncation_failure_exit_3(tmp_path):
+def test_truncation_failure_exit_3(tmp_path, capsys):
     code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "2.0", "--alpha", "1",
                  "--cutoff", "10", "--oracle", "--outdir", str(tmp_path)])
     assert code == 3
+    # an 18 x 31167 input would need a 31184² output and its rotation bands, about 80 GiB
+    code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "4", "--alpha", "1",
+                 "--oracle", "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "mixing a 18 x 31167 input needs 79.7 GiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [[], ["--points", "57", "--t-max", "0.9"]])

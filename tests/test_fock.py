@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
@@ -12,11 +14,10 @@ from squeezelab.fock import (
     QuadratureSpec,
     SqueezeParams,
     DEFICIT_TOL,
+    MAX_CUTOFF,
     TruncationError,
-    _coherent_amplitudes,
     _next_rotation_band,
     _rotation_bands,
-    _squeezed_amplitudes,
     default_cutoff,
     mode_moments,
 )
@@ -83,6 +84,29 @@ def test_coherent_phase_resolution_invariance(mag):
     assert abs(res.s - mag) < 1e-4
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("theta", [0.0, 1.1, -2.3])
+def test_squeezed_vacuum_phase_resolution_follows_the_noise_ellipse(s, theta):
+    """Zero mean field: the distance quadrature is the ellipse's major axis, so S = sinh(s) e^s (0 on vacuum).
+
+    The 1e-10 cut moves <n> by about 1e-8, hence the tolerance.
+    """
+    res = sq.phase_resolution_of_mode(sq.squeezed_vacuum(SqueezeParams(s, theta)))
+    assert res.s == pytest.approx(math.sinh(s) * math.exp(s), rel=1e-7)
+
+
+def exact_coherent_deficit(mean, cutoff):
+    """Poisson weight beyond ``cutoff``, the regularized lower incomplete gamma, to 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(cutoff + 1, 0, mpmath.mpf(mean), regularized=True)
+
+
+def exact_squeezed_deficit(s, cutoff):
+    """Negative-binomial pair weight beyond ``cutoff // 2`` (r = 1/2, p = sech² s), to 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.betainc(cutoff // 2 + 1, 0.5, 0, mpmath.tanh(mpmath.mpf(s)) ** 2, regularized=True)
+
+
 def test_coherent_cutoff_below_140_photons_is_the_floor():
     for mag in (1.0, 6.0, 11.0, math.sqrt(139.0)):
         assert sq.coherent_state(mag).mode_dims[0] == default_cutoff(mag**2) + 1
@@ -90,15 +114,47 @@ def test_coherent_cutoff_below_140_photons_is_the_floor():
 
 @pytest.mark.parametrize("mag,expected_cutoff", [(12.0, 227), (16.0, 364)])
 def test_coherent_large_amplitude_cutoff_is_smallest_within_tolerance(mag, expected_cutoff):
-    """The 6-sigma floor misses DEFICIT_TOL from 140 photons on; the cutoff is raised just enough."""
+    """The 6-sigma floor misses DEFICIT_TOL from about 136 photons on; the cutoff is raised just enough."""
     st = sq.coherent_state(mag)
     cutoff = st.mode_dims[0] - 1
     assert cutoff == expected_cutoff > default_cutoff(mag**2)
-    raw = _coherent_amplitudes(mag, cutoff + 1)
-    assert 1.0 - np.sum(np.abs(raw) ** 2) <= DEFICIT_TOL
-    assert 1.0 - np.sum(np.abs(raw[:-1]) ** 2) > DEFICIT_TOL
+    assert exact_coherent_deficit(mag**2, cutoff) <= DEFICIT_TOL
+    assert exact_coherent_deficit(mag**2, cutoff - 1) > DEFICIT_TOL
     assert abs(st.norm() - 1.0) < 1e-12
     assert abs(st.mean_photons() - mag**2) < 1e-6
+
+
+@pytest.mark.parametrize("mean,expected_cutoff", [(1e4, 10643), (56493.0, 58012), (4e5, 404030)])
+def test_coherent_cutoff_at_large_mean(mean, expected_cutoff):
+    """The closed-form Poisson tail sets the cutoff where a float sum of |c_n|² misjudges the deficit."""
+    assert sq.coherent_state(math.sqrt(mean)).mode_dims[0] - 1 == expected_cutoff
+
+
+@settings(max_examples=100, deadline=None)
+@given(mean=strategies.floats(0.0, 2e4), s=strategies.floats(0.0, 3.0))
+def test_cutoffs_are_smallest_within_tolerance_property(mean, s):
+    """Each constructor's cutoff leaves an exact deficit <= DEFICIT_TOL, and one less would not (above the floor)."""
+    cutoff = sq.coherent_state(math.sqrt(mean)).mode_dims[0] - 1
+    assert exact_coherent_deficit(mean, cutoff) <= DEFICIT_TOL
+    if cutoff > default_cutoff(mean):
+        assert exact_coherent_deficit(mean, cutoff - 1) > DEFICIT_TOL
+    params = SqueezeParams(s)
+    cutoff = sq.squeezed_vacuum(params).mode_dims[0] - 1
+    assert exact_squeezed_deficit(s, cutoff) <= DEFICIT_TOL
+    if cutoff > default_cutoff(params.mean_photons):
+        assert exact_squeezed_deficit(s, cutoff - 1) > DEFICIT_TOL
+
+
+@pytest.mark.parametrize("build", [lambda: sq.squeezed_vacuum(SqueezeParams(8.0)),
+                                   lambda: sq.squeezed_vacuum(SqueezeParams(20.0)),
+                                   lambda: sq.squeezed_vacuum(SqueezeParams(1.0), cutoff=MAX_CUTOFF + 2),
+                                   lambda: sq.coherent_state(1100.0)])
+def test_cutoff_above_the_bound_raises_at_once(build):
+    """s = 8 needs a cutoff of about 9.3e7; from s = 19.1 tanh² s rounds to 1 and the deficit never falls."""
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match=str(MAX_CUTOFF)):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_squeezed_mean_photons():
@@ -127,10 +183,9 @@ def test_squeezed_cutoff_is_floor_or_smallest_within_tolerance(s, expected_cutof
     cutoff = sq.squeezed_vacuum(params).mode_dims[0] - 1
     floor = default_cutoff(params.mean_photons)
     assert cutoff == expected_cutoff >= floor
-    raw = _squeezed_amplitudes(params, cutoff + 1)
-    assert 1.0 - np.sum(np.abs(raw) ** 2) <= DEFICIT_TOL
+    assert exact_squeezed_deficit(s, cutoff) <= DEFICIT_TOL
     if cutoff > floor:
-        assert 1.0 - np.sum(np.abs(raw[:-1]) ** 2) > DEFICIT_TOL
+        assert exact_squeezed_deficit(s, cutoff - 1) > DEFICIT_TOL
 
 
 def test_squeezed_zero_is_vacuum():

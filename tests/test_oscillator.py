@@ -360,6 +360,23 @@ def test_newton_refinement_against_golden_section(kind, n, monkeypatch):
     assert opt.t_sq == pytest.approx(golden.x, rel=1e-6)
 
 
+@pytest.mark.parametrize("kind,n,phi", [("nondegenerate", 0.3, 0.0), ("degenerate", 4.0 * math.sqrt(2.0), 1.0),
+                                         ("degenerate", 46.477, 1.0)])
+def test_newton_refinement_ends_when_its_step_rounds_to_zero(kind, n, phi, monkeypatch):
+    """A Newton step that leaves t_sq unchanged ends the search; bisecting away from it took 17-36 passes."""
+    calls = []
+    original = BlockEvolution._var_x_tau_derivatives
+
+    def counting(self, tau):
+        calls.append(tau)
+        return original(self, tau)
+
+    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", counting)
+    opt = find_optimal_squeezing(OscillatorConfig(kind, n, pump_phase=phi))
+    assert 1 <= len(calls) <= 8
+    assert opt.var_min < 1.0 - 1e-12
+
+
 def test_refinement_bisects_without_positive_curvature(monkeypatch):
     """With every Newton step refused, bisection on the sign of var_x' reaches the same optimum."""
     cfg = OscillatorConfig("degenerate", 4.0)

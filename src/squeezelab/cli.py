@@ -222,7 +222,7 @@ def cmd_mix(config: dict, out: Path) -> int:
             config["theta"] = optimal_theta
         variance = beam_splitter_variance(mixer, s, config["theta"])
         intensity = beam_splitter_intensity(mixer, s, alpha)
-        at_optimum = abs((config["theta"] - optimal_theta) % (2.0 * math.pi)) < 1e-12
+        at_optimum = abs(math.remainder(config["theta"] - optimal_theta, 2.0 * math.pi)) < 1e-12
     else:
         mixer = InterferometerConfig(config["phi"], config["psi"], config["global_phase"])
         variance = interferometer_variance(mixer.phi, s)

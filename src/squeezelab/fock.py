@@ -372,18 +372,18 @@ def _rotation_bands(theta: float, d1: int, d2: int) -> tuple[int, list[np.ndarra
     bands = [np.ones((1, 1))]
     for n in range(1, d1 + d2 - 1):
         first = max(0, n - d2)  # first column of band n - 1
-        band = _next_rotation_band(bands[-1], first, c, s)
-        bands.append(band[:, max(0, n - d2 + 1) - first : min(d1 - 1, n) - first + 1])
+        bands.append(_next_rotation_band(bands[-1], first, max(0, n - d2 + 1) - first, min(d1 - 1, n) - first, c, s))
     _rotation_cache = (theta, d1, d2, bands)
     return d2, bands
 
 
-def _next_rotation_band(prev: np.ndarray, first: int, c: float, s: float) -> np.ndarray:
-    """Columns ``first .. first + w`` of rotation block ``n`` from ``prev``, in O(n w).
+def _next_rotation_band(prev: np.ndarray, first: int, lo: int, hi: int, c: float, s: float) -> np.ndarray:
+    """Columns ``first + lo .. first + hi`` of rotation block ``n`` from ``prev``, in O(n w).
 
     ``prev`` (shape ``(n, w)``) holds columns ``first .. first + w - 1`` of
-    block ``n - 1``.  With ``c, s = cos theta, sin theta``,
-    ``U a1† U† = c a1† - s a2†``, ``U a2† U† = s a1† + c a2†`` and
+    block ``n - 1``; ``lo`` is 0 or 1 and ``hi`` is ``w - 1`` or ``w``, so
+    the band owns exactly the columns it keeps.  With ``c, s = cos theta,
+    sin theta``, ``U a1† U† = c a1† - s a2†``, ``U a2† U† = s a1† + c a2†`` and
     ``|m, n-m> = (sqrt(m) a1† |m-1, n-m> + sqrt(n-m) a2† |m, n-m-1>) / n``,
     so column ``m`` needs only columns ``m - 1`` and ``m`` of block ``n - 1``:
     all are exact but column ``first`` if ``first > 0`` and ``first + w`` if
@@ -397,11 +397,11 @@ def _next_rotation_band(prev: np.ndarray, first: int, c: float, s: float) -> np.
     add1 = up[:, None] * prev
     add2 = down[:, None] * prev
     up_col, down_col = up[first:first + w], down[first:first + w]
-    band = np.zeros((n + 1, w + 1))
-    band[1:, 1:] = add1 * (c / n * up_col)
-    band[:-1, 1:] -= add2 * (s / n * up_col)
-    band[1:, :-1] += add1 * (s / n * down_col)
-    band[:-1, :-1] += add2 * (c / n * down_col)
+    band = np.zeros((n + 1, hi - lo + 1))  # column j of prev feeds columns j + 1 and j
+    band[1:, 1 - lo:] = add1[:, :hi] * (c / n * up_col[:hi])
+    band[:-1, 1 - lo:] -= add2[:, :hi] * (s / n * up_col[:hi])
+    band[1:, :w - lo] += add1[:, lo:] * (s / n * down_col[lo:])
+    band[:-1, :w - lo] += add2[:, lo:] * (c / n * down_col[lo:])
     return band
 
 

@@ -18,7 +18,9 @@ gives the whole propagation (see :class:`BlockEvolution`).  The pump
 phase ``phi`` is a frame rotation, ``exp(i phi charge / 2)``, which commutes
 with both Hamiltonians: the blocks propagate real amplitudes, and ``phi``
 enters only as ``e^{iK phi}`` on the charge-2K block and ``cos(phi)`` in
-the ``x``-quadrature read-out.  A dense full-tensor propagator (no charge
+the ``x``-quadrature read-out.  Every read-out, observables on a time grid
+or ``var_x`` with its two time derivatives at one time, is one sum over the
+blocks of their real amplitudes.  A dense full-tensor propagator (no charge
 decomposition) is included as the independent cross-check route.
 
 With the pump amplitude real positive, the squeezed quadrature of the
@@ -199,18 +201,6 @@ class _BlockSolve:
     pair_a: np.ndarray        # <block q-2 | a1² or a2 a3 | block q> per site, signed, on A but the last site
     pair_b: np.ndarray        # the same on B
 
-    def rotation(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """``cos(sigma t)`` and ``sin(sigma t) / sigma``, shape ``sigma.shape + shape(t)``.
-
-        The second is taken as 0 on a zero mode (``sigma² <= 0`` from the
-        solver): it only ever meets ``MU``'s column of that mode, which
-        vanishes, as ``||M u||² = sigma²``.  Elsewhere ``sigma >= 2e-162``
-        (``sigma²`` is a double), so ``1 / sigma`` is finite and
-        ``sin(x) / sigma`` keeps full relative accuracy at small ``x``.
-        """
-        x = np.multiply.outer(self.sigma, t)
-        return np.cos(x), np.sin(x) * self.inv_sigma.reshape(self.sigma.shape + (1,) * np.ndim(t))
-
 
 @dataclass(frozen=True)
 class _Block(_BlockSolve):
@@ -219,21 +209,28 @@ class _Block(_BlockSolve):
     amp: float                # initial amplitude |c| on the start site, the last one
     w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
 
-    def sublattice_amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real amplitudes ``(U cos(sigma t) w0, MU (sin(sigma t) / sigma) w0)``, shape (sites, len(t))."""
-        cos, sin = self.rotation(t)
-        w = self.w0[:, None]
-        return self.u @ (cos * w), self.mu @ (sin * w)
+    def columns(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Eigen-coordinates ``C = cos(sigma t) w0``, ``S = (sin(sigma t) / sigma) w0``, shape ``sigma.shape + shape(t)``.
+
+        The block's amplitudes are ``a = U C`` on A and ``b = MU S`` on B.  On a zero mode
+        (``sigma² <= 0`` from the solver) ``sin(sigma t) / sigma`` is taken as 0: it only ever
+        meets ``MU``'s column of that mode, which vanishes, as ``||M u||² = sigma²``.  Elsewhere
+        ``sigma >= 2e-162`` (``sigma²`` is a double), so ``1 / sigma`` is finite and
+        ``sin(x) / sigma`` keeps full relative accuracy at small ``x``.
+        """
+        x = np.multiply.outer(self.sigma, t)
+        w = self.w0.reshape(x.shape[:1] + (1,) * np.ndim(t))
+        return np.cos(x) * w, np.sin(x) * self.inv_sigma.reshape(w.shape) * w
 
     def state(self, t: float) -> np.ndarray:
         """The real block vector at time ``t``, ``conj(g_last) g ⊙ [a on A, -i b on B]``.
 
-        ``a`` and ``b`` are :meth:`sublattice_amplitudes`; with ``g_k = (-i)^k``
+        ``a = U C`` and ``b = MU S`` come from :meth:`columns`; with ``g_k = (-i)^k``
         the phase on site ``k``, ``-i`` on B included, is ``(-1)^floor(j / 2)``, ``j = last - k``.
         """
-        a, b = self.sublattice_amplitudes(np.array([t], dtype=float))
+        c, s = self.columns(t)
         v = np.empty(self.couplings.size + 1)
-        v[self.on_a], v[self.on_b] = a[:, 0], b[:, 0]
+        v[self.on_a], v[self.on_b] = self.u @ c, self.mu @ s
         j = np.arange(v.size)[::-1]
         return np.where(j // 2 % 2, -v, v)
 
@@ -309,8 +306,11 @@ class BlockEvolution:
     half-size GEMMs per block.
     :meth:`propagate` (states) and :meth:`observables` read the same
     sublattice amplitudes, and acceptance criteria 5 (the dense route) and
-    6 (``<H²>``) check the states.  Blocks whose initial weight is below
-    1e-18 are dropped.
+    6 (``<H²>``) check the states.  Every read-out sums over the blocks in one
+    body, :meth:`_sums`, fed each block's eigen-coordinate columns: one per
+    time in :meth:`observables`, five for ``var_x`` and its two derivatives at
+    one time in :meth:`_var_x_tau_derivatives`.  Blocks whose initial weight
+    is below 1e-18 are dropped.
 
     The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
     also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
@@ -333,45 +333,53 @@ class BlockEvolution:
         tau = self.cfg.coupling * t
         return {q: np.exp(0.5j * q * self.cfg.pump_phase) * blk.state(tau) for q, blk in self.blocks.items()}
 
-    def observables(self, times) -> EvolutionResult:
-        """Observables on a time array, two real half-size GEMMs per block, folded in block by block.
+    def _sums(self, count: int, columns) -> np.ndarray:
+        """Sums over the blocks for ``count`` states, one row per quantity and one column per state.
 
-        The occupations are squares of the real sublattice amplitudes.  The
-        pair term ``<a1²>`` / ``<a2 a3>`` couples charge ``q`` to ``q - 2``;
-        only the block below is kept for it.  Its sum is ``e^{i phi} P``, ``P``
-        real, so ``var_x = 1 + 2n - 2 cos(phi) P`` and ``var_x_min_angle =
-        1 + 2n - 2|P|``.  Energy ``<H>`` is 0 in every block at all times: the
-        amplitudes are a phase times a real vector, so each bond term
-        ``Im(conj(v[k-1]) v[k])`` vanishes.  It is reported as that exact 0,
-        so its drift no longer tests the propagator; ``<H²>``, the squared
-        :meth:`energy_scale`, does.
+        ``columns(blk)`` gives a block's eigen-coordinates ``(C, S)``, each
+        ``(kept columns, count)``, of amplitudes ``a = U C`` on A and ``b = MU
+        S`` on B.  The rows sum same-column products: norm², ``<n_sub>``
+        (``<n1>``, or ``<n2> = <n3>``), ``<n_pump>``, the charge, the pair term
+        ``P`` (``<a1²>`` / ``<a2 a3>``, charge ``q`` with the block below) and
+        ``var_x - 1 = 2 <n_sub> - 2 cos(phi) P``, whose terms cancel block by block.
+        """
+        sums = np.zeros((6, count))
+        pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
+        lower = None
+        for q, blk in self.blocks.items():
+            c, s = columns(blk)
+            a, b = blk.u @ c, blk.mu @ s
+            weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
+            sums[:3] += weights
+            sums[3] += q * weights[0]
+            pair = blk.pair_a @ (lower[1] * a[:-1]) + blk.pair_b @ (lower[0] * b) if q - 2 in self.blocks else 0.0
+            sums[4] += pair
+            sums[5] += 2.0 * weights[1] - pair_weight * pair
+            lower = a, b
+        return sums
+
+    def observables(self, times) -> EvolutionResult:
+        """Observables on a time array: one :meth:`_sums` pass, two real half-size GEMMs per block.
+
+        The pair sum is ``e^{i phi} P``, ``P`` real, so ``var_x = 1 + 2n - 2
+        cos(phi) P`` and ``var_x_min_angle = 1 + 2n - 2|P|``.  Energy ``<H>``
+        is 0 in every block at all times: the amplitudes are a phase times a
+        real vector, so each bond term ``Im(conj(v[k-1]) v[k])`` vanishes.  It
+        is reported as that exact 0, so its drift no longer tests the
+        propagator; ``<H²>``, the squared :meth:`energy_scale`, does.
         """
         t = np.asarray(times, dtype=float)
         tau = self.cfg.coupling * t
-        stats = np.zeros((3, t.size))  # norm², <n_sub> (<n1>, or <n2> = <n3>), <n_pump>
-        charge = np.zeros(t.size)
-        pair = np.zeros(t.size)
-        lower = None
-        for q, blk in self.blocks.items():
-            a, b = blk.sublattice_amplitudes(tau)
-            weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
-            stats += weights
-            charge += q * weights[0]
-            if q - 2 in self.blocks:
-                lower_a, lower_b = lower
-                pair += blk.pair_a @ (lower_b * a[:-1]) + blk.pair_b @ (lower_a * b)
-            lower = a, b
-        norm_sq, n_sub, n_pump = stats
-        two_n = 2.0 * n_sub  # 2 n1, or n2 + n3
+        norm_sq, n_sub, n_pump, charge, pair, excess = self._sums(t.size, lambda blk: blk.columns(tau))
         return EvolutionResult(
             times=t,
-            var_x=1.0 + two_n - 2.0 * math.cos(self.cfg.pump_phase) * pair,
+            var_x=1.0 + excess,
             intensity_y=n_sub,  # <n1>, or <c† c> of the normalized composite mode
             pump_n=n_pump,
             charge=charge,
             energy=np.zeros(t.size),
             norm=np.sqrt(norm_sq),
-            var_x_min_angle=1.0 + two_n - 2.0 * np.abs(pair),
+            var_x_min_angle=1.0 + 2.0 * n_sub - 2.0 * np.abs(pair),
         )
 
     def observables_at(self, t: float) -> dict[str, float]:
@@ -388,38 +396,35 @@ class BlockEvolution:
         times ``kappa`` and ``kappa²``.
         """
         kappa = self.cfg.coupling
-        value, slope, curvature = self._var_x_tau_derivatives(kappa * t)
+        value, slope, curvature = self._var_x_tau_derivatives(kappa * t)[:3]
         return value, kappa * slope, kappa * kappa * curvature
 
-    def _var_x_tau_derivatives(self, tau: float) -> tuple[float, float, float]:
-        """``var_x`` and its first and second derivatives in ``tau = kappa t`` at one ``tau``, as floats.
+    def _var_x_tau_derivatives(self, tau: float) -> tuple[float, float, float, float, float]:
+        """``var_x``, its first two ``tau``-derivatives, ``intensity_y`` and ``var_x_min_angle`` at one ``tau``, as floats.
 
-        With ``C = cos(sigma tau) w0`` and ``S = (sin(sigma tau) / sigma) w0``, the
-        A amplitudes and their two ``tau``-derivatives are ``U (C, -sigma² S,
-        -sigma² C)`` and the B amplitudes ``MU (S, C, -sigma² S)``: two real
-        half-size GEMMs per block.  Both sums of ``var_x`` are bilinear in the
-        real amplitudes; their 3x3 matrices over (value, first, second derivative)
-        columns give the k-th derivative as ``sum_j binom(k, j) A[j, k - j]``.
+        One :meth:`_sums` pass of five columns per block, ``x0, x1, x2, x0 + x1,
+        x0 + x2``, with ``x_k = (S_k, C_k)`` the k-th derivative of the
+        eigen-coordinates in ``u = tau / h``: ``d/du (S, C) = h (C, -sigma² S)``.
+        ``var_x - 1`` is a quadratic form in the amplitudes, pair terms
+        included, so by polarization its sums ``s0 .. s4`` give the value
+        ``s0``, the slope ``s3 - s0 - s1`` and the curvature ``2 s1 + s4 - s0
+        - s2``, in ``u``.  ``h = 1 / sqrt(max(N, 1))``, the pump's time unit: in
+        ``tau`` itself ``x1`` and ``x2`` grow like ``sqrt(N)`` and ``N`` times
+        ``x0``, and the differences round that much worse.
         """
-        acc = np.zeros((3, 3))  # 2 <n_sub> - 2 cos(phi) P, column by column
-        pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
-        lower = None
-        for q, blk in self.blocks.items():
-            cos, sin = blk.rotation(tau)
-            cols = np.empty((blk.w0.size, 4))  # S, C, -sigma² S, -sigma² C
-            np.multiply(sin, blk.w0, out=cols[:, 0])
-            np.multiply(cos, blk.w0, out=cols[:, 1])
-            np.multiply(cols[:, :2], -blk.eigvals[:, None], out=cols[:, 2:])
-            a = blk.u @ cols[:, 1:]
-            b = blk.mu @ cols[:, :3]
-            acc += 2.0 * (a.T @ (blk.occ_a[1, :, None] * a) + b.T @ (blk.occ_b[1, :, None] * b))
-            if q - 2 in self.blocks:
-                lower_a, lower_b = lower
-                acc -= pair_weight * (
-                    lower_b.T @ (blk.pair_a[:, None] * a[:-1]) + lower_a.T @ (blk.pair_b[:, None] * b)
-                )
-            lower = a, b
-        return float(1.0 + acc[0, 0]), float(acc[0, 1] + acc[1, 0]), float(acc[0, 2] + 2.0 * acc[1, 1] + acc[2, 0])
+        h = 0.2 * _first_window(self.cfg)
+
+        def columns(blk):
+            c0, s0 = blk.columns(tau)
+            e = -h * blk.eigvals
+            s1, c1 = h * c0, e * s0
+            s2, c2 = h * c1, e * s1
+            return np.array([c0, c1, c2, c0 + c1, c0 + c2]).T, np.array([s0, s1, s2, s0 + s1, s0 + s2]).T
+
+        _, n_sub, _, _, pair, q = self._sums(5, columns)
+        slope, curvature = (q[3] - q[0] - q[1]) / h, (2.0 * q[1] + q[4] - q[0] - q[2]) / (h * h)
+        n = float(n_sub[0])
+        return float(1.0 + q[0]), float(slope), float(curvature), n, float(1.0 + 2.0 * n - 2.0 * abs(pair[0]))
 
     def energy_scale(self) -> float:
         """||H psi0||, the natural scale for energy checks.
@@ -436,8 +441,8 @@ class BlockEvolution:
 
         The search runs in ``tau = kappa t`` and divides by ``kappa`` once, for
         ``t_sq`` and the scan's times.  It scans ``GRID_POINTS`` = 32 times over
-        ``[0, 5 / sqrt(max(N, 1))]`` (``kappa`` times :func:`default_t_max`, the
-        undepleted-pump timescale), doubling the window up to ``MAX_EXTENSIONS``
+        ``[0, 5 / sqrt(max(N, 1))]`` (:func:`_first_window`, the undepleted-pump
+        timescale), doubling the window up to ``MAX_EXTENSIONS``
         times until the lowest ``var_x`` is below ``1 - 1e-12`` at an interior
         point ``t_i``; then it solves ``var_x'(t) = 0`` in ``(t_{i-1}, t_{i+1})``
         by Newton steps on the analytic ``tau``-derivatives of ``var_x``.  A step
@@ -447,13 +452,12 @@ class BlockEvolution:
         or a step is at most 1e-12 of ``tau``, after at most
         ``MAX_NEWTON_PASSES`` passes.  ``var_min`` is
         ``var_x`` of the last pass, at most that last step from ``t_sq``, where
-        ``var_x'`` vanishes, so the two differ only at second order.  The pass
-        adds ``<n>`` and the pair term into one sum block by block, which at
-        N = 256 rounds about 20 times less than :meth:`observables`, whose
-        separate sums cancel only at the end.  The intensity and
-        ``var_x_min_angle`` are read at ``t_sq`` by :meth:`observables_at`.
-        This propagator serves the scans and the refinement, and the result
-        keeps no reference to it.
+        ``var_x'`` vanishes, so the two differ only at second order.  The
+        intensity and ``var_x_min_angle`` come from the same pass, at first
+        order.  Scans and passes sum through one body, :meth:`_sums`, so a
+        scan's ``var_x`` and a pass's value at the same time round alike.  This
+        propagator serves the scans and the refinement, and the result keeps no
+        reference to it.
 
         The coarse scan can step over the shallow early dip of ``var_x`` that a
         pump phase near ``pi/2`` leaves, at about ``t = cos(phi) / (2 kappa
@@ -472,7 +476,7 @@ class BlockEvolution:
         ``RuntimeError``.
         """
         kappa = self.cfg.coupling
-        tau_max = 5.0 / math.sqrt(max(self.cfg.pump_photons, 1.0))
+        tau_max = _first_window(self.cfg)
         for _ in range(MAX_EXTENSIONS + 1):
             tau = np.linspace(0.0, tau_max, GRID_POINTS)
             result = self.observables(tau / kappa)
@@ -494,7 +498,7 @@ class BlockEvolution:
             raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
 
         for _ in range(MAX_NEWTON_PASSES):
-            var_min, slope, curvature = self._var_x_tau_derivatives(tau_sq)
+            var_min, slope, curvature, intensity, var_min_angle = self._var_x_tau_derivatives(tau_sq)
             if slope == 0.0:
                 break
             if slope > 0.0:
@@ -511,16 +515,12 @@ class BlockEvolution:
                 break
         if var_min > 1.0 - 1e-12:
             raise self._away_from_x(tau_max / kappa)
-        t_sq = tau_sq / kappa
-        obs = self.observables_at(t_sq)
-        resolution = phase_resolution(obs["intensity_y"], var_min)
-        s_angle = phase_resolution(obs["intensity_y"], obs["var_x_min_angle"]).s
         return OptimalSqueezing(
-            t_sq=t_sq,
+            t_sq=tau_sq / kappa,
             var_min=var_min,
-            resolution=resolution,
-            var_min_angle=obs["var_x_min_angle"],
-            s_min_angle=s_angle,
+            resolution=phase_resolution(intensity, var_min),
+            var_min_angle=var_min_angle,
+            s_min_angle=phase_resolution(intensity, var_min_angle).s,
             evolution=result,
         )
 
@@ -539,14 +539,17 @@ def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     return BlockEvolution(cfg).observables(t)
 
 
-def default_t_max(cfg: OscillatorConfig) -> float:
-    """``5 / (coupling sqrt(max(N, 1)))``: the undepleted-pump timescale.
+def _first_window(cfg: OscillatorConfig) -> float:
+    """``5 / sqrt(max(N, 1))``, the undepleted-pump timescale in ``tau = coupling t``: the end of the first scan."""
+    return 5.0 / math.sqrt(max(cfg.pump_photons, 1.0))
 
-    It is the default end of the ``simulate`` command's time grid, and the
-    end of the first window :func:`find_optimal_squeezing` scans, which that
-    search forms as ``(5 / sqrt(max(N, 1))) / coupling``.
+
+def default_t_max(cfg: OscillatorConfig) -> float:
+    """The undepleted-pump timescale in ``t``, :func:`_first_window` over the coupling.
+
+    It ends the ``simulate`` command's default time grid and the first window the optimum search scans.
     """
-    return 5.0 / (math.sqrt(max(cfg.pump_photons, 1.0)) * cfg.coupling)
+    return _first_window(cfg) / cfg.coupling
 
 
 @dataclass

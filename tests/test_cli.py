@@ -151,6 +151,15 @@ def test_mix_off_optimum_theta_oracle(tmp_path):
     assert payload["variance"] > 1.0 - 0.55**2  # worse than the optimum
 
 
+@pytest.mark.parametrize("offset", [5e-13, -5e-13])
+def test_mix_theta_within_1e_12_of_the_optimum_gets_the_full_oracle(tmp_path, offset):
+    """theta just above and just below the optimum -2 delta - 2 psi is at it, not off it."""
+    theta = -2.0 * 0.2 - 2.0 * 0.1 + offset
+    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--delta", "0.2", "--psi", "0.1", "--s", "0.5",
+                 "--alpha", "1", "--theta", repr(theta), "--oracle", "--outdir", str(tmp_path)]) == 0
+    assert "fock_intensity" in read_json(tmp_path / "mix.json")["oracle"]
+
+
 def test_scheme_command(tmp_path):
     assert main(["scheme", "--N", "1e6", "--lambda", "0.5", "--variant", "bs",
                  "--r2", "0.1", "--outdir", str(tmp_path)]) == 0

@@ -381,7 +381,7 @@ def test_rotation_blocks_orthogonal_at_n600():
     # the photon-addition steps of _rotation_bands, without caching every block up to 600
     b = np.ones((1, 1))
     for _ in range(600):
-        b = _next_rotation_band(b, 0, math.cos(1.13), math.sin(1.13))
+        b = _next_rotation_band(b, 0, 0, b.shape[1], math.cos(1.13), math.sin(1.13))
     assert np.max(np.abs(b @ b.T - np.eye(601))) < 1e-11
 
 
@@ -401,7 +401,7 @@ def _full_blocks(theta, n_max):
     """Full rotation blocks 0 .. n_max, by the photon-addition steps from the vacuum block."""
     blocks = [np.ones((1, 1))]
     for _ in range(n_max):
-        blocks.append(_next_rotation_band(blocks[-1], 0, math.cos(theta), math.sin(theta)))
+        blocks.append(_next_rotation_band(blocks[-1], 0, 0, len(blocks), math.cos(theta), math.sin(theta)))
     return blocks
 
 
@@ -423,6 +423,9 @@ def test_rotation_memo_holds_one_angle_as_wide_as_the_input(monkeypatch):
     assert isinstance(theta, float)
     assert min(d1, d2) == max(band.shape[1] for band in bands)
     assert sum(band.nbytes for band in bands) < 32 * 2**20
+    assert all(band.base is None for band in bands)  # a view would keep its wider array alive
+    widths = [min(d1 - 1, n) - max(0, n - d2 + 1) + 1 for n in range(d1 + d2 - 1)]
+    assert sum(band.nbytes for band in bands) == 8 * sum((n + 1) * w for n, w in enumerate(widths))
 
 
 def _count_band_steps(monkeypatch):

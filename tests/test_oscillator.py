@@ -14,6 +14,7 @@ from squeezelab.oscillator import (
     OscillatorConfig,
     block_basis,
     blocks_to_dense,
+    default_t_max,
     dense_evolve,
     evolve,
     find_optimal_squeezing,
@@ -360,6 +361,45 @@ def test_newton_refinement_against_golden_section(kind, n, monkeypatch):
     assert opt.t_sq == pytest.approx(golden.x, rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [22.0, 121.0, 256.0])
+def test_scan_and_derivative_pass_round_alike_near_the_optimum(kind, n):
+    """``observables(t).var_x`` against the derivative pass's value at 21 times within 5 % of ``t_sq``.
+
+    ``var_x = 1 + sum_q (2 <n_sub>_q - 2 cos(phi) P_q)`` cancels terms of
+    total size about ``2 (1 + 2n)`` (``P`` is about ``n + 1/2`` at strong
+    squeezing) down to ``var_x``.  Both reads add the same per-block terms in
+    the same order; they differ only where the BLAS rounds the amplitudes of a
+    21-time and a 5-column read differently, about an ulp each, so each squared
+    or paired term by about ``2 eps``: at most ``4 eps (1 + 2n)`` in all.
+    """
+    ev = BlockEvolution(OscillatorConfig(kind, n))
+    grid = ev.observables(ev.optimal_squeezing().t_sq * np.linspace(0.95, 1.05, 21))
+    eps = np.finfo(float).eps
+    for t, var_x, n_sub in zip(grid.times, grid.var_x, grid.intensity_y):
+        assert abs(var_x - ev.var_x_derivatives(float(t))[0]) <= 4.0 * eps * (1.0 + 2.0 * n_sub), t
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi])
+def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi, monkeypatch):
+    """At pump phase pi the window doubles once; ``intensity_y`` and ``var_x_min_angle`` come from the last pass."""
+    calls = {"observables": 0, "observables_at": 0}
+    for name in calls:
+        def counting(self, *args, _name=name, _original=getattr(BlockEvolution, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(BlockEvolution, name, counting)
+    cfg = OscillatorConfig("nondegenerate", 4.0, pump_phase=phi)
+    opt = find_optimal_squeezing(cfg)
+    windows = round(math.log2(opt.evolution.times[-1] / default_t_max(cfg))) + 1
+    assert windows == (2 if phi else 1)
+    assert calls == {"observables": windows, "observables_at": 0}
+    at_t_sq = BlockEvolution(cfg).observables_at(opt.t_sq)  # the last pass is at most 1e-12 t_sq from t_sq
+    assert opt.resolution.intensity_y == pytest.approx(at_t_sq["intensity_y"], rel=1e-11, abs=0.0)
+    assert opt.var_min_angle == pytest.approx(at_t_sq["var_x_min_angle"], rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("kind,n,phi", [("nondegenerate", 0.3, 0.0), ("degenerate", 4.0 * math.sqrt(2.0), 1.0),
                                          ("degenerate", 46.477, 1.0)])
 def test_newton_refinement_ends_when_its_step_rounds_to_zero(kind, n, phi, monkeypatch):
@@ -386,8 +426,8 @@ def test_refinement_bisects_without_positive_curvature(monkeypatch):
 
     def no_curvature(self, tau):
         calls.append(tau)
-        value, slope, _ = original(self, tau)
-        return value, slope, -1.0
+        value, slope, _, *at_tau = original(self, tau)
+        return value, slope, -1.0, *at_tau
 
     monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", no_curvature)
     bisected = find_optimal_squeezing(cfg)

@@ -109,9 +109,8 @@ def cmd_simulate(config: dict, out: Path) -> int:
     grid = np.linspace(0.0, config["t_max"], config["points"])
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError(f"--t-max {config['t_max']} is too small for {config['points']} distinct times")
-    ev = BlockEvolution(osc)  # one eigensolve serves the optimum search and the trajectory
-    opt = ev.optimal_squeezing()
-    result = ev.observables(grid)
+    opt = find_optimal_squeezing(osc)
+    result = BlockEvolution(osc).observables(grid)  # on the search's memoized block solves
     _write_csv(
         out / "trajectory.csv",
         ["t", "var_X", "intensity_Y", "pump_n"],

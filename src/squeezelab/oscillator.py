@@ -144,15 +144,15 @@ def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) 
     return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
-def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sigma², U, MU)`` of the real zero-diagonal tridiagonal ``J`` with off-diagonal ``couplings``.
+def _sublattice_solve(couplings: np.ndarray) -> tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray]:
+    """``(on_a, on_b, sigma², U, MU)`` of the real zero-diagonal tridiagonal ``J`` with off-diagonal ``couplings``.
 
     ``J`` is bipartite.  Sublattice A holds the sites of the parity of the
-    last site, B the others, and ``M = J_BA``.  ``J²`` restricted to A is
-    the tridiagonal ``MᵀM = U diag(sigma²) Uᵀ``: over the A sites ``k`` its
-    diagonal is ``b[k-1]² + b[k]²`` and its off-diagonal ``b[k] b[k+1]``
-    (Golub and Kahan's link between a zero-diagonal tridiagonal and a
-    bidiagonal SVD).  ``MU`` takes two shifted row scalings of ``U``.
+    last site (the slice ``on_a``), B the others (``on_b``), and ``M = J_BA``.
+    ``J²`` restricted to A is the tridiagonal ``MᵀM = U diag(sigma²) Uᵀ``: over
+    the A sites ``k`` its diagonal is ``b[k-1]² + b[k]²`` and its off-diagonal
+    ``b[k] b[k+1]`` (Golub and Kahan's link between a zero-diagonal tridiagonal
+    and a bidiagonal SVD).  ``MU`` takes two shifted row scalings of ``U``.
 
     Only the columns the start site (the last one) sees are kept: the
     lowest ``k``, where ``k`` counts the columns ``j`` whose start-site
@@ -161,21 +161,20 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     amplitude of a block started as ``c e_last`` by at most
     ``|c| sqrt(START_WEIGHT_TAIL)``.
     """
-    d = couplings.size + 1
-    p = (d - 1) % 2  # first A site
-    padded = np.concatenate(([0.0], couplings, [0.0]))  # padded[k] = b[k-1]
-    sq = padded * padded
-    sigma2, u = eigh_tridiagonal(sq[p:d:2] + sq[p + 1::2], padded[p + 1:d - 1:2] * padded[p + 2:d:2])
+    b = couplings
+    p = b.size % 2  # first A site
+    on_a, on_b = slice(p, None, 2), slice(1 - p, None, 2)
+    sq = np.concatenate(([0.0], b * b, [0.0]))  # sq[k] = b[k-1]², 0 past either end
+    sigma2, u = eigh_tridiagonal((sq[:-1] + sq[1:])[on_a], (b[:-1] * b[1:])[on_a])
     tail = np.cumsum(u[-1, ::-1] ** 2)[::-1]
     k = np.count_nonzero(tail > START_WEIGHT_TAIL)
     sigma2, u = sigma2[:k], u[:, :k].copy()  # a copy, so that the full U is freed
-    b = couplings
     if p == 0:  # B site 2m + 1 sits between A sites m and m + 1
         mu = b[0::2, None] * u[:-1] + b[1::2, None] * u[1:]
     else:  # B site 2m sits between A sites m - 1 and m
         mu = b[0::2, None] * u
         mu[1:] += b[1::2, None] * u[:-1]
-    return sigma2, u, mu
+    return on_a, on_b, sigma2, u, mu
 
 
 @dataclass(frozen=True)
@@ -244,11 +243,9 @@ def _shared_solve(kind: OscillatorKind, charge: int) -> _BlockSolve:
     if (kind, charge) in _solve_cache:
         return _solve_cache[kind, charge]
     couplings = _block_couplings(kind, charge)
-    sigma2, u, mu = _sublattice_solve(couplings)
+    on_a, on_b, sigma2, u, mu = _sublattice_solve(couplings)
     sigma = np.sqrt(np.maximum(sigma2, 0.0))
     inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
-    p = couplings.size % 2
-    on_a, on_b = slice(p, None, 2), slice(1 - p, None, 2)
     occ = np.stack((np.ones(couplings.size + 1), *_block_occupations(kind, charge)))  # 1, sub-harmonic, pump
     sub = occ[1]
     if kind == "degenerate":
@@ -314,11 +311,12 @@ class BlockEvolution:
 
     The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
     also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
-    of ``var_x``, which :meth:`optimal_squeezing` never forms: it works in
-    ``tau = kappa t``.  A block's solve depends on ``(kind, charge)`` only; N
-    enters through ``|c_K|`` and the start vector ``w0``.  So the solves are kept,
-    read-only, and reused by every later run of the same kind at any coupling
-    (:func:`_shared_solve`): about 11 MiB for both kinds at N <= 121.
+    of ``var_x``, which the optimum search (:func:`find_optimal_squeezing`)
+    never forms: it works in ``tau = kappa t``.  A block's solve depends on
+    ``(kind, charge)`` only; N enters through ``|c_K|`` and the start vector
+    ``w0``.  So the solves are kept, read-only, and reused by every later run
+    of the same kind at any coupling (:func:`_shared_solve`): about 11 MiB for
+    both kinds at N <= 121.
     """
 
     def __init__(self, cfg: OscillatorConfig):
@@ -389,16 +387,6 @@ class BlockEvolution:
     def var_x_at(self, t: float) -> float:
         return self.observables_at(t)["var_x"]
 
-    def var_x_derivatives(self, t: float) -> tuple[float, float, float]:
-        """``var_x`` and its first and second time derivatives at one time, as floats, in one pass over the blocks.
-
-        They are those of :meth:`_var_x_tau_derivatives` at ``tau = kappa t``,
-        times ``kappa`` and ``kappa²``.
-        """
-        kappa = self.cfg.coupling
-        value, slope, curvature = self._var_x_tau_derivatives(kappa * t)[:3]
-        return value, kappa * slope, kappa * kappa * curvature
-
     def _var_x_tau_derivatives(self, tau: float) -> tuple[float, float, float, float, float]:
         """``var_x``, its first two ``tau``-derivatives, ``intensity_y`` and ``var_x_min_angle`` at one ``tau``, as floats.
 
@@ -435,100 +423,6 @@ class BlockEvolution:
         return self.cfg.coupling * math.sqrt(sum(
             blk.amp ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
         ))
-
-    def optimal_squeezing(self) -> OptimalSqueezing:
-        """Locate the time of maximal sub-harmonic squeezing.
-
-        The search runs in ``tau = kappa t`` and divides by ``kappa`` once, for
-        ``t_sq`` and the scan's times.  It scans ``GRID_POINTS`` = 32 times over
-        ``[0, 5 / sqrt(max(N, 1))]`` (:func:`_first_window`, the undepleted-pump
-        timescale), doubling the window up to ``MAX_EXTENSIONS``
-        times until the lowest ``var_x`` is below ``1 - 1e-12`` at an interior
-        point ``t_i``; then it solves ``var_x'(t) = 0`` in ``(t_{i-1}, t_{i+1})``
-        by Newton steps on the analytic ``tau``-derivatives of ``var_x``.  A step
-        is taken when ``var_x'' > 0`` and it stays inside the bracket, which
-        shrinks by the sign of ``var_x'`` on every pass; otherwise the bracket is
-        bisected.  It stops when ``var_x'`` is 0, a Newton step rounds to zero
-        or a step is at most 1e-12 of ``tau``, after at most
-        ``MAX_NEWTON_PASSES`` passes.  ``var_min`` is
-        ``var_x`` of the last pass, at most that last step from ``t_sq``, where
-        ``var_x'`` vanishes, so the two differ only at second order.  The
-        intensity and ``var_x_min_angle`` come from the same pass, at first
-        order.  Scans and passes sum through one body, :meth:`_sums`, so a
-        scan's ``var_x`` and a pass's value at the same time round alike.  This
-        propagator serves the scans and the refinement, and the result keeps no
-        reference to it.
-
-        The coarse scan can step over the shallow early dip of ``var_x`` that a
-        pump phase near ``pi/2`` leaves, at about ``t = cos(phi) / (2 kappa
-        sqrt(N))``.  So when the scan's lowest ``var_x`` is at ``t = 0`` or not
-        below ``1 - 1e-12``, ``var_x'`` is negative at 0 (``cos(phi) > 0``,
-        ``N > 0``) and positive at the first scan time ``t_1``, the search
-        refines in ``(0, t_1)`` instead.
-
-        A run whose angle-optimized variance never drops below ``1 - 1e-12`` on
-        the first window (vacuum pump) is stationary and returns ``t_sq = 0``,
-        ``var_min = 1``.  Otherwise ``ValueError`` is raised when the scan's
-        lowest ``var_x`` is at ``t = 0`` or not below ``1 - 1e-12`` and the
-        slopes do not bracket ``(0, t_1)`` as above, or when the refined
-        ``var_min`` is not below ``1 - 1e-12`` (at ``phi = pi/2`` the dip is
-        about 1e-33 deep).  No interior minimum after the doublings raises
-        ``RuntimeError``.
-        """
-        kappa = self.cfg.coupling
-        tau_max = _first_window(self.cfg)
-        for _ in range(MAX_EXTENSIONS + 1):
-            tau = np.linspace(0.0, tau_max, GRID_POINTS)
-            result = self.observables(tau / kappa)
-            i = int(np.argmin(result.var_x))
-            if i == 0 or result.var_x[i] > 1.0 - 1e-12:
-                if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
-                    # stationary run (vacuum pump): nothing to refine
-                    return OptimalSqueezing(0.0, 1.0, phase_resolution(0.0, 1.0), 1.0, 0.0, result)
-                lo, hi = 0.0, float(tau[1])
-                if not self._var_x_tau_derivatives(lo)[1] < 0.0 < self._var_x_tau_derivatives(hi)[1]:
-                    raise self._away_from_x(tau_max / kappa)
-                tau_sq = 0.5 * hi
-                break
-            if i < GRID_POINTS - 1:
-                lo, tau_sq, hi = (float(x) for x in tau[i - 1:i + 2])
-                break
-            tau_max *= 2.0
-        else:
-            raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
-
-        for _ in range(MAX_NEWTON_PASSES):
-            var_min, slope, curvature, intensity, var_min_angle = self._var_x_tau_derivatives(tau_sq)
-            if slope == 0.0:
-                break
-            if slope > 0.0:
-                hi = tau_sq
-            else:
-                lo = tau_sq
-            newton = tau_sq - slope / curvature if curvature > 0.0 else math.nan
-            if newton == tau_sq:  # the step rounds to zero: converged at tau_sq
-                break
-            tau_new = newton if lo < newton < hi else 0.5 * (lo + hi)
-            converged = abs(tau_new - tau_sq) <= 1e-12 * tau_sq
-            tau_sq = tau_new
-            if converged:
-                break
-        if var_min > 1.0 - 1e-12:
-            raise self._away_from_x(tau_max / kappa)
-        return OptimalSqueezing(
-            t_sq=tau_sq / kappa,
-            var_min=var_min,
-            resolution=phase_resolution(intensity, var_min),
-            var_min_angle=var_min_angle,
-            s_min_angle=phase_resolution(intensity, var_min_angle).s,
-            evolution=result,
-        )
-
-    def _away_from_x(self, t_max: float) -> ValueError:
-        return ValueError(
-            f"pump phase {self.cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
-            f"drops below 1 on [0, {t_max:.6g}]; use a pump phase near 0"
-        )
 
 
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
@@ -573,16 +467,100 @@ class OptimalSqueezing:
     evolution: EvolutionResult
 
 
-def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
-    """Locate the time of maximal sub-harmonic squeezing: :meth:`BlockEvolution.optimal_squeezing` of a new propagator.
+def _minimize_var_x(scan, refine, window: float):
+    """The minimum of ``var_x`` over ``tau`` from a read-out: ``((tau_sq, refine(tau)) or None, last scan)``.
 
-    A 32-point window scan brackets the minimum of ``var_x`` and Newton steps
-    refine it; a pump phase near ``pi/2``, whose shallow dip the scan steps
-    over, is refined in ``(0, t_1)``.  ``ValueError`` when ``var_x`` does not
-    drop below ``1 - 1e-12`` (see the method for the exact condition),
+    ``scan(taus)`` gives a record with ``var_x`` and ``var_x_min_angle`` arrays;
+    ``refine(tau)`` gives ``var_x``, its first two ``tau``-derivatives, the
+    intensity and ``var_x_min_angle`` at one time.  Scans of ``GRID_POINTS`` =
+    32 times over ``[0, window]``, the window doubled up to ``MAX_EXTENSIONS``
+    times, bracket the lowest ``var_x`` below ``1 - 1e-12`` at an interior
+    ``tau_i``; Newton steps then solve ``var_x' = 0`` in ``(tau_{i-1}, tau_{i+1})``.
+    A step is taken when ``var_x'' > 0`` and it stays inside the bracket, which
+    shrinks by the sign of ``var_x'`` on every pass; otherwise the bracket is
+    bisected.  The passes stop when ``var_x'`` is 0, a step rounds to zero or is
+    at most 1e-12 of ``tau``, or after ``MAX_NEWTON_PASSES``.  The last pass is
+    at most that last step from ``tau_sq``, where ``var_x'`` vanishes, so its
+    ``var_x`` differs at second order, its intensity and ``var_x_min_angle`` at first.
+
+    When the lowest scanned ``var_x`` is at 0 or not below ``1 - 1e-12``, a
+    ``var_x_min_angle`` that never drops below it either is stationary, ``(0,
+    (1, 0, 0, 0, 1))``; slopes negative at 0 and positive at ``tau_1`` bracket
+    a dip the scan stepped over, refined in ``(0, tau_1)``; otherwise, or when
+    the refined ``var_x`` is not below ``1 - 1e-12``, the optimum is ``None``.
+    No interior minimum after the doublings raises ``RuntimeError``.
+    """
+    tau_max = window
+    for _ in range(MAX_EXTENSIONS + 1):
+        tau = np.linspace(0.0, tau_max, GRID_POINTS)
+        result = scan(tau)
+        i = int(np.argmin(result.var_x))
+        if i == 0 or result.var_x[i] > 1.0 - 1e-12:
+            if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
+                return (0.0, (1.0, 0.0, 0.0, 0.0, 1.0)), result
+            lo, hi = 0.0, float(tau[1])
+            if not refine(lo)[1] < 0.0 < refine(hi)[1]:
+                return None, result
+            tau_sq = 0.5 * hi
+            break
+        if i < GRID_POINTS - 1:
+            lo, tau_sq, hi = (float(x) for x in tau[i - 1:i + 2])
+            break
+        tau_max *= 2.0
+    else:
+        raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
+
+    for _ in range(MAX_NEWTON_PASSES):
+        at_tau = refine(tau_sq)
+        _, slope, curvature = at_tau[:3]
+        if slope == 0.0:
+            break
+        if slope > 0.0:
+            hi = tau_sq
+        else:
+            lo = tau_sq
+        newton = tau_sq - slope / curvature if curvature > 0.0 else math.nan
+        if newton == tau_sq:  # the step rounds to zero: converged at tau_sq
+            break
+        tau_new = newton if lo < newton < hi else 0.5 * (lo + hi)
+        converged = abs(tau_new - tau_sq) <= 1e-12 * tau_sq
+        tau_sq = tau_new
+        if converged:
+            break
+    return (None if at_tau[0] > 1.0 - 1e-12 else (tau_sq, at_tau)), result
+
+
+def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
+    """Locate the time of maximal sub-harmonic squeezing of one run.
+
+    :func:`_minimize_var_x` searches in ``tau = kappa t`` over one
+    :class:`BlockEvolution`: its scans are :meth:`~BlockEvolution.observables`
+    at ``tau / kappa``, its passes :meth:`~BlockEvolution._var_x_tau_derivatives`,
+    and its first window is :func:`_first_window`, the undepleted-pump timescale.
+    A pump phase near ``pi/2`` leaves a shallow dip of ``var_x`` at about ``t =
+    cos(phi) / (2 kappa sqrt(N))``, before the first scan time.  A vacuum pump
+    gives ``t_sq = 0``, ``var_min = 1``.  ``ValueError`` when ``var_x`` does not
+    drop below ``1 - 1e-12`` (at ``phi = pi/2`` the dip is about 1e-33 deep),
     ``RuntimeError`` when no interior minimum is found.
     """
-    return BlockEvolution(cfg).optimal_squeezing()
+    ev = BlockEvolution(cfg)
+    kappa = cfg.coupling
+    optimum, scan = _minimize_var_x(lambda tau: ev.observables(tau / kappa), ev._var_x_tau_derivatives,
+                                    _first_window(cfg))
+    if optimum is None:
+        raise ValueError(
+            f"pump phase {cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
+            f"drops below 1 on [0, {scan.times[-1]:.6g}]; use a pump phase near 0"
+        )
+    tau_sq, (var_min, _, _, intensity, var_min_angle) = optimum
+    return OptimalSqueezing(
+        t_sq=tau_sq / kappa,
+        var_min=var_min,
+        resolution=phase_resolution(intensity, var_min),
+        var_min_angle=var_min_angle,
+        s_min_angle=phase_resolution(intensity, var_min_angle).s,
+        evolution=scan,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import squeezelab.cli as cli
-from squeezelab import OscillatorConfig, resolution_surface
+from squeezelab import OscillatorConfig, oscillator, resolution_surface
 from squeezelab.cli import main, parse_range
 from squeezelab.crosscheck import relative_error
 from squeezelab.oscillator import BlockEvolution, default_t_max
@@ -46,8 +46,13 @@ def test_simulate_writes_trajectory(tmp_path):
     assert summary["S"] > 1.0
 
 
-def test_simulate_default_window_builds_one_propagator(tmp_path, monkeypatch):
-    """With the default points and t_max, one propagator serves the search and the trajectory, evolve() on that grid."""
+def _solves_each_kept_block_once(solves, osc):
+    sizes = [args[0].size for args in solves]  # a block's coupling count is half its charge
+    return len(set(sizes)) == len(sizes) == len(BlockEvolution(osc).blocks)
+
+
+def test_simulate_default_window_solves_each_block_once(tmp_path, monkeypatch, count_calls):
+    """With the default points and t_max, the search and the trajectory share the block solves, evolve() on that grid."""
     from squeezelab.oscillator import evolve
 
     osc = OscillatorConfig("degenerate", 16.0)
@@ -58,17 +63,11 @@ def test_simulate_default_window_builds_one_propagator(tmp_path, monkeypatch):
         ["t", "var_X", "intensity_Y", "pump_n"],
         zip(want.times, want.var_x, want.intensity_y, want.pump_n),
     )
-    builds = []
-    original = BlockEvolution.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockEvolution, "__init__", counting)
+    monkeypatch.setattr(oscillator, "_solve_cache", {})
+    solves = count_calls(oscillator, "_sublattice_solve")
     out = tmp_path / "out"
     assert main(["simulate", "--kind", "degenerate", "--N", "16", "--outdir", str(out)]) == 0
-    assert len(builds) == 1
+    assert _solves_each_kept_block_once(solves, osc)
     assert read_json(out / "summary.json")["config"]["t_max"] == default_t_max(osc)
     assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + grid.size
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -315,10 +314,10 @@ def test_truncation_failure_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--points", "57", "--t-max", "0.9"]])
-def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypatch, extra):
+def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypatch, count_calls, extra):
     """trajectory.csv is evolve() on the requested grid, the default one included."""
     from squeezelab import cli
-    from squeezelab.oscillator import BlockEvolution, OscillatorConfig, evolve, find_optimal_squeezing
+    from squeezelab.oscillator import OscillatorConfig, evolve, find_optimal_squeezing
 
     osc = OscillatorConfig("nondegenerate", 30.0)
     opt = find_optimal_squeezing(osc)
@@ -329,16 +328,10 @@ def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypat
         ["t", "var_X", "intensity_Y", "pump_n"],
         zip(want.times, want.var_x, want.intensity_y, want.pump_n),
     )
-    builds = []
-    original = BlockEvolution.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockEvolution, "__init__", counting)
+    monkeypatch.setattr(oscillator, "_solve_cache", {})
+    solves = count_calls(oscillator, "_sublattice_solve")
     assert main(["simulate", "--kind", "nondegenerate", "--N", "30", *extra, "--outdir", str(tmp_path)]) == 0
-    assert len(builds) == 1  # the optimum search and a requested grid share one eigensolve
+    assert _solves_each_kept_block_once(solves, osc)  # the optimum search and a requested grid share the solves
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     summary = read_json(tmp_path / "summary.json")
     assert (summary["t_sq"], summary["var_min"], summary["S"]) == (opt.t_sq, opt.var_min, opt.resolution.s)

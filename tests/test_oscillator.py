@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
-from squeezelab.oscillator import MAX_NEWTON_PASSES, _solve_block
+from squeezelab.oscillator import MAX_EXTENSIONS, MAX_NEWTON_PASSES, _first_window, _minimize_var_x, _solve_block
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -153,13 +154,21 @@ def test_energy_flows_out_of_pump():
     assert obs["intensity_y"] > 0.0
 
 
+def _energy_square(ev, t):
+    """<H²> = sum_q ||H_q v_q(t)||² of the block states at time ``t``."""
+    return sum(
+        np.linalg.norm(hamiltonian_block(ev.cfg.kind, q, ev.cfg.coupling) @ v) ** 2 for q, v in ev.propagate(t).items()
+    )
+
+
 def test_conservation_along_trajectory():
     cfg = OscillatorConfig("degenerate", 16.0)
     result = evolve(cfg, np.linspace(0.0, 1.5, 60))
     assert np.max(np.abs(result.norm - 1.0)) < 1e-9
     assert np.max(np.abs(result.charge - result.charge[0])) / result.charge[0] < 1e-9
-    scale = BlockEvolution(cfg).energy_scale()
-    assert np.max(np.abs(result.energy - result.energy[0])) < 1e-9 * scale
+    ev = BlockEvolution(cfg)
+    for t in result.times:
+        assert _energy_square(ev, float(t)) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9), t
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
@@ -287,15 +296,8 @@ def test_evolution_csv_observables_positive():
     assert np.all(result.pump_n >= -1e-12)
 
 
-def test_optimum_search_builds_one_propagator(monkeypatch):
-    builds = []
-    original = BlockEvolution.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockEvolution, "__init__", counting)
+def test_optimum_search_builds_one_propagator(count_calls):
+    builds = count_calls(BlockEvolution, "__init__")
     for cfg in (OscillatorConfig("degenerate", 9.0), OscillatorConfig("nondegenerate", 0.0)):
         builds.clear()
         opt = find_optimal_squeezing(cfg)
@@ -322,9 +324,9 @@ def test_var_x_derivatives_match_finite_differences(kind, n):
     for coupling in (1.0, 0.7, 2.5):
         ev = BlockEvolution(OscillatorConfig(kind, n, coupling))
         for t in np.array([0.3, 1.1, 2.5]) / (coupling * math.sqrt(n)):
-            derivatives = ev.var_x_derivatives(float(t))
+            derivatives = ev._var_x_tau_derivatives(coupling * float(t))
             assert all(type(x) is float for x in derivatives)
-            value, slope, curvature = derivatives
+            value, slope, curvature = derivatives[0], coupling * derivatives[1], coupling**2 * derivatives[2]
             h = 1e-3 * t
             plus, mid, minus = ev.var_x_at(t + h), ev.var_x_at(t), ev.var_x_at(t - h)
             assert value == pytest.approx(mid, abs=1e-13)
@@ -334,21 +336,14 @@ def test_var_x_derivatives_match_finite_differences(kind, n):
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("n", [1.0, 4.0, 22.0, 121.0])
-def test_newton_refinement_against_golden_section(kind, n, monkeypatch):
+def test_newton_refinement_against_golden_section(kind, n, count_calls):
     """Few derivative passes; var_x' vanishes at t_sq; no worse than a tight golden-section search."""
-    calls = []
-    original = BlockEvolution._var_x_tau_derivatives
-
-    def counting(self, tau):
-        calls.append(self)
-        return original(self, tau)
-
-    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", counting)
+    calls = count_calls(BlockEvolution, "_var_x_tau_derivatives")
     opt = find_optimal_squeezing(OscillatorConfig(kind, n))
     assert 1 <= len(calls) <= 8
     assert type(opt.t_sq) is float
-    ev = calls[0]
-    _, slope, curvature = ev.var_x_derivatives(opt.t_sq)
+    ev = calls[0][0]
+    _, slope, curvature = ev._var_x_tau_derivatives(opt.t_sq)[:3]  # coupling 1: tau = t
     assert curvature > 0.0
     assert abs(slope) <= 1e-12 * curvature * opt.t_sq  # a Newton step below 1e-12 of t_sq
 
@@ -373,28 +368,23 @@ def test_scan_and_derivative_pass_round_alike_near_the_optimum(kind, n):
     21-time and a 5-column read differently, about an ulp each, so each squared
     or paired term by about ``2 eps``: at most ``4 eps (1 + 2n)`` in all.
     """
-    ev = BlockEvolution(OscillatorConfig(kind, n))
-    grid = ev.observables(ev.optimal_squeezing().t_sq * np.linspace(0.95, 1.05, 21))
+    cfg = OscillatorConfig(kind, n)
+    ev = BlockEvolution(cfg)
+    grid = ev.observables(find_optimal_squeezing(cfg).t_sq * np.linspace(0.95, 1.05, 21))
     eps = np.finfo(float).eps
-    for t, var_x, n_sub in zip(grid.times, grid.var_x, grid.intensity_y):
-        assert abs(var_x - ev.var_x_derivatives(float(t))[0]) <= 4.0 * eps * (1.0 + 2.0 * n_sub), t
+    for t, var_x, n_sub in zip(grid.times, grid.var_x, grid.intensity_y):  # coupling 1: tau = t
+        assert abs(var_x - ev._var_x_tau_derivatives(float(t))[0]) <= 4.0 * eps * (1.0 + 2.0 * n_sub), t
 
 
 @pytest.mark.parametrize("phi", [0.0, math.pi])
-def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi, monkeypatch):
+def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi, count_calls):
     """At pump phase pi the window doubles once; ``intensity_y`` and ``var_x_min_angle`` come from the last pass."""
-    calls = {"observables": 0, "observables_at": 0}
-    for name in calls:
-        def counting(self, *args, _name=name, _original=getattr(BlockEvolution, name)):
-            calls[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(BlockEvolution, name, counting)
+    scans, points = count_calls(BlockEvolution, "observables"), count_calls(BlockEvolution, "observables_at")
     cfg = OscillatorConfig("nondegenerate", 4.0, pump_phase=phi)
     opt = find_optimal_squeezing(cfg)
     windows = round(math.log2(opt.evolution.times[-1] / default_t_max(cfg))) + 1
     assert windows == (2 if phi else 1)
-    assert calls == {"observables": windows, "observables_at": 0}
+    assert (len(scans), len(points)) == (windows, 0)
     at_t_sq = BlockEvolution(cfg).observables_at(opt.t_sq)  # the last pass is at most 1e-12 t_sq from t_sq
     assert opt.resolution.intensity_y == pytest.approx(at_t_sq["intensity_y"], rel=1e-11, abs=0.0)
     assert opt.var_min_angle == pytest.approx(at_t_sq["var_x_min_angle"], rel=1e-11, abs=0.0)
@@ -402,38 +392,95 @@ def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi,
 
 @pytest.mark.parametrize("kind,n,phi", [("nondegenerate", 0.3, 0.0), ("degenerate", 4.0 * math.sqrt(2.0), 1.0),
                                          ("degenerate", 46.477, 1.0)])
-def test_newton_refinement_ends_when_its_step_rounds_to_zero(kind, n, phi, monkeypatch):
+def test_newton_refinement_ends_when_its_step_rounds_to_zero(kind, n, phi, count_calls):
     """A Newton step that leaves t_sq unchanged ends the search; bisecting away from it took 17-36 passes."""
-    calls = []
-    original = BlockEvolution._var_x_tau_derivatives
-
-    def counting(self, tau):
-        calls.append(tau)
-        return original(self, tau)
-
-    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", counting)
+    calls = count_calls(BlockEvolution, "_var_x_tau_derivatives")
     opt = find_optimal_squeezing(OscillatorConfig(kind, n, pump_phase=phi))
     assert 1 <= len(calls) <= 8
     assert opt.var_min < 1.0 - 1e-12
 
 
-def test_refinement_bisects_without_positive_curvature(monkeypatch):
+def test_refinement_bisects_without_positive_curvature():
     """With every Newton step refused, bisection on the sign of var_x' reaches the same optimum."""
     cfg = OscillatorConfig("degenerate", 4.0)
     newton = find_optimal_squeezing(cfg)
+    ev = BlockEvolution(cfg)
     calls = []
-    original = BlockEvolution._var_x_tau_derivatives
 
-    def no_curvature(self, tau):
+    def no_curvature(tau):
         calls.append(tau)
-        value, slope, _, *at_tau = original(self, tau)
+        value, slope, _, *at_tau = ev._var_x_tau_derivatives(tau)
         return value, slope, -1.0, *at_tau
 
-    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", no_curvature)
-    bisected = find_optimal_squeezing(cfg)
+    (tau_sq, (var_min, *_)), _ = _minimize_var_x(ev.observables, no_curvature, _first_window(cfg))  # coupling 1
     assert 8 < len(calls) <= MAX_NEWTON_PASSES
-    assert bisected.t_sq == pytest.approx(newton.t_sq, rel=1e-10)
-    assert bisected.var_min == pytest.approx(newton.var_min, abs=1e-14)
+    assert tau_sq == pytest.approx(newton.t_sq, rel=1e-10)
+    assert var_min == pytest.approx(newton.var_min, abs=1e-14)
+
+
+def _made_up(coef, angle=None, curvature=None):
+    """A read-out whose ``var_x`` is the polynomial ``coef`` in ``tau``, and the list of its passes' times.
+
+    ``var_x_min_angle`` is ``angle`` when given, else ``var_x``; ``curvature`` replaces ``var_x''`` when given.
+    """
+    poly = np.polynomial.Polynomial(coef)
+    passes = []
+
+    def scan(taus):
+        var_x = poly(taus)
+        return SimpleNamespace(var_x=var_x, var_x_min_angle=var_x if angle is None else np.full_like(var_x, angle))
+
+    def refine(tau):
+        passes.append(tau)
+        d2 = float(poly.deriv(2)(tau)) if curvature is None else curvature
+        return float(poly(tau)), float(poly.deriv()(tau)), d2, 0.25, float(poly(tau)) - 0.5
+
+    return scan, refine, passes
+
+
+@pytest.mark.parametrize("curvature", [None, 0.0, -1.0])
+def test_minimize_var_x_finds_a_parabolas_minimum(curvature):
+    """``var_x = 0.5 + (tau - 0.3)²``: Newton steps, or bisection without positive curvature, reach ``tau = 0.3``."""
+    scan, refine, passes = _made_up([0.59, -0.6, 1.0], curvature=curvature)
+    (tau_sq, at_tau), last = _minimize_var_x(scan, refine, 1.0)
+    assert tau_sq == pytest.approx(0.3, rel=1e-12 if curvature is None else 1e-10, abs=0.0)
+    assert at_tau[0] == pytest.approx(0.5, abs=1e-15) and at_tau[3:] == (0.25, at_tau[0] - 0.5)
+    assert len(last.var_x) == oscillator.GRID_POINTS
+    assert (len(passes) <= 3) if curvature is None else (8 < len(passes) <= MAX_NEWTON_PASSES)
+
+
+def test_minimize_var_x_refines_a_dip_no_scan_point_sees():
+    """``var_x = 1 + tau (tau - 0.02)`` bottoms at 0.01, inside ``(0, tau_1 = 1/31)``, and is above 1 at every scan time."""
+    scan, refine, passes = _made_up([1.0, -0.02, 1.0], angle=0.5)
+    (tau_sq, at_tau), last = _minimize_var_x(scan, refine, 1.0)
+    assert np.min(last.var_x) == 1.0
+    assert passes[:2] == [0.0, 1.0 / 31.0]  # the slopes bracket (0, tau_1)
+    assert tau_sq == pytest.approx(0.01, rel=1e-12, abs=0.0)
+    assert at_tau[0] == pytest.approx(1.0 - 1e-4, rel=1e-15)
+
+
+def test_minimize_var_x_stationary_read_out():
+    """A flat ``var_x = var_x_min_angle = 1``, as a vacuum pump gives, is stationary: no pass is made."""
+    scan, refine, passes = _made_up([1.0])
+    (tau_sq, at_tau), last = _minimize_var_x(scan, refine, 1.0)
+    assert (tau_sq, at_tau, passes) == (0.0, (1.0, 0.0, 0.0, 0.0, 1.0), [])
+    assert np.all(last.var_x == 1.0)
+
+
+@pytest.mark.parametrize("coef", [[1.0, 0.0, 1.0], [1.0, -2e-16, 1e-14]], ids=["rising", "too-shallow-dip"])
+def test_minimize_var_x_reports_var_x_never_below_1(coef):
+    """A ``var_x`` that only rises, or whose dip in ``(0, tau_1)`` stays above ``1 - 1e-12``, squeezes only away from x."""
+    scan, refine, _ = _made_up(coef, angle=0.5)
+    optimum, last = _minimize_var_x(scan, refine, 1.0)
+    assert optimum is None and len(last.var_x) == oscillator.GRID_POINTS
+
+
+def test_minimize_var_x_gives_up_past_the_last_window():
+    """``var_x = 1 + 1e-6 tau (tau - 2000)`` falls to ``tau = 1000``, past ``2^MAX_EXTENSIONS = 256`` first windows."""
+    scan, refine, passes = _made_up([1.0, -2e-3, 1e-6])
+    with pytest.raises(RuntimeError, match="window extension exhausted"):
+        _minimize_var_x(scan, refine, 1.0)
+    assert passes == [] and 2.0**MAX_EXTENSIONS < 1000.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -445,11 +492,12 @@ def test_refinement_bisects_without_positive_curvature(monkeypatch):
 @example(kind="degenerate", n=121.0, pump_phase=1.5)  # the early dip lies before the first scan time
 def test_coarse_bracket_finds_the_minimum_property(kind, n, pump_phase):
     """The 32-point bracket refines to ``var_x' = 0`` at the lowest ``var_x`` a 400-point scan of its window sees."""
-    ev = BlockEvolution(OscillatorConfig(kind, n, pump_phase=pump_phase))
-    opt = ev.optimal_squeezing()
+    cfg = OscillatorConfig(kind, n, pump_phase=pump_phase)
+    ev = BlockEvolution(cfg)
+    opt = find_optimal_squeezing(cfg)
     fine = ev.observables(np.linspace(0.0, opt.evolution.times[-1], 400))
     assert opt.var_min <= np.min(fine.var_x) + 1e-12
-    _, slope, curvature = ev.var_x_derivatives(opt.t_sq)
+    _, slope, curvature = ev._var_x_tau_derivatives(opt.t_sq)[:3]  # coupling 1: tau = t
     assert abs(slope) <= 1e-12 * curvature * opt.t_sq
 
 
@@ -488,13 +536,14 @@ def test_early_dip_near_half_pi_is_bracketed_before_the_first_scan_time(kind, n,
     t_unit=strategies.floats(0.0, 3.0),
 )
 def test_conservation_property(kind, n, t_unit):
-    """Norm, charge and energy through observables, at random runs."""
+    """Norm and charge through observables, and <H²> of the states at the same times, at random runs."""
     cfg = OscillatorConfig(kind, n)
     ev = BlockEvolution(cfg)
     result = ev.observables(np.linspace(0.0, t_unit / math.sqrt(n), 4))
     assert np.max(np.abs(result.norm**2 - 1.0)) < 1e-9
     assert np.max(np.abs(result.charge - result.charge[0])) < 1e-9 * result.charge[0]
-    assert np.max(np.abs(result.energy - result.energy[0])) < 1e-9 * ev.energy_scale()
+    for t in result.times:
+        assert _energy_square(ev, float(t)) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9), t
 
 
 @settings(max_examples=12, deadline=None)
@@ -509,10 +558,7 @@ def test_energy_square_conserved_property(kind, n, coupling, t_unit):
     cfg = OscillatorConfig(kind, n, coupling)
     ev = BlockEvolution(cfg)
     t = t_unit / (coupling * math.sqrt(n))
-    h_squared = sum(
-        np.linalg.norm(hamiltonian_block(kind, q, cfg.coupling) @ v) ** 2 for q, v in ev.propagate(t).items()
-    )
-    assert h_squared == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
+    assert _energy_square(ev, t) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
 
 
 def _block_of_dim(kind, dim, amp=1.0):
@@ -604,7 +650,7 @@ def _same_optimum(a, b) -> bool:
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("coupling", [1.0, 0.7])
-def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkeypatch):
+def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkeypatch, count_calls):
     """An ascending then a descending sweep on one memo give the bits of a fresh memo per point."""
     n_values = [float(n) for n in np.geomspace(4.0, 121.0, 5)]
     cold = {}
@@ -614,9 +660,7 @@ def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkey
     monkeypatch.setattr(oscillator, "_solve_cache", {})
     for n in n_values:
         assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n, coupling)), cold[n]), n
-    solves = []
-    original = oscillator._sublattice_solve
-    monkeypatch.setattr(oscillator, "_sublattice_solve", lambda b: solves.append(b.size) or original(b))
+    solves = count_calls(oscillator, "_sublattice_solve")
     for n in reversed(n_values):
         assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n, coupling)), cold[n]), n
     assert solves == []  # the ascending sweep solved every block the descending one needs
@@ -633,15 +677,13 @@ def test_memoized_solve_is_read_only():
     assert np.array_equal(again.w0, 2.0 * blk.u[-1]) and np.array_equal(blk.w0, 0.5 * blk.u[-1])
 
 
-def test_other_coupling_reuses_the_solves(monkeypatch):
+def test_other_coupling_reuses_the_solves(monkeypatch, count_calls):
     """The memo holds coupling-1 solves by (kind, charge): a run at coupling 0.7 after one at 1 solves nothing."""
     monkeypatch.setattr(oscillator, "_solve_cache", {})
     find_optimal_squeezing(OscillatorConfig("degenerate", 22.0))
     keys = set(oscillator._solve_cache)
     assert keys and all(kind == "degenerate" for kind, _ in keys)
-    solves = []
-    original = oscillator._sublattice_solve
-    monkeypatch.setattr(oscillator, "_sublattice_solve", lambda b: solves.append(b.size) or original(b))
+    solves = count_calls(oscillator, "_sublattice_solve")
     find_optimal_squeezing(OscillatorConfig("degenerate", 22.0, coupling=0.7))
     assert solves == [] and set(oscillator._solve_cache) == keys
 
@@ -664,7 +706,7 @@ def test_observables_at_coupling_are_those_at_coupling_1_in_scaled_time(kind, co
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("coupling", [1e-170, 1e-160, 1e155, 1e300])
-def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling, monkeypatch):
+def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling, count_calls):
     """``kappa t_sq``, ``var_min``, ``S`` and the derivative passes at extreme couplings against coupling 1, N = 22.
 
     The search runs in ``tau = kappa t``, so it takes the passes of the
@@ -679,20 +721,12 @@ def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling, monkeyp
     16 times.  ``S = sqrt(n / var_x)`` moves by half the ``var_x`` bound and
     by ``d ln S / d ln t`` (about 1.7 here, below 2) times the ``t`` bound.
     """
-    passes = []
-    original = BlockEvolution._var_x_tau_derivatives
-
-    def counting(self, tau):
-        passes[-1] += 1
-        return original(self, tau)
-
-    monkeypatch.setattr(BlockEvolution, "_var_x_tau_derivatives", counting)
+    passes = count_calls(BlockEvolution, "_var_x_tau_derivatives")
     n = 22.0
-    passes.append(0)
     ref = find_optimal_squeezing(OscillatorConfig(kind, n))
-    passes.append(0)
+    ref_passes = len(passes)
     opt = find_optimal_squeezing(OscillatorConfig(kind, n, coupling))
-    assert passes[1] == passes[0]  # the coupling-1 refinement, not bisection (34 passes)
+    assert len(passes) == 2 * ref_passes  # the coupling-1 refinement, not bisection (34 passes)
     eps = np.finfo(float).eps
     t_bound = 2e-12
     var_bound = 16.0 * eps * 2.0 * ref.resolution.intensity_y / ref.var_min

@@ -167,6 +167,8 @@ def cmd_sweep(config: dict, out: Path) -> int:
     n_values = parse_range(config["N"])
     if n_values.size < 3:
         raise ValueError(f"--N: the power-law fits need at least 3 points, got {n_values.size}")
+    if np.min(n_values) <= 0.0:
+        raise ValueError(f"--N: the power-law fits need every N > 0, got N = {np.min(n_values):g}")
     payloads = [(config["kind"], float(n), config["coupling"], config["pump_phase"]) for n in n_values]
     if config["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:

@@ -74,8 +74,8 @@ class CrosscheckReport:
 
 
 def _mixed_output(matrix, alpha: complex, params: SqueezeParams, cutoff: int | None) -> FockState:
+    squeezed = squeezed_vacuum(params, cutoff)  # first: it refuses a bad explicit cutoff before any allocation
     beam = coherent_state(alpha)
-    squeezed = squeezed_vacuum(params, cutoff)
     return apply_mode_unitary(product_state(beam, squeezed), matrix)
 
 

@@ -242,12 +242,14 @@ def squeezed_vacuum(params: SqueezeParams, cutoff: int | None = None) -> FockSta
     ``betainc(n // 2 + 1, 1/2, tanh² s)``.  With ``cutoff=None`` the cutoff
     is the smallest one at or above the :func:`default_cutoff` floor whose
     deficit is at most ``DEFICIT_TOL`` (see :func:`_cutoff`); an explicit
-    cutoff is used as given and rejected if it leaves too large a deficit
-    or is above ``MAX_CUTOFF``.
+    cutoff is used as given and rejected if it is negative (``ValueError``),
+    leaves too large a deficit or is above ``MAX_CUTOFF``.
     """
     tanh2 = math.tanh(params.s) ** 2
     deficit = lambda n: special.betainc(n // 2 + 1, 0.5, tanh2)
     what = f"squeezed vacuum s={params.s:g}"
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"{what}: cutoff must be >= 0, got {cutoff}")
     if cutoff is not None and (cutoff > MAX_CUTOFF or deficit(cutoff) > DEFICIT_TOL):
         raise TruncationError(f"{what} at cutoff {cutoff}: norm deficit {deficit(cutoff):.3e} "
                               f"(the largest cutoff is {MAX_CUTOFF})")

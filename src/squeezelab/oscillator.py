@@ -184,7 +184,8 @@ class _BlockSolve:
     ``eigvals``, ``u`` and ``mu`` hold only the eigenvector columns the start
     site sees, the lowest ones up to a start-site weight tail of
     ``START_WEIGHT_TAIL`` = 1e-30 (:func:`_sublattice_solve`).  The solves are
-    memoized across runs (:func:`_shared_solve`), so every array is read-only.
+    memoized across runs (:func:`_shared_solve`), so every array is read-only;
+    a run passes its start amplitude to :meth:`columns` and :meth:`state`.
     """
 
     couplings: np.ndarray     # H[k-1, k] = i couplings[k-1] at coupling 1
@@ -200,34 +201,27 @@ class _BlockSolve:
     pair_a: np.ndarray        # <block q-2 | a1² or a2 a3 | block q> per site, signed, on A but the last site
     pair_b: np.ndarray        # the same on B
 
-
-@dataclass(frozen=True)
-class _Block(_BlockSolve):
-    """One charge block that starts as ``amp e_last``: a shared :class:`_BlockSolve` and the run's start vector."""
-
-    amp: float                # initial amplitude |c| on the start site, the last one
-    w0: np.ndarray            # |c| u[-1]: the start vector in the eigenbasis
-
-    def columns(self, t) -> tuple[np.ndarray, np.ndarray]:
+    def columns(self, t, amp: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigen-coordinates ``C = cos(sigma t) w0``, ``S = (sin(sigma t) / sigma) w0``, shape ``sigma.shape + shape(t)``.
 
-        The block's amplitudes are ``a = U C`` on A and ``b = MU S`` on B.  On a zero mode
+        ``w0 = amp u[-1]`` is the start vector ``amp e_last`` in the eigenbasis, and the
+        block's amplitudes are ``a = U C`` on A and ``b = MU S`` on B.  On a zero mode
         (``sigma² <= 0`` from the solver) ``sin(sigma t) / sigma`` is taken as 0: it only ever
         meets ``MU``'s column of that mode, which vanishes, as ``||M u||² = sigma²``.  Elsewhere
         ``sigma >= 2e-162`` (``sigma²`` is a double), so ``1 / sigma`` is finite and
         ``sin(x) / sigma`` keeps full relative accuracy at small ``x``.
         """
         x = np.multiply.outer(self.sigma, t)
-        w = self.w0.reshape(x.shape[:1] + (1,) * np.ndim(t))
+        w = (amp * self.u[-1]).reshape(x.shape[:1] + (1,) * np.ndim(t))
         return np.cos(x) * w, np.sin(x) * self.inv_sigma.reshape(w.shape) * w
 
-    def state(self, t: float) -> np.ndarray:
-        """The real block vector at time ``t``, ``conj(g_last) g ⊙ [a on A, -i b on B]``.
+    def state(self, t: float, amp: float) -> np.ndarray:
+        """The real vector at ``t`` of the block started as ``amp e_last``, ``conj(g_last) g ⊙ [a on A, -i b on B]``.
 
         ``a = U C`` and ``b = MU S`` come from :meth:`columns`; with ``g_k = (-i)^k``
         the phase on site ``k``, ``-i`` on B included, is ``(-1)^floor(j / 2)``, ``j = last - k``.
         """
-        c, s = self.columns(t)
+        c, s = self.columns(t, amp)
         v = np.empty(self.couplings.size + 1)
         v[self.on_a], v[self.on_b] = self.u @ c, self.mu @ s
         j = np.arange(v.size)[::-1]
@@ -264,12 +258,6 @@ def _shared_solve(kind: OscillatorKind, charge: int) -> _BlockSolve:
             value.flags.writeable = False
     _solve_cache[kind, charge] = solve
     return solve
-
-
-def _solve_block(kind: OscillatorKind, charge: int, amp: float) -> _Block:
-    """The block of ``charge`` that starts as ``amp e_last``, ``amp >= 0``, on its memoized solve."""
-    solve = _shared_solve(kind, charge)
-    return _Block(**vars(solve), amp=amp, w0=amp * solve.u[-1])
 
 
 @dataclass
@@ -313,39 +301,40 @@ class BlockEvolution:
     also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
     of ``var_x``, which the optimum search (:func:`find_optimal_squeezing`)
     never forms: it works in ``tau = kappa t``.  A block's solve depends on
-    ``(kind, charge)`` only; N enters through ``|c_K|`` and the start vector
-    ``w0``.  So the solves are kept, read-only, and reused by every later run
-    of the same kind at any coupling (:func:`_shared_solve`): about 11 MiB for
-    both kinds at N <= 121.
+    ``(kind, charge)`` only; N enters through ``|c_K|`` alone.  So the solves
+    are kept, read-only, and reused by every later run of the same kind at any
+    coupling (:func:`_shared_solve`): about 11 MiB for both kinds at N <= 121.
+    A run holds the shared solves themselves, ``blocks``, and its start
+    amplitudes ``|c_K|``, ``amps``, both by charge, and nothing else.
     """
 
     def __init__(self, cfg: OscillatorConfig):
         self.cfg = cfg
-        self.blocks: dict[int, _Block] = {}
-        for n_pump, c in enumerate(coherent_state(math.sqrt(cfg.pump_photons)).amps.real):
-            if c * c >= 1e-18:
-                self.blocks[2 * n_pump] = _solve_block(cfg.kind, 2 * n_pump, c)
+        pump = coherent_state(math.sqrt(cfg.pump_photons)).amps.real
+        self.amps: dict[int, float] = {2 * k: c for k, c in enumerate(pump) if c * c >= 1e-18}
+        self.blocks: dict[int, _BlockSolve] = {q: _shared_solve(cfg.kind, q) for q in self.amps}
 
     def propagate(self, t: float) -> dict[int, np.ndarray]:
         """The state at time ``t`` (negative allowed), block by block: ``e^{iK phi}`` times block 2K's real vector."""
         tau = self.cfg.coupling * t
-        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * blk.state(tau) for q, blk in self.blocks.items()}
+        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * self.blocks[q].state(tau, c) for q, c in self.amps.items()}
 
     def _sums(self, count: int, columns) -> np.ndarray:
         """Sums over the blocks for ``count`` states, one row per quantity and one column per state.
 
-        ``columns(blk)`` gives a block's eigen-coordinates ``(C, S)``, each
-        ``(kept columns, count)``, of amplitudes ``a = U C`` on A and ``b = MU
-        S`` on B.  The rows sum same-column products: norm², ``<n_sub>``
-        (``<n1>``, or ``<n2> = <n3>``), ``<n_pump>``, the charge, the pair term
-        ``P`` (``<a1²>`` / ``<a2 a3>``, charge ``q`` with the block below) and
-        ``var_x - 1 = 2 <n_sub> - 2 cos(phi) P``, whose terms cancel block by block.
+        ``columns(blk, amp)`` gives the eigen-coordinates ``(C, S)`` of a block
+        started as ``amp e_last``, each ``(kept columns, count)``, of amplitudes
+        ``a = U C`` on A and ``b = MU S`` on B.  The rows sum same-column
+        products: norm², ``<n_sub>`` (``<n1>``, or ``<n2> = <n3>``), ``<n_pump>``,
+        the charge, the pair term ``P`` (``<a1²>`` / ``<a2 a3>``, charge ``q``
+        with the block below) and ``var_x - 1 = 2 <n_sub> - 2 cos(phi) P``, whose
+        terms cancel block by block.
         """
         sums = np.zeros((6, count))
         pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
         lower = None
         for q, blk in self.blocks.items():
-            c, s = columns(blk)
+            c, s = columns(blk, self.amps[q])
             a, b = blk.u @ c, blk.mu @ s
             weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
             sums[:3] += weights
@@ -368,7 +357,7 @@ class BlockEvolution:
         """
         t = np.asarray(times, dtype=float)
         tau = self.cfg.coupling * t
-        norm_sq, n_sub, n_pump, charge, pair, excess = self._sums(t.size, lambda blk: blk.columns(tau))
+        norm_sq, n_sub, n_pump, charge, pair, excess = self._sums(t.size, lambda blk, amp: blk.columns(tau, amp))
         return EvolutionResult(
             times=t,
             var_x=1.0 + excess,
@@ -402,8 +391,8 @@ class BlockEvolution:
         """
         h = 0.2 * _first_window(self.cfg)
 
-        def columns(blk):
-            c0, s0 = blk.columns(tau)
+        def columns(blk, amp):
+            c0, s0 = blk.columns(tau, amp)
             e = -h * blk.eigvals
             s1, c1 = h * c0, e * s0
             s2, c2 = h * c1, e * s1
@@ -421,7 +410,7 @@ class BlockEvolution:
         its square is ``<H²>``, which the propagation conserves.
         """
         return self.cfg.coupling * math.sqrt(sum(
-            blk.amp ** 2 * blk.couplings[-1] ** 2 for blk in self.blocks.values() if blk.couplings.size
+            self.amps[q] ** 2 * blk.couplings[-1] ** 2 for q, blk in self.blocks.items() if blk.couplings.size
         ))
 
 

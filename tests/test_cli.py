@@ -429,6 +429,24 @@ def test_sweep_too_few_points_exit_2_before_running(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("spec", ["0:400:linear:3", "-2:8:linear:3"])
+def test_sweep_nonpositive_n_exit_2_before_running(tmp_path, capsys, count_calls, spec):
+    points = count_calls(cli, "_sweep_point")
+    assert main(["sweep", "--kind", "degenerate", f"--N={spec}", "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "need every N > 0, got N = " + spec.split(":")[0] in err
+    assert points == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("s,cutoff", [("0", "-1"), ("0.5", "-5")])
+def test_mix_negative_cutoff_exit_2(tmp_path, capsys, s, cutoff):
+    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--s", s, "--alpha", "1",
+                 "--cutoff", cutoff, "--oracle", "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"cutoff must be >= 0, got {cutoff}" in err
+    assert not (tmp_path / "mix.json").exists()
+
+
 def test_output_directory_that_is_a_file_exit_2(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("")

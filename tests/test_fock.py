@@ -230,6 +230,14 @@ def test_squeezed_explicit_cutoff_too_small():
         sq.squeezed_vacuum(SqueezeParams(1.5), cutoff=8)
 
 
+@pytest.mark.parametrize("s,cutoff", [(0.0, -1), (0.5, -5)])
+def test_squeezed_negative_cutoff_raises_before_any_allocation(s, cutoff, count_calls):
+    vacua, amplitudes = count_calls(fock, "vacuum_state"), count_calls(fock, "_squeezed_amplitudes")
+    with pytest.raises(ValueError, match=f"cutoff must be >= 0, got {cutoff}"):
+        fock.squeezed_vacuum(SqueezeParams(s), cutoff=cutoff)
+    assert vacua == amplitudes == []
+
+
 def test_squeeze_params_validation():
     for s, theta in ((-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0), (356.0, 0.0), (800.0, 0.0), (1.0, math.nan)):
         with pytest.raises(ValueError):

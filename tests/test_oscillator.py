@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from squeezelab import oscillator
-from squeezelab.fock import FockState, QuadratureSpec, mode_moments, quadrature_stats
+from squeezelab.fock import FockState, QuadratureSpec, coherent_state, mode_moments, quadrature_stats
 from squeezelab.oscillator import (
     BlockEvolution,
     OscillatorConfig,
@@ -21,7 +21,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
-from squeezelab.oscillator import MAX_EXTENSIONS, MAX_NEWTON_PASSES, _first_window, _minimize_var_x, _solve_block
+from squeezelab.oscillator import MAX_EXTENSIONS, MAX_NEWTON_PASSES, _first_window, _minimize_var_x, _shared_solve
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -561,10 +561,10 @@ def test_energy_square_conserved_property(kind, n, coupling, t_unit):
     assert _energy_square(ev, t) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
 
 
-def _block_of_dim(kind, dim, amp=1.0):
-    """The block of size ``dim`` that starts as ``amp >= 0`` on its last site."""
+def _block_of_dim(kind, dim):
+    """The memoized solve of the block of size ``dim`` and its Hamiltonian."""
     charge = 2 * (dim - 1)
-    return _solve_block(kind, charge, amp), hamiltonian_block(kind, charge)
+    return _shared_solve(kind, charge), hamiltonian_block(kind, charge)
 
 
 @settings(max_examples=40, deadline=None)
@@ -585,8 +585,8 @@ def test_block_propagator_property(kind, dim, t, seed):
     """
     rng = np.random.default_rng(seed)
     c = complex(rng.normal(), rng.normal())
-    blk, h = _block_of_dim(kind, dim, abs(c))
-    assert np.max(np.abs(c / abs(c) * blk.state(t) - c * expm(-1j * t * h)[:, -1])) < 1e-9
+    blk, h = _block_of_dim(kind, dim)
+    assert np.max(np.abs(c / abs(c) * blk.state(t, abs(c)) - c * expm(-1j * t * h)[:, -1])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +597,7 @@ def test_sublattice_propagator_large_blocks(kind, dim):
     """The state started on the last site against expm of the dense block."""
     blk, h = _block_of_dim(kind, dim)
     for t in (0.002, 0.01, 0.05):
-        assert np.max(np.abs(blk.state(t) - expm(-1j * t * h)[:, -1])) < 1e-10
+        assert np.max(np.abs(blk.state(t, 1.0) - expm(-1j * t * h)[:, -1])) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
@@ -667,14 +667,25 @@ def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkey
 
 
 def test_memoized_solve_is_read_only():
-    blk = _solve_block("degenerate", 12, 0.5)
+    blk = _shared_solve("degenerate", 12)
     with pytest.raises(ValueError, match="read-only"):
         blk.u[0, 0] = 1.0
-    arrays = [name for name, value in vars(blk).items() if isinstance(value, np.ndarray) and name != "w0"]
+    arrays = [name for name, value in vars(blk).items() if isinstance(value, np.ndarray)]
     assert len(arrays) == 10 and not any(getattr(blk, name).flags.writeable for name in arrays)
-    again = _solve_block("degenerate", 12, 2.0)
-    assert again.u is blk.u and again.amp == 2.0
-    assert np.array_equal(again.w0, 2.0 * blk.u[-1]) and np.array_equal(blk.w0, 0.5 * blk.u[-1])
+    assert _shared_solve("degenerate", 12) is blk
+    for amp in (0.5, 2.0):  # two amplitudes read one u: each call forms its start vector amp u[-1]
+        assert np.array_equal(blk.columns(0.0, amp)[0], amp * blk.u[-1])
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+def test_run_holds_the_memoized_solves_and_its_start_amplitudes(kind):
+    """A run's blocks are the memo's own solves, not copies; its amplitudes are the pump's |c_K|."""
+    ev = BlockEvolution(OscillatorConfig(kind, 22.0))
+    assert ev.blocks and set(ev.amps) == set(ev.blocks)
+    for q, blk in ev.blocks.items():
+        assert blk is oscillator._solve_cache[(kind, q)], q
+    amps = coherent_state(math.sqrt(22.0)).amps.real
+    assert all(ev.amps[q] == amps[q // 2] for q in ev.amps)
 
 
 def test_other_coupling_reuses_the_solves(monkeypatch, count_calls):

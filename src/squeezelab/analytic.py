@@ -41,10 +41,8 @@ __all__ = [
     "InterferometerConfig",
     "Mixer",
     "beam_splitter_variance",
-    "beam_splitter_intensity",
     "beam_splitter_phase_resolution",
     "interferometer_variance",
-    "interferometer_intensity",
     "interferometer_phase_resolution",
     "SchemeParams",
     "SchemeApproximation",
@@ -86,6 +84,10 @@ def _check_phase(phi):
     _require((0.0 <= phi) & (phi <= math.pi), phi, "relative phase {} outside [0, pi]")
 
 
+def _check_optimal_theta(cfg, formula: str):
+    _require(_finite(cfg.optimal_theta), cfg.optimal_theta, f"optimal squeeze phase {formula} must be finite, got {{}}")
+
+
 def _check_budget(n, lam):
     _require(_finite(n), n, "pump_photons must be finite, got {}")
     _require(_finite(lam), lam, "efficiency must be finite, got {}")
@@ -118,12 +120,15 @@ def _port(weights, coherent, squeezed):
     return t_sq * coherent + r_sq * squeezed
 
 
-def _vacuum_port(weights, alpha_sq, s):
-    """``(intensity, variance)`` of the port fed ``alpha_sq`` coherent photons and the squeezed vacuum ``s``."""
+def _vacuum_port(weights, coherent, s, what: str):
+    """``(intensity, variance)`` of the port fed ``coherent`` photons, called ``what``, and the squeezed vacuum ``s``."""
+    _require(_finite(coherent), coherent, f"the coherent photon number {what} must be finite, got {{}}")
     with np.errstate(over="ignore"):
         sinh_sq = np.square(np.sinh(s))
-    _require(_finite(sinh_sq), s, "squeezing needs a finite sinh(s)^2, got s = {}")  # as fock.SqueezeParams
-    return _port(weights, alpha_sq, sinh_sq), _port(weights, 1.0, np.exp(-2.0 * s))
+        _require(_finite(sinh_sq), s, "squeezing needs a finite sinh(s)^2, got s = {}")  # as fock.SqueezeParams
+        intensity = _port(weights, coherent, sinh_sq)
+    _require(_finite(intensity), intensity, "the bright port's intensity must be finite, got {}")
+    return intensity, _port(weights, 1.0, np.exp(-2.0 * s))
 
 
 def _squeeze_parameter(n):
@@ -168,11 +173,17 @@ class BeamSplitterConfig:
     def __post_init__(self):
         _check_reflection(self.r2)
         _check_finite(self, "delta", "psi")
+        _check_optimal_theta(self, "-2 delta - 2 psi")
 
     @classmethod
     def from_reflectivity(cls, r2: float, delta: float = 0.0, psi: float = 0.0) -> "BeamSplitterConfig":
         """Splitter with reflected fraction ``r2²`` on port 2."""
         return cls(r2, delta, psi)
+
+    @property
+    def optimal_theta(self) -> float:
+        """The squeeze phase ``-2 delta - 2 psi`` of least bright-port variance; finite, not reduced mod 2pi."""
+        return -2.0 * self.delta - 2.0 * self.psi
 
     @property
     def port_weights(self):
@@ -213,6 +224,12 @@ class InterferometerConfig:
     def __post_init__(self):
         _check_phase(self.phi)
         _check_finite(self, "psi", "global_phase")
+        _check_optimal_theta(self, "-2 global_phase")
+
+    @property
+    def optimal_theta(self) -> float:
+        """The squeeze phase ``-2 global_phase`` of least bright-port variance; finite, not reduced mod 2pi."""
+        return -2.0 * self.global_phase
 
     @property
     def port_weights(self):
@@ -237,29 +254,23 @@ def beam_splitter_variance(cfg: BeamSplitterConfig, s: float, theta: float = 0.0
 
     Inputs are a coherent beam on port 1 and a squeezed vacuum ``(s, theta)``
     on port 2.  The coherent amplitude drops out of the (mean-subtracted)
-    variance, which depends on the phases only through ``2 delta + 2 psi
-    + theta`` and is minimal when that combination vanishes.  With
-    ``c = 2 delta + 2 psi + theta`` it is
+    variance, which depends on the phases only through ``c = theta -
+    cfg.optimal_theta`` and is minimal when ``c`` vanishes.  It is
     ``1 - r2² + r2² (e^{-2s} cos²(c/2) + e^{2s} sin²(c/2))``: the bright
     port fed that squeezed-input variance.
     """
-    half = cfg.delta + cfg.psi + 0.5 * theta
+    half = 0.5 * theta - 0.5 * cfg.optimal_theta  # exact halving: no overflow where theta - optimal_theta would
     # squared factors: e^{2s} alone would overflow from s = 355 on, even where sin(c/2) = 0
     low, high = math.exp(-s) * math.cos(half), math.exp(s) * math.sin(half)
     return float(_port(cfg.port_weights, 1.0, low * low + high * high))
 
 
-def beam_splitter_intensity(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> float:
-    """Bright-port intensity ``(1 - r2²)|alpha|² + r2² sinh²(s)``; it does not depend on the phases."""
-    return float(_vacuum_port(cfg.port_weights, np.square(alpha_mag), s)[0])
-
-
 def beam_splitter_phase_resolution(cfg: BeamSplitterConfig, s: float, alpha_mag: float) -> PhaseResolution:
-    """Best-case phase resolution of the bright output port, at the optimal phase ``2 delta + 2 psi + theta = 0``.
+    """Best-case phase resolution of the bright output port, at the squeeze phase ``cfg.optimal_theta``.
 
-    The variance is ``1 - r2² + r2² e^{-2s}``, the intensity ``(1 - r2²)|alpha|² + r2² sinh²(s)``.
+    The variance is ``1 - r2² + r2² e^{-2s}``, the intensity ``(1 - r2²)|alpha|² + r2² sinh²(s)`` at any phase.
     """
-    return phase_resolution(*_vacuum_port(cfg.port_weights, np.square(alpha_mag), s))
+    return phase_resolution(*_vacuum_port(cfg.port_weights, alpha_mag * alpha_mag, s, "|alpha|^2"))
 
 
 def interferometer_variance(phi: float, s: float) -> float:
@@ -267,14 +278,9 @@ def interferometer_variance(phi: float, s: float) -> float:
     return float(_port(_in_weights(phi), 1.0, np.exp(-2.0 * s)))
 
 
-def interferometer_intensity(phi: float, s: float, alpha_mag: float) -> float:
-    """Bright-port intensity: the coherent and squeezed photon numbers weighted by ``sin²(phi/2)`` / ``cos²(phi/2)``."""
-    return float(_vacuum_port(_in_weights(phi), np.square(alpha_mag), s)[0])
-
-
 def interferometer_phase_resolution(phi: float, s: float, alpha_mag: float) -> PhaseResolution:
-    """Phase resolution of the bright interferometer output."""
-    return phase_resolution(*_vacuum_port(_in_weights(phi), np.square(alpha_mag), s))
+    """Phase resolution of the bright interferometer output, at the squeeze phase ``optimal_theta``."""
+    return phase_resolution(*_vacuum_port(_in_weights(phi), alpha_mag * alpha_mag, s, "|alpha|^2"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,7 @@ def scheme_phase_resolution_exact(params: SchemeParams) -> PhaseResolution:
     is made.
     """
     weights = params.mixer.port_weights
-    return phase_resolution(*_vacuum_port(weights, params.coherent_photons, params.squeeze_parameter))
+    return phase_resolution(*_vacuum_port(weights, params.coherent_photons, params.squeeze_parameter, "2 N lambda"))
 
 
 @dataclass(frozen=True)
@@ -375,7 +381,9 @@ def resolution_surface(n_values, mix_values, efficiency: float, variant: str = "
     check(m)
     _check_budget(n, efficiency)
     weights = weights_of(m)
-    intensity, variance = _vacuum_port(weights, _coherent_photons(n, efficiency), _squeeze_parameter(n))
+    with np.errstate(over="ignore"):  # _vacuum_port refuses an overflow
+        coherent = _coherent_photons(n, efficiency)
+    intensity, variance = _vacuum_port(weights, coherent, _squeeze_parameter(n), "2 N lambda")
     _require(variance > 0.0, variance, "variance must be positive, got {}")
     s_exact = np.sqrt(intensity) / np.sqrt(variance)  # the roots first, as phase_resolution takes them
     value, deviation = _scheme_approx(weights, n, efficiency, s_exact)

@@ -34,20 +34,15 @@ from .analytic import (
     BeamSplitterConfig,
     InterferometerConfig,
     SchemeParams,
-    beam_splitter_intensity,
+    beam_splitter_phase_resolution,
     beam_splitter_variance,
     resolution_surface,
-    interferometer_intensity,
+    interferometer_phase_resolution,
     interferometer_variance,
     scheme_phase_resolution_approx,
     scheme_phase_resolution_exact,
 )
-from .crosscheck import (
-    beam_splitter_crosscheck,
-    beam_splitter_variance_crosscheck,
-    interferometer_crosscheck,
-    relative_error,
-)
+from .crosscheck import beam_splitter_crosscheck, interferometer_crosscheck
 from .fock import SqueezeParams, TruncationError
 from .metrics import fit_power_law, phase_resolution
 from .oscillator import BlockEvolution, OscillatorConfig, default_t_max, find_optimal_squeezing
@@ -218,17 +213,14 @@ def cmd_mix(config: dict, out: Path) -> int:
     SqueezeParams(s)  # the valid squeeze range, checked with or without --oracle
     if variant == "bs":
         mixer = BeamSplitterConfig.from_reflectivity(config["r2"], config["delta"], config["psi"])
-        optimal_theta = -2.0 * mixer.delta - 2.0 * mixer.psi
         if config["theta"] is None:
-            config["theta"] = optimal_theta
+            config["theta"] = mixer.optimal_theta
         variance = beam_splitter_variance(mixer, s, config["theta"])
-        intensity = beam_splitter_intensity(mixer, s, alpha)
-        at_optimum = abs(math.remainder(config["theta"] - optimal_theta, 2.0 * math.pi)) < 1e-12
+        intensity = beam_splitter_phase_resolution(mixer, s, alpha).intensity_y
     else:
         mixer = InterferometerConfig(config["phi"], config["psi"], config["global_phase"])
         variance = interferometer_variance(mixer.phi, s)
-        intensity = interferometer_intensity(mixer.phi, s, alpha)
-        at_optimum = True
+        intensity = interferometer_phase_resolution(mixer.phi, s, alpha).intensity_y
 
     res = phase_resolution(intensity, variance)
     payload = {
@@ -239,28 +231,23 @@ def cmd_mix(config: dict, out: Path) -> int:
         "S": res.s,
     }
     if config["oracle"]:
-        if variant == "bs" and not at_optimum:
-            ana, fock = beam_splitter_variance_crosscheck(mixer, s, config["theta"], alpha, cutoff)
-            max_err = relative_error(ana, fock)
-            oracle = {"analytic_variance": ana, "fock_variance": fock, "max_rel_err": max_err}
-        else:
-            check = (
-                beam_splitter_crosscheck(mixer, s, alpha, cutoff)
-                if variant == "bs"
-                else interferometer_crosscheck(mixer, s, alpha, cutoff)
-            )
-            max_err = check.max_rel_err
-            oracle = {
-                "analytic_variance": check.analytic_variance,
-                "fock_variance": check.fock_variance,
-                "analytic_intensity": check.analytic_intensity,
-                "fock_intensity": check.fock_intensity,
-                "analytic_S": check.analytic_s,
-                "fock_S": check.fock_s,
-                "max_rel_err": max_err,
-            }
-        oracle["tolerance"] = ORACLE_TOLERANCE
-        oracle["within_tolerance"] = bool(max_err < ORACLE_TOLERANCE)
+        check = (
+            beam_splitter_crosscheck(mixer, s, alpha, cutoff, config["theta"])
+            if variant == "bs"
+            else interferometer_crosscheck(mixer, s, alpha, cutoff)
+        )
+        max_err = check.max_rel_err
+        oracle = {
+            "analytic_variance": check.analytic_variance,
+            "fock_variance": check.fock_variance,
+            "analytic_intensity": check.analytic_intensity,
+            "fock_intensity": check.fock_intensity,
+            "analytic_S": check.analytic_s,
+            "fock_S": check.fock_s,
+            "max_rel_err": max_err,
+            "tolerance": ORACLE_TOLERANCE,
+            "within_tolerance": bool(max_err < ORACLE_TOLERANCE),
+        }
         payload["oracle"] = oracle
         status = "OK" if oracle["within_tolerance"] else "EXCEEDED"
         print(f"oracle: max relative error {max_err:.3e} against tolerance {ORACLE_TOLERANCE:g} [{status}]")

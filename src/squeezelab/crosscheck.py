@@ -2,14 +2,16 @@
 
 Each check builds the actual two-mode input state (coherent beam plus
 squeezed vacuum) in a truncated Fock space, applies the mixer as an exact
-passive unitary, measures the output-port statistics, and compares them
-against the corresponding formula from :mod:`squeezelab.analytic`.
+passive unitary, reads the bright port's moments once with
+:func:`~squeezelab.fock.mode_moments`, and compares its variance,
+intensity and phase resolution against the formulas of
+:mod:`squeezelab.analytic`.
 
 Input phase conventions: the coherent amplitude is oriented so the output
 mean field lies on the imaginary axis, making the measured cosine
-quadrature the uncertainty direction, and the squeeze phase is set to the
-optimal value (``theta = -2 delta - 2 psi`` for the beam splitter,
-``theta = -2 global_phase`` for the interferometer) unless overridden.
+quadrature the uncertainty direction.  The squeeze phase is the mixer's
+``optimal_theta`` unless a beam-splitter check is given another, and
+both sides use it as given, not reduced mod 2pi.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .analytic import (
     interferometer_variance,  # not called here; perfbench/tracing.py patches this name
 )
 from .fock import (
-    FockState,
-    QuadratureSpec,
     SqueezeParams,
     _quadrature,
     apply_mode_unitary,
@@ -35,7 +35,7 @@ from .fock import (
     distance_intensity,  # not called here; perfbench/tracing.py patches this name
     mode_moments,
     product_state,
-    quadrature_stats,
+    quadrature_stats,  # not called here; perfbench/tracing.py patches this name
     squeezed_vacuum,
 )
 from .metrics import PhaseResolution, phase_resolution
@@ -73,16 +73,11 @@ class CrosscheckReport:
         return max(relative_error(a, b) for a, b in pairs)
 
 
-def _mixed_output(matrix, alpha: complex, params: SqueezeParams, cutoff: int | None) -> FockState:
-    squeezed = squeezed_vacuum(params, cutoff)  # first: it refuses a bad explicit cutoff before any allocation
-    beam = coherent_state(alpha)
-    return apply_mode_unitary(product_state(beam, squeezed), matrix)
-
-
 def _crosscheck(mixer, theta: float, alpha: complex, s: float, analytic: PhaseResolution,
                 cutoff: int | None) -> CrosscheckReport:
     """Compare ``analytic`` with the bright port of ``mixer`` fed ``alpha`` and the squeezed vacuum ``(s, theta)``."""
-    out = _mixed_output(mixer.mode_matrix(), alpha, SqueezeParams(s, theta), cutoff)
+    squeezed = squeezed_vacuum(SqueezeParams(s, theta), cutoff)  # first: it refuses a bad cutoff before any allocation
+    out = apply_mode_unitary(product_state(coherent_state(alpha), squeezed), mixer.mode_matrix())
     moments = mode_moments(out, 0)  # once: the cosine-quadrature variance and <a†a> of the bright port
     _, variance, _ = _quadrature(moments, 0.0)
     intensity = moments[2]
@@ -97,31 +92,27 @@ def _crosscheck(mixer, theta: float, alpha: complex, s: float, analytic: PhaseRe
 
 
 def beam_splitter_crosscheck(
-    cfg: BeamSplitterConfig, s: float, alpha_mag: float, cutoff: int | None = None
+    cfg: BeamSplitterConfig, s: float, alpha_mag: float, cutoff: int | None = None, theta: float | None = None
 ) -> CrosscheckReport:
-    """Optimal-phase beam splitter: formulas vs the truncated-space unitary."""
-    theta = -2.0 * cfg.delta - 2.0 * cfg.psi
+    """Beam splitter at squeeze phase ``theta`` (None: ``cfg.optimal_theta``): formulas vs the truncated-space unitary."""
+    theta = cfg.optimal_theta if theta is None else theta
     alpha = 1j * alpha_mag * complex(math.cos(-cfg.delta), math.sin(-cfg.delta))
-    return _crosscheck(cfg, theta, alpha, s, beam_splitter_phase_resolution(cfg, s, alpha_mag), cutoff)
+    intensity = beam_splitter_phase_resolution(cfg, s, alpha_mag).intensity_y
+    analytic = phase_resolution(intensity, beam_splitter_variance(cfg, s, theta))
+    return _crosscheck(cfg, theta, alpha, s, analytic, cutoff)
 
 
 def interferometer_crosscheck(
     cfg: InterferometerConfig, s: float, alpha_mag: float, cutoff: int | None = None
 ) -> CrosscheckReport:
     """Interferometer bright port: formulas vs the truncated-space unitary."""
-    theta = -2.0 * cfg.global_phase
     alpha = -alpha_mag * complex(math.cos(cfg.psi - cfg.global_phase), math.sin(cfg.psi - cfg.global_phase))
-    return _crosscheck(cfg, theta, alpha, s, interferometer_phase_resolution(cfg.phi, s, alpha_mag), cutoff)
+    return _crosscheck(cfg, cfg.optimal_theta, alpha, s, interferometer_phase_resolution(cfg.phi, s, alpha_mag), cutoff)
 
 
 def beam_splitter_variance_crosscheck(
     cfg: BeamSplitterConfig, s: float, theta: float, alpha_mag: float = 0.0, cutoff: int | None = None
 ) -> tuple[float, float]:
-    """Variance only, at an arbitrary squeeze phase.
-
-    Returns ``(analytic, fock)`` for the cosine quadrature of the bright
-    port; useful for scanning the phase dependence away from the optimum.
-    """
-    out = _mixed_output(cfg.mode_matrix(), complex(alpha_mag), SqueezeParams(s, theta), cutoff)
-    _, variance, _ = quadrature_stats(out, QuadratureSpec(0, 0.0))
-    return beam_splitter_variance(cfg, s, theta), variance
+    """The ``(analytic, fock)`` variance of :func:`beam_splitter_crosscheck` at squeeze phase ``theta``."""
+    report = beam_splitter_crosscheck(cfg, s, alpha_mag, cutoff, theta)
+    return report.analytic_variance, report.fock_variance

@@ -198,7 +198,11 @@ def _cutoff(deficit: Callable[[int], float], floor: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Squeezing magnitude ``s >= 0`` with a finite ``sinh²(s)``, and finite phase ``theta`` (mod 2pi)."""
+    """Squeezing magnitude ``s >= 0`` with a finite ``sinh²(s)``, and a finite phase ``theta``.
+
+    ``theta`` is kept as given, not reduced mod 2pi, so the state's ``e^{i theta}`` and the closed forms of
+    :mod:`squeezelab.analytic` read the same angle.
+    """
 
     s: float
     theta: float = 0.0
@@ -211,7 +215,6 @@ class SqueezeParams:
         if not valid:
             raise ValueError(f"squeezing needs a finite theta and s >= 0 with a finite sinh(s)^2, "
                              f"got s = {self.s}, theta = {self.theta}")
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
     @property
     def mean_photons(self) -> float:

@@ -14,16 +14,15 @@ from squeezelab.analytic import (
     BeamSplitterConfig,
     InterferometerConfig,
     SchemeParams,
-    beam_splitter_intensity,
     beam_splitter_phase_resolution,
     beam_splitter_variance,
     resolution_surface,
-    interferometer_intensity,
     interferometer_phase_resolution,
     interferometer_variance,
     scheme_phase_resolution_approx,
     scheme_phase_resolution_exact,
 )
+from squeezelab.cli import ORACLE_TOLERANCE
 from squeezelab.fock import QuadratureSpec, distance_intensity, quadrature_stats
 
 
@@ -96,6 +95,30 @@ def test_lossless_validation():
         BeamSplitterConfig.from_reflectivity(1.2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(r2=st.floats(0.05, 1.0), delta=st.floats(-50.0, 50.0), psi=st.floats(-50.0, 50.0), s=st.floats(0.05, 3.0))
+def test_variance_at_optimal_theta_is_the_phase_resolution_minimum(r2, delta, psi, s):
+    """At ``optimal_theta`` the variance is the optimal-phase formula, and a step of 0.1 either way raises it."""
+    cfg = BeamSplitterConfig(r2, delta, psi)
+    best = beam_splitter_variance(cfg, s, cfg.optimal_theta)
+    assert abs(best - beam_splitter_phase_resolution(cfg, s, 1.0).var_x) <= 1e-13 * best
+    for step in (-0.1, 0.1):
+        assert best < beam_splitter_variance(cfg, s, cfg.optimal_theta + step)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: BeamSplitterConfig(0.5, delta=1e308), "delta"),
+    (lambda: BeamSplitterConfig(0.5, psi=-1e308), "psi"),
+    (lambda: BeamSplitterConfig(0.5, delta=1e308, psi=-1e308), "delta"),  # -inf + inf
+    (lambda: InterferometerConfig(1.0, global_phase=1e308), "global_phase"),
+], ids=["bs-delta", "bs-psi", "bs-nan", "in-global-phase"])
+def test_mixer_refuses_a_non_finite_optimal_theta(build, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"optimal squeeze phase .*{name}.* must be finite"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # interferometer formulas
 
@@ -111,13 +134,11 @@ def test_interferometer_variance_where_sinh_squared_overflows():
 
 
 @pytest.mark.parametrize("intensity", [
-    lambda s: beam_splitter_intensity(BeamSplitterConfig(0.5), s, 1.0),
     lambda s: beam_splitter_phase_resolution(BeamSplitterConfig(0.5), s, 1.0).intensity_y,
-    lambda s: interferometer_intensity(1.0, s, 1.0),
     lambda s: interferometer_phase_resolution(1.0, s, 1.0).intensity_y,
-], ids=["bs_intensity", "bs_resolution", "in_intensity", "in_resolution"])
+], ids=["bs_resolution", "in_resolution"])
 def test_intensity_needs_finite_sinh_squared(intensity):
-    """Where sinh²(s) overflows, the intensity functions raise as SqueezeParams does, without a warning."""
+    """Where sinh²(s) overflows, the intensity of either mixer raises as SqueezeParams does, without a warning."""
     assert math.isfinite(intensity(355.0))
     for s in (400.0, 800.0):
         with pytest.raises(ValueError, match=f"s = {s}"):
@@ -189,6 +210,30 @@ def test_variance_crosscheck_off_optimum():
     assert abs(ana - fock) < 1e-8
 
 
+def test_crosscheck_at_a_huge_theta():
+    """The Fock state and the formula read theta = 1e17 alike; reducing it mod 2pi on one side gave 0.255."""
+    rep = sq.beam_splitter_crosscheck(BeamSplitterConfig(0.5), 0.5, 1.0, theta=1e17)
+    assert rep.max_rel_err < ORACLE_TOLERANCE
+
+
+@settings(max_examples=4, deadline=None)
+@given(r2=st.floats(0.0, 1.0), delta=st.floats(-10.0, 10.0), psi=st.floats(-10.0, 10.0),
+       s=st.floats(0.1, 1.0), alpha=st.floats(0.5, 2.0))
+def test_beam_splitter_oracle_at_optimal_theta(r2, delta, psi, s, alpha):
+    cfg = BeamSplitterConfig(r2, delta, psi)
+    rep = sq.beam_splitter_crosscheck(cfg, s, alpha, theta=cfg.optimal_theta)
+    assert rep.max_rel_err < ORACLE_TOLERANCE
+    assert rep == sq.beam_splitter_crosscheck(cfg, s, alpha)
+
+
+@settings(max_examples=4, deadline=None)
+@given(phi=st.floats(0.0, math.pi), psi=st.floats(-10.0, 10.0), global_phase=st.floats(-10.0, 10.0),
+       s=st.floats(0.1, 1.0), alpha=st.floats(0.5, 2.0))
+def test_interferometer_oracle_at_optimal_theta(phi, psi, global_phase, s, alpha):
+    rep = sq.interferometer_crosscheck(InterferometerConfig(phi, psi, global_phase), s, alpha)
+    assert rep.max_rel_err < ORACLE_TOLERANCE
+
+
 @pytest.mark.parametrize("r2_sq", [0.0, 0.5, 1.0])
 def test_variance_oracle_agreement_at_strong_squeezing(r2_sq):
     """Eq-level variance agreement holds to 1e-5 out to s = 1.5."""
@@ -222,7 +267,7 @@ def test_interferometer_is_beam_splitter_at_cos_half_phi(phi, s, alpha, n, lam):
     in_scheme, bs_scheme = SchemeParams(n, lam, InterferometerConfig(phi)), SchemeParams(n, lam, bs)
     pairs = [
         (interferometer_variance(phi, s), bs_res.var_x),
-        (interferometer_intensity(phi, s, alpha), beam_splitter_intensity(bs, s, alpha)),
+        (in_res.intensity_y, bs_res.intensity_y),
         (in_res.s, bs_res.s),
         (scheme_phase_resolution_exact(in_scheme).s, scheme_phase_resolution_exact(bs_scheme).s),
         (scheme_phase_resolution_approx(in_scheme).value, scheme_phase_resolution_approx(bs_scheme).value),
@@ -438,6 +483,18 @@ def test_surface_rejects_bad_values_as_scalar_configs_do(n_values, mix_values, l
         scalar()
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         resolution_surface(n_values, mix_values, lam, variant)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: beam_splitter_phase_resolution(BeamSplitterConfig(1.0), 0.5, 1e200), "|alpha|^2"),
+    (lambda: interferometer_phase_resolution(1.0, 0.5, 1e200), "|alpha|^2"),
+    (lambda: scheme_phase_resolution_exact(SchemeParams(1e308, 0.9, BS)), "2 N lambda"),
+    (lambda: resolution_surface([1e300, 1e308], [0.1, 0.9], 0.9), "2 N lambda"),
+], ids=["bs", "in", "scheme", "surface"])
+def test_overflowing_coherent_photon_number_is_refused_by_name(call, name):
+    """Refused before any S is formed, and without a warning (RuntimeWarning is an error in this suite)."""
+    with pytest.raises(ValueError, match=f"^the coherent photon number {re.escape(name)} must be finite, got inf$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

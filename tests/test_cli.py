@@ -146,13 +146,18 @@ def test_mix_off_optimum_theta_oracle(tmp_path):
     payload = read_json(tmp_path / "mix.json")
     oracle = payload["oracle"]
     assert oracle["within_tolerance"] is True
-    assert oracle["max_rel_err"] == relative_error(oracle["analytic_variance"], oracle["fock_variance"])
+    assert set(oracle) == {"analytic_variance", "fock_variance", "analytic_intensity", "fock_intensity", "analytic_S",
+                           "fock_S", "max_rel_err", "tolerance", "within_tolerance"}
+    errors = [relative_error(oracle[f"analytic_{key}"], oracle[f"fock_{key}"]) for key in ("variance", "intensity", "S")]
+    assert oracle["max_rel_err"] == max(errors)
+    assert (oracle["analytic_variance"], oracle["analytic_intensity"], oracle["analytic_S"]) == (
+        payload["variance"], payload["intensity"], payload["S"])
     assert payload["variance"] > 1.0 - 0.55**2  # worse than the optimum
 
 
 @pytest.mark.parametrize("offset", [5e-13, -5e-13])
 def test_mix_theta_within_1e_12_of_the_optimum_gets_the_full_oracle(tmp_path, offset):
-    """theta just above and just below the optimum -2 delta - 2 psi is at it, not off it."""
+    """theta just above and just below the optimum -2 delta - 2 psi gets the full report, as any theta does."""
     theta = -2.0 * 0.2 - 2.0 * 0.1 + offset
     assert main(["mix", "--variant", "bs", "--r2", "0.5", "--delta", "0.2", "--psi", "0.1", "--s", "0.5",
                  "--alpha", "1", "--theta", repr(theta), "--oracle", "--outdir", str(tmp_path)]) == 0
@@ -256,9 +261,20 @@ def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "800", "--alpha", "1"], None),  # sinh(s) overflows
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "-1", "--alpha", "1"], None),
     (["simulate", "--kind", "degenerate", "--N", "4", "--coupling", "1e-310"], None),  # 1 / coupling overflows
+    # |alpha|^2 or 2 N lambda overflows
+    (["mix", "--variant", "bs", "--r2", "0.5", "--s", "0.5", "--alpha", "1e200"], None),
+    (["mix", "--variant", "bs", "--r2", "1", "--s", "0.5", "--alpha", "1e200"], None),
+    (["scheme", "--variant", "bs", "--r2", "0.5", "--N", "1e308", "--lambda", "0.9"], None),
+    (["surface", "--variant", "bs", "--N", "1e300:1e308:geometric:3", "--mix", "0.1:0.9:linear:3", "--lambda", "0.9"],
+     None),
+    # the optimal squeeze phase overflows
+    (["mix", "--variant", "bs", "--r2", "0.5", "--delta", "1e308", "--s", "0.5", "--alpha", "1"], None),
+    (["mix", "--variant", "in", "--phi", "1", "--global-phase", "1e308", "--s", "0.5", "--alpha", "1"], None),
 ], ids=["sweep-N-inf", "surface-N-nan", "surface-N-inf", "surface-mix-nan", "scheme-N-nan", "mix-s-nan",
         "mix-alpha-nan", "mix-delta-nan", "mix-psi-inf", "config-scheme-N-nan", "config-mix-s-inf",
-        "mix-s-400", "mix-s-800", "mix-s-negative", "simulate-coupling-1e-310"])
+        "mix-s-400", "mix-s-800", "mix-s-negative", "simulate-coupling-1e-310",
+        "mix-alpha-1e200", "mix-r2-1-alpha-1e200", "scheme-N-1e308", "surface-N-1e308", "mix-bs-delta-1e308",
+        "mix-in-global-phase-1e308"])
 def test_non_finite_input_exit_2_before_any_work(tmp_path, capsys, argv, file_cfg):
     out = tmp_path / "out"
     if file_cfg is not None:

@@ -243,7 +243,7 @@ def test_squeeze_params_validation():
         with pytest.raises(ValueError):
             SqueezeParams(s, theta)
     assert SqueezeParams(355.0).mean_photons < math.inf
-    assert SqueezeParams(1.0, 2.0 * math.pi + 0.3).theta == pytest.approx(0.3)
+    assert SqueezeParams(1.0, 2.0 * math.pi + 0.3).theta == 2.0 * math.pi + 0.3  # kept as given, not reduced
     assert SqueezeParams(1.0).mean_photons == pytest.approx(math.sinh(1.0) ** 2)
 
 

@@ -134,9 +134,12 @@ def test_interferometer_variance_where_sinh_squared_overflows():
 
 
 @pytest.mark.parametrize("intensity", [
+    # the intensity does not depend on the mixer's phases; read it away from zero too
+    lambda s: beam_splitter_phase_resolution(BeamSplitterConfig(0.5, delta=0.3, psi=-0.7), s, 2.0).intensity_y,
     lambda s: beam_splitter_phase_resolution(BeamSplitterConfig(0.5), s, 1.0).intensity_y,
+    lambda s: interferometer_phase_resolution(2.0, s, 2.0).intensity_y,
     lambda s: interferometer_phase_resolution(1.0, s, 1.0).intensity_y,
-], ids=["bs_resolution", "in_resolution"])
+], ids=["bs_intensity", "bs_resolution", "in_intensity", "in_resolution"])
 def test_intensity_needs_finite_sinh_squared(intensity):
     """Where sinh²(s) overflows, the intensity of either mixer raises as SqueezeParams does, without a warning."""
     assert math.isfinite(intensity(355.0))

@@ -170,14 +170,14 @@ def cmd_sweep(config: dict, out: Path) -> int:
             points = list(pool.map(_sweep_point, payloads))
     else:
         points = [_sweep_point(p) for p in payloads]
+    ns = [p["N"] for p in points]
+    fit_v = fit_power_law(ns, [p["var_min"] for p in points])  # both fits before any file is written
+    fit_s = fit_power_law(ns, [p["S"] for p in points])
     _write_csv(
         out / "sweep.csv",
         ["N", "t_sq", "var_min", "S", "S_min_angle"],
         [(p["N"], p["t_sq"], p["var_min"], p["S"], p["S_min_angle"]) for p in points],
     )
-    ns = [p["N"] for p in points]
-    fit_v = fit_power_law(ns, [p["var_min"] for p in points])
-    fit_s = fit_power_law(ns, [p["S"] for p in points])
     _write_json(
         out / "fits.json",
         {

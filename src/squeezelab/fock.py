@@ -169,9 +169,12 @@ def coherent_state(alpha: complex) -> FockState:
     :func:`default_cutoff` floor whose truncated-norm deficit, the Poisson
     tail ``pdtrc(cutoff, |alpha|²)``, is at most ``DEFICIT_TOL``; the floor
     first misses that bound at about 136 photons.  A cutoff above
-    ``MAX_CUTOFF`` raises :class:`TruncationError`.
+    ``MAX_CUTOFF`` raises :class:`TruncationError`, a non-finite ``|alpha|²`` ``ValueError``.
     """
-    mean = abs(alpha) ** 2
+    mag = abs(alpha)
+    mean = mag * mag
+    if not math.isfinite(mean):
+        raise ValueError(f"coherent state needs a finite |alpha|^2, got alpha = {alpha}")
     cutoff = _cutoff(lambda n: special.pdtrc(n, mean), default_cutoff(mean), f"coherent state |alpha|²={mean:g}")
     amps = _coherent_amplitudes(alpha, cutoff + 1)
     return _check_norm(FockState(amps / np.linalg.norm(amps)))

@@ -85,7 +85,7 @@ class PowerLawFit:
 def fit_power_law(x, y) -> PowerLawFit:
     """Unweighted log-log least squares.
 
-    Requires at least 3 strictly positive points on both axes.
+    Requires at least 3 strictly positive points on both axes (``ValueError`` names the first that is not).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -93,8 +93,11 @@ def fit_power_law(x, y) -> PowerLawFit:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValueError(f"need at least 3 points, got {x.size}")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise ValueError("power-law fit requires strictly positive data")
+    bad = np.flatnonzero(~((x > 0.0) & (y > 0.0)))
+    if bad.size:
+        i = bad[0]
+        got = f"y = {y[i]} at x = {x[i]}" if x[i] > 0.0 else f"x = {x[i]}"
+        raise ValueError(f"power-law fit requires strictly positive data, got {got}")
     lx = np.log(x)
     ly = np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -20,8 +20,9 @@ with both Hamiltonians: the blocks propagate real amplitudes, and ``phi``
 enters only as ``e^{iK phi}`` on the charge-2K block and ``cos(phi)`` in
 the ``x``-quadrature read-out.  Every read-out, observables on a time grid
 or ``var_x`` with its two time derivatives at one time, is one sum over the
-blocks of their real amplitudes.  A dense full-tensor propagator (no charge
-decomposition) is included as the independent cross-check route.
+blocks of their real amplitudes.  A dense full-tensor propagator on a real
+generator (no charge decomposition, no frame rotation; :func:`dense_evolve`)
+is included as the independent cross-check route.
 
 With the pump amplitude real positive, the squeezed quadrature of the
 sub-harmonic is ``-i(a† - a)``, ``QuadratureSpec(mode, -pi/2)`` of
@@ -119,9 +120,7 @@ def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
     must be even there).
     """
     sub, pump = (occ.tolist() for occ in _block_occupations(kind, charge))
-    if kind == "degenerate":
-        return list(zip(sub, pump))
-    return list(zip(sub, sub, pump))
+    return list(zip(*(sub,) * (1 if kind == "degenerate" else 2), pump))
 
 
 def _block_couplings(kind: OscillatorKind, charge: int) -> np.ndarray:
@@ -414,12 +413,17 @@ class BlockEvolution:
         ))
 
 
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a float array; ``ValueError`` unless it is 1-d, non-empty, finite, starts at 0 and strictly ascends."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 1 or t[0] != 0.0 or not (np.all(np.diff(t) > 0.0) and math.isfinite(t[-1])):
+        raise ValueError("times must be 1-d, non-empty, finite, start at 0, and be strictly ascending")
+    return t
+
+
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     """Propagate and record observables on an ascending time grid from 0."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be 1-d, start at 0, and be strictly ascending")
-    return BlockEvolution(cfg).observables(t)
+    return BlockEvolution(cfg).observables(_time_grid(t_grid))
 
 
 def _first_window(cfg: OscillatorConfig) -> float:
@@ -560,42 +564,31 @@ def _ladder_sparse(dim: int) -> sparse.csr_matrix:
 
 
 def dense_evolve(cfg: OscillatorConfig, times):
-    """Full-tensor propagation via sparse Krylov exponentials.
+    """Full-tensor propagation via sparse Krylov exponentials, one per interval of an ascending grid from 0.
 
     Returns ``(dims, states)`` where ``states[i]`` is the dense amplitude
     tensor at ``times[i]``; the mode dimensions (sub-harmonics first, pump
-    last) cover every state reachable from the truncated pump.  This is
-    the oracle route: it shares nothing with the charge-block propagator
-    except the Hamiltonian definition.
+    last) cover every state reachable from the truncated pump.  One body
+    serves both kinds: ``H = i g kappa (b A† - b† A)`` with a real pair creator
+    ``A†`` (``a1†²`` and ``g = 1/2``, or ``a2† a3†`` and ``g = 1``), so the generator
+    ``-iH = g kappa (C - Cᵀ)``, ``C = A† ⊗ b``, is real, and the pump phase
+    stays in the complex start state.  This is the oracle route: it shares
+    nothing with the charge-block propagator except the Hamiltonian definition.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("times must be 1-d, start at 0, and be strictly ascending")
-    pump_vec = coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
-    d_pump = pump_vec.size
-    dims = (2 * d_pump - 1, d_pump) if cfg.kind == "degenerate" else (d_pump, d_pump, d_pump)
-    kappa = cfg.coupling
-
+    t = _time_grid(times)
+    pump = coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
+    d = pump.size
+    b = _ladder_sparse(d)
     if cfg.kind == "degenerate":
-        a1 = _ladder_sparse(dims[0])
-        b = _ladder_sparse(dims[1])
-        conv = sparse.kron(a1.T @ a1.T, b, format="csr")
-        h = 1j * 0.5 * kappa * (conv - conv.conj().T)
-        psi = np.zeros(dims[0], dtype=np.complex128)
-        psi[0] = 1.0
-        psi = np.kron(psi, pump_vec)
+        a1 = _ladder_sparse(2 * d - 1)
+        dims, g, creator = (2 * d - 1, d), 0.5, a1.T @ a1.T
     else:
-        a2 = _ladder_sparse(dims[0])
-        a3 = _ladder_sparse(dims[1])
-        b = _ladder_sparse(dims[2])
-        conv = sparse.kron(sparse.kron(a2.T, a3.T), b, format="csr")
-        h = 1j * kappa * (conv - conv.conj().T)
-        one = np.zeros(dims[0], dtype=np.complex128)
-        one[0] = 1.0
-        psi = np.kron(np.kron(one, one), pump_vec)
-
+        dims, g, creator = (d, d, d), 1.0, sparse.kron(b.T, b.T)
+    conv = sparse.kron(creator, b, format="csr")
+    gen = g * cfg.coupling * (conv - conv.T)
+    psi = np.zeros(math.prod(dims), dtype=np.complex128)
+    psi[:d] = pump  # the sub-harmonics in vacuum; the pump axis is last
     states = [psi.reshape(dims).copy()]
-    gen = -1j * h
     for dt in np.diff(t):
         psi = expm_multiply(gen * float(dt), psi)
         states.append(psi.reshape(dims).copy())
@@ -606,6 +599,6 @@ def blocks_to_dense(cfg: OscillatorConfig, vectors: dict[int, np.ndarray], dims)
     """Scatter block vectors into a dense tensor with the given dims."""
     out = np.zeros(dims, dtype=np.complex128)
     for q, v in vectors.items():
-        for idx, occ in enumerate(block_basis(cfg.kind, q)):
-            out[occ] = v[idx]
+        sub, pump = _block_occupations(cfg.kind, q)
+        out[(sub,) * (len(dims) - 1) + (pump,)] = v
     return out

@@ -301,6 +301,16 @@ def test_pump_phase_away_from_x_quadrature_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_through_a_pump_below_the_block_weight_exit_2_without_output(tmp_path, capsys):
+    """At N = 1e-20 every pump block but the vacuum is dropped, so S = 0 and its fit is refused before any write."""
+    code = main(["sweep", "--kind", "degenerate", "--N", "1e-20:4:geometric:3", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: power-law fit requires strictly positive data, got y = 0.0 at x = 1e-20\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--points", "0"], "--points must be at least 1, got 0"),
     (["--t-max", "-1"], "--t-max must be >= 0, got -1.0"),

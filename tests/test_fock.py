@@ -148,13 +148,24 @@ def test_cutoffs_are_smallest_within_tolerance_property(mean, s):
 @pytest.mark.parametrize("build", [lambda: sq.squeezed_vacuum(SqueezeParams(8.0)),
                                    lambda: sq.squeezed_vacuum(SqueezeParams(20.0)),
                                    lambda: sq.squeezed_vacuum(SqueezeParams(1.0), cutoff=MAX_CUTOFF + 2),
-                                   lambda: sq.coherent_state(1100.0)])
+                                   lambda: sq.coherent_state(1100.0),
+                                   lambda: sq.coherent_state(1e100)])
 def test_cutoff_above_the_bound_raises_at_once(build):
-    """s = 8 needs a cutoff of about 9.3e7; from s = 19.1 tanh² s rounds to 1 and the deficit never falls."""
+    """s = 8 needs a cutoff of about 9.3e7; from s = 19.1 tanh² s rounds to 1 and the deficit never falls.
+
+    |alpha|² = 1e200 is finite, so it is a cutoff past the bound, not a refused input.
+    """
     start = time.perf_counter()
     with pytest.raises(TruncationError, match=str(MAX_CUTOFF)):
         build()
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e200, 1e200 + 0j])
+def test_coherent_state_refuses_a_non_finite_mean(alpha):
+    """|alpha|² that is NaN or overflows is refused by name before any work, not with a conversion error."""
+    with pytest.raises(ValueError, match=r"\|alpha\|\^2"):
+        sq.coherent_state(alpha)
 
 
 def test_squeezed_mean_photons():

@@ -116,7 +116,9 @@ def test_fit_constant_data():
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got x = -3.0$"):
         fit_power_law([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got y = 0.0 at x = 2.0$"):
         fit_power_law([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
+    with pytest.raises(ValueError, match="got y = nan at x = 3.0$"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, math.nan])

@@ -96,12 +96,13 @@ def test_config_rejects_non_finite(field, value):
 # ---------------------------------------------------------------------------
 # evolution
 
-def test_grid_must_start_at_zero_and_ascend():
+@pytest.mark.parametrize("run", [evolve, dense_evolve], ids=["evolve", "dense_evolve"])
+def test_grid_must_start_at_zero_and_ascend(run):
+    """Both routes share one grid check: 1-d, non-empty, finite, from 0, strictly ascending."""
     cfg = OscillatorConfig("degenerate", 2.0)
-    with pytest.raises(ValueError):
-        evolve(cfg, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        evolve(cfg, [0.0, 0.2, 0.1])
+    for times in ([0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.2, 0.2], [], [[0.0, 0.1]], [0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="times must be"):
+            run(cfg, times)
 
 
 def test_vacuum_pump_is_stationary():
@@ -171,22 +172,6 @@ def test_conservation_along_trajectory():
         assert _energy_square(ev, float(t)) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9), t
 
 
-@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
-def test_block_matches_dense_propagation(kind):
-    """Also away from zero pump phase: the frame rotation e^{iK phi} against the dense route's complex pump.
-
-    And away from coupling 1, which the dense route keeps in its Hamiltonian.
-    """
-    for pump_phase, coupling in ((0.0, 1.0), (-2.1, 1.0), (3.0, 1.0), (0.0, 0.7), (-2.1, 2.5)):
-        cfg = OscillatorConfig(kind, 4.0, coupling, pump_phase)
-        times = np.array([0.0, 0.4, 0.9])
-        dims, states = dense_evolve(cfg, times)
-        ev = BlockEvolution(cfg)
-        for t, dense in zip(times, states):
-            scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
-            assert np.max(np.abs(scattered - dense)) < 1e-8, (pump_phase, coupling)
-
-
 def _dense_observables(kind, dense):
     """var_x, var_x_min_angle, intensity_y and pump_n of a dense state tensor, from Fock moments."""
     state = FockState(dense)
@@ -207,30 +192,27 @@ def _dense_observables(kind, dense):
 @pytest.mark.parametrize("n", [4.0, 6.0])
 @pytest.mark.parametrize("pump_phase", [0.0, 0.8, -2.1, 3.0])
 def test_observables_match_dense_moments(kind, n, pump_phase):
-    """The observables record against Fock moments of the dense route, at criterion 5's points.
+    """Block states and the observables record against each dense run, at criterion 5's points.
 
-    At coupling 1 and at 2.5 (N = 4) or 0.7 (N = 6): the dense route keeps the coupling in its Hamiltonian.
+    Away from zero pump phase the block states check the frame rotation
+    e^{iK phi} against the dense route's complex pump; the moments come from
+    Fock moments of the dense state, and non-degenerate runs check
+    ``<n2> = <n3>`` (:func:`_dense_observables`).  At coupling 1 and at 2.5
+    (N = 4) or 0.7 (N = 6): the dense route keeps the coupling in its
+    Hamiltonian.
     """
     times = np.array([0.0, 0.35, 0.8, 1.4])
     for coupling in (1.0, 2.5 if n == 4.0 else 0.7):
         cfg = OscillatorConfig(kind, n, coupling, pump_phase)
-        _, states = dense_evolve(cfg, times)
-        result = BlockEvolution(cfg).observables(times)
+        dims, states = dense_evolve(cfg, times)
+        ev = BlockEvolution(cfg)
+        for t, dense in zip(times, states):
+            scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
+            assert np.max(np.abs(scattered - dense)) < 1e-8, (coupling, t)
+        result = ev.observables(times)
         got = np.array([result.var_x, result.var_x_min_angle, result.intensity_y, result.pump_n]).T
         want = np.array([_dense_observables(kind, dense) for dense in states])
         assert np.max(np.abs(got - want)) < 1e-10, coupling
-
-
-def test_nondegenerate_signal_idler_symmetry():
-    """Dense run: <n2> = <n3> at all times with vacuum signal/idler."""
-    cfg = OscillatorConfig("nondegenerate", 4.0)
-    times = np.array([0.0, 0.3, 0.7, 1.2])
-    dims, states = dense_evolve(cfg, times)
-    for dense in states:
-        p = np.abs(dense) ** 2
-        n2 = float(np.sum(p * np.arange(dims[0])[:, None, None]))
-        n3 = float(np.sum(p * np.arange(dims[1])[None, :, None]))
-        assert abs(n2 - n3) < 1e-9
 
 
 def test_pump_phase_rotates_squeezed_axis():

@@ -2,7 +2,7 @@
 
 Examples:
   squeezelab simulate --kind degenerate --N 16 --outdir out
-  squeezelab sweep --kind nondegenerate --N 4:64:geometric:5 --jobs 4 --outdir out
+  squeezelab sweep --kind nondegenerate --N 4:64:geometric:5 --outdir out
   squeezelab mix --variant bs --r2 0.55 --s 0.5 --alpha 2 --oracle --outdir out
   squeezelab scheme --N 1e6 --lambda 0.5 --variant bs --r2 0.1 --outdir out
   squeezelab surface --variant in --N 1e3:1e7:geometric:9 --mix 0:3.14159:linear:12 --lambda 0.5 --outdir out
@@ -11,7 +11,8 @@ Every command writes a JSON document containing ``schema: 1`` and an echo
 of its fully-resolved configuration; rerunning with ``--config`` pointed
 at that echo (and no other flags) reproduces byte-identical outputs.
 Flags win over the ``--config`` file, which wins over the defaults; a file
-key that names no parameter of the command is rejected.
+key that names no parameter of the command is rejected, and so is a flag or
+file key that only the other ``--variant`` reads.
 Exit codes: 0 success, 2 configuration error, 3 truncation error.
 """
 
@@ -21,9 +22,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -45,7 +44,7 @@ from .analytic import (
 from .crosscheck import beam_splitter_crosscheck, interferometer_crosscheck
 from .fock import SqueezeParams, TruncationError
 from .metrics import fit_power_law, phase_resolution
-from .oscillator import BlockEvolution, OscillatorConfig, default_t_max, find_optimal_squeezing
+from .oscillator import OscillatorConfig, default_t_max, evolve, find_optimal_squeezing
 
 SCHEMA_VERSION = 1
 ORACLE_TOLERANCE = 1e-4
@@ -104,8 +103,8 @@ def cmd_simulate(config: dict, out: Path) -> int:
     grid = np.linspace(0.0, config["t_max"], config["points"])
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError(f"--t-max {config['t_max']} is too small for {config['points']} distinct times")
-    opt = find_optimal_squeezing(osc)
-    result = BlockEvolution(osc).observables(grid)  # on the search's memoized block solves
+    result = evolve(osc, grid)  # first: it refuses a grid past the propagator's range before the search
+    opt = find_optimal_squeezing(osc)  # on the trajectory's memoized block solves
     _write_csv(
         out / "trajectory.csv",
         ["t", "var_X", "intensity_Y", "pump_n"],
@@ -138,45 +137,25 @@ def cmd_simulate(config: dict, out: Path) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_point(payload: tuple) -> dict:
-    kind, n, coupling, pump_phase = payload
-    opt = find_optimal_squeezing(OscillatorConfig(kind, n, coupling, pump_phase))
-    return {
-        "N": n,
-        "t_sq": opt.t_sq,
-        "var_min": opt.var_min,
-        "S": opt.resolution.s,
-        "S_min_angle": opt.s_min_angle,
-    }
-
-
 def cmd_sweep(config: dict, out: Path) -> int:
-    if config["jobs"] is None:
-        jobs = os.environ.get("SQUEEZELAB_JOBS", "1")
-        try:
-            config["jobs"] = int(jobs)
-        except ValueError:
-            raise ValueError(f"SQUEEZELAB_JOBS must be an integer, got {jobs!r}") from None
-    if config["jobs"] < 1:
-        raise ValueError(f"--jobs (or SQUEEZELAB_JOBS) must be at least 1, got {config['jobs']}")
     n_values = parse_range(config["N"])
     if n_values.size < 3:
         raise ValueError(f"--N: the power-law fits need at least 3 points, got {n_values.size}")
     if np.min(n_values) <= 0.0:
         raise ValueError(f"--N: the power-law fits need every N > 0, got N = {np.min(n_values):g}")
-    payloads = [(config["kind"], float(n), config["coupling"], config["pump_phase"]) for n in n_values]
-    if config["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
-            points = list(pool.map(_sweep_point, payloads))
-    else:
-        points = [_sweep_point(p) for p in payloads]
-    ns = [p["N"] for p in points]
-    fit_v = fit_power_law(ns, [p["var_min"] for p in points])  # both fits before any file is written
-    fit_s = fit_power_law(ns, [p["S"] for p in points])
+    if np.ptp(np.log(n_values)) == 0.0:
+        raise ValueError(f"--N: the power-law fits need distinct N, got only N = {n_values[0]:g}")
+    ns = n_values.tolist()
+    # one process, so the points share their block solves through the (kind, charge) memo
+    points = [find_optimal_squeezing(OscillatorConfig(config["kind"], n, config["coupling"], config["pump_phase"]))
+              for n in ns]
+    var_min, s_values = [p.var_min for p in points], [p.resolution.s for p in points]
+    fit_v = fit_power_law(ns, var_min)  # both fits before any file is written
+    fit_s = fit_power_law(ns, s_values)
     _write_csv(
         out / "sweep.csv",
         ["N", "t_sq", "var_min", "S", "S_min_angle"],
-        [(p["N"], p["t_sq"], p["var_min"], p["S"], p["S_min_angle"]) for p in points],
+        [(n, p.t_sq, p.var_min, p.resolution.s, p.s_min_angle) for n, p in zip(ns, points)],
     )
     _write_json(
         out / "fits.json",
@@ -191,7 +170,7 @@ def cmd_sweep(config: dict, out: Path) -> int:
         svgplot.line_plot(
             out / "sweep.svg",
             ns,
-            {"var_min": [p["var_min"] for p in points], "S": [p["S"] for p in points]},
+            {"var_min": var_min, "S": s_values},
             title=f"{config['kind']} squeezing optimum vs pump photons",
             xlabel="N",
             ylabel="",
@@ -209,7 +188,7 @@ def cmd_sweep(config: dict, out: Path) -> int:
 # mix
 
 def cmd_mix(config: dict, out: Path) -> int:
-    variant, s, alpha, cutoff = config["variant"], config["s"], config["alpha"], config["cutoff"]
+    variant, s, alpha = config["variant"], config["s"], config["alpha"]
     SqueezeParams(s)  # the valid squeeze range, checked with or without --oracle
     if variant == "bs":
         mixer = BeamSplitterConfig.from_reflectivity(config["r2"], config["delta"], config["psi"])
@@ -232,9 +211,9 @@ def cmd_mix(config: dict, out: Path) -> int:
     }
     if config["oracle"]:
         check = (
-            beam_splitter_crosscheck(mixer, s, alpha, cutoff, config["theta"])
+            beam_splitter_crosscheck(mixer, s, alpha, config["theta"])
             if variant == "bs"
-            else interferometer_crosscheck(mixer, s, alpha, cutoff)
+            else interferometer_crosscheck(mixer, s, alpha)
         )
         max_err = check.max_rel_err
         oracle = {
@@ -378,9 +357,7 @@ COMMANDS = {
         Param("t_max", float, None, "end of the time grid, 5/(coupling*sqrt(N)) if not given or 0"),
         SVG, OUTDIR)),
     "sweep": Command("squeezing optimum across pump photon numbers", cmd_sweep, (
-        KIND, N_RANGE, COUPLING, PUMP_PHASE,
-        Param("jobs", int, None, "worker processes, $SQUEEZELAB_JOBS or 1 if not given"),
-        SVG, OUTDIR)),
+        KIND, N_RANGE, COUPLING, PUMP_PHASE, SVG, OUTDIR)),
     "mix": Command("closed-form mixer output, optionally Fock-checked", cmd_mix, (
         VARIANT, R2,
         Param("delta", float, 0.0, "beam-splitter phase delta", variant="bs"),
@@ -391,7 +368,6 @@ COMMANDS = {
         Param("s", float, 0.0, "squeeze parameter"),
         Param("alpha", float, 0.0, "coherent amplitude |alpha|"),
         Param("oracle", bool, False, "cross-check against the Fock simulator"),
-        Param("cutoff", int, None, "explicit squeezed-vacuum cutoff for the oracle"),
         OUTDIR)),
     "scheme": Command("pump-budget scheme phase resolution", cmd_scheme, (
         VARIANT._replace(default="bs"), Param("N", float, REQUIRED, "pump photon number"),
@@ -445,9 +421,12 @@ def _resolve(params: tuple[Param, ...], args: argparse.Namespace) -> dict:
             raise ValueError(f"--config {args.config}: unknown parameter(s) {', '.join(unknown)}")
     config = {}
     for p in params:  # the variant comes first, so the variant-only rows can test it
-        if p.variant not in (None, config.get("variant")):
-            continue
         value = getattr(args, p.key)
+        if p.variant not in (None, config.get("variant")):
+            if value is not None or p.key in file_cfg:
+                given = p.option if value is not None else f"--config key {p.key}"
+                raise ValueError(f"{given} is for --variant {p.variant} only, got --variant {config['variant']}")
+            continue
         if value is None:
             value = file_cfg.get(p.key)
         if value is None:

@@ -11,7 +11,8 @@ Input phase conventions: the coherent amplitude is oriented so the output
 mean field lies on the imaginary axis, making the measured cosine
 quadrature the uncertainty direction.  The squeeze phase is the mixer's
 ``optimal_theta`` unless a beam-splitter check is given another, and
-both sides use it as given, not reduced mod 2pi.
+both sides use it as given, not reduced mod 2pi.  Each input state has its
+constructor's cutoff, the smallest that meets ``fock.DEFICIT_TOL``.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ class CrosscheckReport:
         return max(relative_error(a, b) for a, b in pairs)
 
 
-def _crosscheck(mixer, theta: float, alpha: complex, s: float, analytic: PhaseResolution,
-                cutoff: int | None) -> CrosscheckReport:
+def _crosscheck(mixer, theta: float, alpha: complex, s: float, analytic: PhaseResolution) -> CrosscheckReport:
     """Compare ``analytic`` with the bright port of ``mixer`` fed ``alpha`` and the squeezed vacuum ``(s, theta)``."""
-    squeezed = squeezed_vacuum(SqueezeParams(s, theta), cutoff)  # first: it refuses a bad cutoff before any allocation
+    squeezed = squeezed_vacuum(SqueezeParams(s, theta))
     out = apply_mode_unitary(product_state(coherent_state(alpha), squeezed), mixer.mode_matrix())
     moments = mode_moments(out, 0)  # once: the cosine-quadrature variance and <a†a> of the bright port
     _, variance, _ = _quadrature(moments, 0.0)
@@ -91,28 +91,24 @@ def _crosscheck(mixer, theta: float, alpha: complex, s: float, analytic: PhaseRe
     )
 
 
-def beam_splitter_crosscheck(
-    cfg: BeamSplitterConfig, s: float, alpha_mag: float, cutoff: int | None = None, theta: float | None = None
-) -> CrosscheckReport:
+def beam_splitter_crosscheck(cfg: BeamSplitterConfig, s: float, alpha_mag: float,
+                             theta: float | None = None) -> CrosscheckReport:
     """Beam splitter at squeeze phase ``theta`` (None: ``cfg.optimal_theta``): formulas vs the truncated-space unitary."""
     theta = cfg.optimal_theta if theta is None else theta
     alpha = 1j * alpha_mag * complex(math.cos(-cfg.delta), math.sin(-cfg.delta))
     intensity = beam_splitter_phase_resolution(cfg, s, alpha_mag).intensity_y
     analytic = phase_resolution(intensity, beam_splitter_variance(cfg, s, theta))
-    return _crosscheck(cfg, theta, alpha, s, analytic, cutoff)
+    return _crosscheck(cfg, theta, alpha, s, analytic)
 
 
-def interferometer_crosscheck(
-    cfg: InterferometerConfig, s: float, alpha_mag: float, cutoff: int | None = None
-) -> CrosscheckReport:
+def interferometer_crosscheck(cfg: InterferometerConfig, s: float, alpha_mag: float) -> CrosscheckReport:
     """Interferometer bright port: formulas vs the truncated-space unitary."""
     alpha = -alpha_mag * complex(math.cos(cfg.psi - cfg.global_phase), math.sin(cfg.psi - cfg.global_phase))
-    return _crosscheck(cfg, cfg.optimal_theta, alpha, s, interferometer_phase_resolution(cfg.phi, s, alpha_mag), cutoff)
+    return _crosscheck(cfg, cfg.optimal_theta, alpha, s, interferometer_phase_resolution(cfg.phi, s, alpha_mag))
 
 
-def beam_splitter_variance_crosscheck(
-    cfg: BeamSplitterConfig, s: float, theta: float, alpha_mag: float = 0.0, cutoff: int | None = None
-) -> tuple[float, float]:
+def beam_splitter_variance_crosscheck(cfg: BeamSplitterConfig, s: float, theta: float,
+                                      alpha_mag: float = 0.0) -> tuple[float, float]:
     """The ``(analytic, fock)`` variance of :func:`beam_splitter_crosscheck` at squeeze phase ``theta``."""
-    report = beam_splitter_crosscheck(cfg, s, alpha_mag, cutoff, theta)
+    report = beam_splitter_crosscheck(cfg, s, alpha_mag, theta)
     return report.analytic_variance, report.fock_variance

@@ -239,31 +239,23 @@ def _squeezed_amplitudes(params: SqueezeParams, dim: int) -> np.ndarray:
     return amps
 
 
-def squeezed_vacuum(params: SqueezeParams, cutoff: int | None = None) -> FockState:
+def squeezed_vacuum(params: SqueezeParams) -> FockState:
     """Single-mode squeezed vacuum ``|0, s e^{i theta}>``.
 
     Only even occupations are populated, and the pair number ``n // 2`` is
     negative-binomial (``r = 1/2``, success probability ``sech² s``), so the
     truncated-norm deficit beyond cutoff ``n`` is
-    ``betainc(n // 2 + 1, 1/2, tanh² s)``.  With ``cutoff=None`` the cutoff
-    is the smallest one at or above the :func:`default_cutoff` floor whose
-    deficit is at most ``DEFICIT_TOL`` (see :func:`_cutoff`); an explicit
-    cutoff is used as given and rejected if it is negative (``ValueError``),
-    leaves too large a deficit or is above ``MAX_CUTOFF``.
+    ``betainc(n // 2 + 1, 1/2, tanh² s)``.  The cutoff is the smallest one at
+    or above the :func:`default_cutoff` floor whose deficit is at most
+    ``DEFICIT_TOL`` (see :func:`_cutoff`); one above ``MAX_CUTOFF`` raises
+    :class:`TruncationError`.
     """
-    tanh2 = math.tanh(params.s) ** 2
-    deficit = lambda n: special.betainc(n // 2 + 1, 0.5, tanh2)
-    what = f"squeezed vacuum s={params.s:g}"
-    if cutoff is not None and cutoff < 0:
-        raise ValueError(f"{what}: cutoff must be >= 0, got {cutoff}")
-    if cutoff is not None and (cutoff > MAX_CUTOFF or deficit(cutoff) > DEFICIT_TOL):
-        raise TruncationError(f"{what} at cutoff {cutoff}: norm deficit {deficit(cutoff):.3e} "
-                              f"(the largest cutoff is {MAX_CUTOFF})")
     if params.s == 0.0:
-        return vacuum_state(2 if cutoff is None else cutoff + 1)
-    if cutoff is None:
-        cutoff = _cutoff(deficit, default_cutoff(params.mean_photons), what)
-    amps = _squeezed_amplitudes(params, int(cutoff) + 1)
+        return vacuum_state(2)
+    tanh2 = math.tanh(params.s) ** 2
+    cutoff = _cutoff(lambda n: special.betainc(n // 2 + 1, 0.5, tanh2), default_cutoff(params.mean_photons),
+                     f"squeezed vacuum s={params.s:g}")
+    amps = _squeezed_amplitudes(params, cutoff + 1)
     return _check_norm(FockState(amps / np.linalg.norm(amps)))
 
 

@@ -85,7 +85,8 @@ class PowerLawFit:
 def fit_power_law(x, y) -> PowerLawFit:
     """Unweighted log-log least squares.
 
-    Requires at least 3 strictly positive points on both axes (``ValueError`` names the first that is not).
+    Requires at least 3 strictly positive points on both axes (``ValueError`` names the first that is not)
+    and x values that differ.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -100,6 +101,8 @@ def fit_power_law(x, y) -> PowerLawFit:
         raise ValueError(f"power-law fit requires strictly positive data, got {got}")
     lx = np.log(x)
     ly = np.log(y)
+    if np.ptp(lx) == 0.0:
+        raise ValueError(f"power-law fit requires x values that differ, got only x = {x[0]}")
     slope, intercept = np.polyfit(lx, ly, 1)
     residuals = ly - (slope * lx + intercept)
     ss_res = float(np.sum(residuals**2))

@@ -422,8 +422,20 @@ def _time_grid(times) -> np.ndarray:
 
 
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
-    """Propagate and record observables on an ascending time grid from 0."""
-    return BlockEvolution(cfg).observables(_time_grid(t_grid))
+    """Propagate and record observables on an ascending time grid from 0.
+
+    ``ValueError`` names the first time whose largest eigenphase ``sigma kappa t`` is not a finite
+    double.  The optimum search reads :meth:`BlockEvolution.observables` directly: its windows
+    are bounded by :class:`OscillatorConfig`.
+    """
+    t = _time_grid(t_grid)
+    ev = BlockEvolution(cfg)
+    top = max((blk.sigma[-1] for blk in ev.blocks.values() if blk.sigma.size), default=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        past = np.flatnonzero(~np.isfinite(top * (cfg.coupling * t)))
+    if past.size:
+        raise ValueError(f"time {t[past[0]]:g} is past the propagator's range: its phase sigma * coupling * t overflows")
+    return ev.observables(t)
 
 
 def _first_window(cfg: OscillatorConfig) -> float:

@@ -208,20 +208,12 @@ def test_sweep_above_140_photons(tmp_path):
     assert all(0.0 < float(row.split(",")[2]) < 1.0 for row in rows[1:])
 
 
-def test_sweep_jobs_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUEEZELAB_JOBS", "2")
-    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3",
-                 "--outdir", str(tmp_path)]) == 0
-    assert read_json(tmp_path / "fits.json")["config"]["jobs"] == 2
-
-
-def test_sweep_parallel_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3",
-                 "--outdir", str(serial)]) == 0
-    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3",
-                 "--jobs", "2", "--outdir", str(parallel)]) == 0
-    assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
+def test_sweep_solves_each_block_once_across_its_points(tmp_path, monkeypatch, count_calls):
+    """The points share the (kind, charge) memo: one solve per block of the largest N, none again."""
+    monkeypatch.setattr(oscillator, "_solve_cache", {})
+    solves = count_calls(oscillator, "_sublattice_solve")
+    assert main(["sweep", "--kind", "nondegenerate", "--N", "4:16:geometric:3", "--outdir", str(tmp_path)]) == 0
+    assert _solves_each_kept_block_once(solves, OscillatorConfig("nondegenerate", 16.0))
 
 
 def test_invalid_arguments_exit_2():
@@ -328,10 +320,23 @@ def test_simulate_bad_grid_exit_2_before_the_optimum_search(tmp_path, capsys, mo
     assert not any(tmp_path.iterdir())
 
 
+def test_simulate_past_the_propagator_range_exit_2_without_output(tmp_path, capsys):
+    """At t = 5e307 the largest eigenphase of the N = 4 blocks overflows; the grid is refused, not written as NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--kind", "degenerate", "--N", "4", "--t-max", "1e308", "--points", "3",
+                     "--outdir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: time 5e+307 is past the propagator's range")
+    assert not any(tmp_path.iterdir())
+
+
 def test_truncation_failure_exit_3(tmp_path, capsys):
-    code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "2.0", "--alpha", "1",
-                 "--cutoff", "10", "--oracle", "--outdir", str(tmp_path)])
+    # s = 8 needs a squeezed-vacuum cutoff of about 9.3e7, above MAX_CUTOFF
+    code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "8", "--alpha", "1",
+                 "--oracle", "--outdir", str(tmp_path)])
     assert code == 3
+    assert "squeezed vacuum s=8: needs a cutoff above the largest one" in capsys.readouterr().err
     # an 18 x 31167 input would need a 31184² output and its rotation bands, about 80 GiB
     code = main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "4", "--alpha", "1",
                  "--oracle", "--outdir", str(tmp_path)])
@@ -413,11 +418,40 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
+    """A typo is refused by name, and so is an older echo's "cutoff" (mix) or "jobs" (sweep)."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"variant": "bs", "r2": 0.5, "detla": 0.3, "outdir": str(tmp_path)}))
-    assert main(["mix", "--config", str(config)]) == 2
-    assert "unknown parameter(s) detla" in capsys.readouterr().err
-    assert not (tmp_path / "mix.json").exists()
+    for command, file_cfg, key in [
+        ("mix", {"variant": "bs", "r2": 0.5, "detla": 0.3}, "detla"),
+        ("mix", {"variant": "bs", "r2": 0.5, "s": 0.5, "alpha": 1.0, "oracle": True, "cutoff": None}, "cutoff"),
+        ("sweep", {"kind": "degenerate", "N": "4:9:geometric:3", "jobs": 1}, "jobs"),
+    ]:
+        config.write_text(json.dumps({**file_cfg, "outdir": str(tmp_path)}))
+        assert main([command, "--config", str(config)]) == 2
+        assert f"unknown parameter(s) {key}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("argv, file_cfg, named", [
+    (["mix", "--variant", "in", "--phi", "1", "--theta", "0.3", "--s", "0.5", "--alpha", "1"], None, "--theta"),
+    (["mix", "--variant", "bs", "--r2", "0.4", "--s", "0.5", "--alpha", "1"], {"global_phase": 0.2},
+     "--config key global_phase"),
+    (["scheme", "--variant", "bs", "--r2", "0.3", "--phi", "2", "--N", "1e4", "--lambda", "0.3"], None, "--phi"),
+    (["scheme", "--variant", "in", "--phi", "2", "--N", "1e4", "--lambda", "0.3"], {"r2": 0.3}, "--config key r2"),
+], ids=["mix-flag", "mix-file-key", "scheme-flag", "scheme-file-key"])
+def test_other_variant_parameter_exit_2(tmp_path, capsys, argv, file_cfg, named):
+    """A flag or file key that only the other mixer reads is refused by name, not dropped."""
+    out = tmp_path / "out"
+    if file_cfg is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(file_cfg))
+        argv = [*argv, "--config", str(config)]
+    assert main([*argv, "--outdir", str(out)]) == 2
+    variant = argv[argv.index("--variant") + 1]
+    other = "bs" if variant == "in" else "in"
+    assert capsys.readouterr().err == (
+        f"configuration error: {named} is for --variant {other} only, got --variant {variant}\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, file_cfg, reason", [
@@ -440,14 +474,6 @@ def test_missing_parameter_names_its_flag(tmp_path, capsys):
     assert "missing required parameter --lambda" in capsys.readouterr().err
 
 
-def test_cutoff_zero_is_kept(tmp_path):
-    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "0.5", "--alpha", "1",
-                 "--cutoff", "0", "--outdir", str(tmp_path)]) == 0
-    assert read_json(tmp_path / "mix.json")["config"]["cutoff"] == 0
-    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--s", "0.5", "--alpha", "1",
-                 "--cutoff", "0", "--oracle", "--outdir", str(tmp_path)]) == 3
-
-
 def test_sweep_too_few_points_exit_2_before_running(tmp_path, capsys):
     assert main(["sweep", "--kind", "degenerate", "--N", "4:16:geometric:2",
                  "--outdir", str(tmp_path)]) == 2
@@ -457,20 +483,19 @@ def test_sweep_too_few_points_exit_2_before_running(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec", ["0:400:linear:3", "-2:8:linear:3"])
 def test_sweep_nonpositive_n_exit_2_before_running(tmp_path, capsys, count_calls, spec):
-    points = count_calls(cli, "_sweep_point")
+    points = count_calls(cli, "find_optimal_squeezing")
     assert main(["sweep", "--kind", "degenerate", f"--N={spec}", "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "need every N > 0, got N = " + spec.split(":")[0] in err
     assert points == [] and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("s,cutoff", [("0", "-1"), ("0.5", "-5")])
-def test_mix_negative_cutoff_exit_2(tmp_path, capsys, s, cutoff):
-    assert main(["mix", "--variant", "bs", "--r2", "0.5", "--s", s, "--alpha", "1",
-                 "--cutoff", cutoff, "--oracle", "--outdir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and f"cutoff must be >= 0, got {cutoff}" in err
-    assert not (tmp_path / "mix.json").exists()
+def test_sweep_over_one_distinct_n_exit_2_before_running(tmp_path, capsys, count_calls):
+    """Three equal N leave the power-law fit no spread to fit; refused before any point runs."""
+    points = count_calls(cli, "find_optimal_squeezing")
+    assert main(["sweep", "--kind", "degenerate", "--N", "4:4:linear:3", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "configuration error: --N: the power-law fits need distinct N, got only N = 4\n"
+    assert points == [] and list(tmp_path.iterdir()) == []
 
 
 def test_output_directory_that_is_a_file_exit_2(tmp_path, capsys):
@@ -481,16 +506,3 @@ def test_output_directory_that_is_a_file_exit_2(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_below_one_exit_2(tmp_path, capsys, jobs):
-    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3", "--jobs", jobs,
-                 "--outdir", str(tmp_path)]) == 2
-    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
-
-
-def test_sweep_jobs_env_not_an_integer_names_it(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SQUEEZELAB_JOBS", "abc")
-    assert main(["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3", "--outdir", str(tmp_path)]) == 2
-    assert "configuration error: SQUEEZELAB_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()

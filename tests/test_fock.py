@@ -147,7 +147,6 @@ def test_cutoffs_are_smallest_within_tolerance_property(mean, s):
 
 @pytest.mark.parametrize("build", [lambda: sq.squeezed_vacuum(SqueezeParams(8.0)),
                                    lambda: sq.squeezed_vacuum(SqueezeParams(20.0)),
-                                   lambda: sq.squeezed_vacuum(SqueezeParams(1.0), cutoff=MAX_CUTOFF + 2),
                                    lambda: sq.coherent_state(1100.0),
                                    lambda: sq.coherent_state(1e100)])
 def test_cutoff_above_the_bound_raises_at_once(build):
@@ -234,19 +233,6 @@ def test_squeezed_a_squared_sign_convention():
     expected = -math.sinh(s) * math.cosh(s)
     assert abs(brute - expected) < 1e-8
     assert abs(mode_moments(st, 0)[1] - expected) < 1e-8
-
-
-def test_squeezed_explicit_cutoff_too_small():
-    with pytest.raises(TruncationError):
-        sq.squeezed_vacuum(SqueezeParams(1.5), cutoff=8)
-
-
-@pytest.mark.parametrize("s,cutoff", [(0.0, -1), (0.5, -5)])
-def test_squeezed_negative_cutoff_raises_before_any_allocation(s, cutoff, count_calls):
-    vacua, amplitudes = count_calls(fock, "vacuum_state"), count_calls(fock, "_squeezed_amplitudes")
-    with pytest.raises(ValueError, match=f"cutoff must be >= 0, got {cutoff}"):
-        fock.squeezed_vacuum(SqueezeParams(s), cutoff=cutoff)
-    assert vacua == amplitudes == []
 
 
 def test_squeeze_params_validation():

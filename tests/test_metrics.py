@@ -122,3 +122,5 @@ def test_fit_rejects_bad_input():
         fit_power_law([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
     with pytest.raises(ValueError, match="got y = nan at x = 3.0$"):
         fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0, math.nan])
+    with pytest.raises(ValueError, match="x values that differ, got only x = 4.0$"):
+        fit_power_law([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])

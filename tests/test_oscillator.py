@@ -105,6 +105,15 @@ def test_grid_must_start_at_zero_and_ascend(run):
             run(cfg, times)
 
 
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+def test_evolve_refuses_a_time_whose_phase_overflows(kind):
+    """sigma * coupling * t past the float range would give NaN rows; the first such time is named instead."""
+    cfg = OscillatorConfig(kind, 4.0)
+    with pytest.raises(ValueError, match=r"^time 1e\+308 is past the propagator's range"):
+        evolve(cfg, [0.0, 1e300, 1e308])
+    assert np.all(np.isfinite(evolve(cfg, [0.0, 1e300]).var_x))
+
+
 def test_vacuum_pump_is_stationary():
     result = evolve(OscillatorConfig("degenerate", 0.0), np.linspace(0.0, 3.0, 40))
     assert np.allclose(result.var_x, 1.0, atol=1e-12)

@@ -39,10 +39,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar  # not called here; perfbench/tracing.py patches this name
-from scipy.sparse.linalg import expm_multiply
 
 from .fock import coherent_state
 from .metrics import PhaseResolution, phase_resolution
@@ -67,6 +64,19 @@ GRID_POINTS = 32  # time points per window scan of find_optimal_squeezing: they 
 MAX_EXTENSIONS = 8  # window doublings it tries before giving up
 MAX_NEWTON_PASSES = 48  # cap on its refinement's derivative passes; bisection alone needs up to ~42
 START_WEIGHT_TAIL = 1e-30  # start-site weight of the eigenvector columns a block may drop
+PHASE_DIGITS = 6  # correct decimals, in radians, that evolve asks of the largest eigenphase
+
+
+def minimize_scalar(*args, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on its first call.
+
+    The package never calls it; ``perfbench/tracing.py`` patches this name to
+    count optimizer work.  Importing ``scipy.optimize`` up front would cost
+    every process about 13 MiB and 0.1 s.
+    """
+    from scipy.optimize import minimize_scalar as minimize
+
+    return minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -153,6 +163,16 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[slice, slice, np.ndarray, 
     ``b[k] b[k+1]`` (Golub and Kahan's link between a zero-diagonal tridiagonal
     and a bidiagonal SVD).  ``MU`` takes two shifted row scalings of ``U``.
 
+    A block of an odd number of sites has one A site more than it has B
+    sites, so ``M`` has a one-dimensional null space and ``MᵀM`` exactly one
+    zero eigenvalue.  ``MᵀM`` is positive semidefinite, so that eigenvalue is
+    its lowest, column 0 of the ascending solve; the others are the squared
+    non-zero singular values of ``M``, far above the solver's rounding of
+    about ``eps ||MᵀM||``.  The solver returns the zero as a rounding-sized
+    ``sigma²`` (5.8e-13 for the charge-52 block), which would turn the mode at
+    a spurious ``sigma`` near 1e-6 and drain norm from A as ``t²``; it is set to
+    exactly 0.
+
     Only the columns the start site (the last one) sees are kept: the
     lowest ``k``, where ``k`` counts the columns ``j`` whose start-site
     weight from them up, ``sum_{i >= j} U[-1, i]²``, exceeds
@@ -165,6 +185,8 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[slice, slice, np.ndarray, 
     on_a, on_b = slice(p, None, 2), slice(1 - p, None, 2)
     sq = np.concatenate(([0.0], b * b, [0.0]))  # sq[k] = b[k-1]², 0 past either end
     sigma2, u = eigh_tridiagonal((sq[:-1] + sq[1:])[on_a], (b[:-1] * b[1:])[on_a])
+    if p == 0:  # an odd number of sites: column 0 is the structural zero mode
+        sigma2[0] = 0.0
     tail = np.cumsum(u[-1, ::-1] ** 2)[::-1]
     k = np.count_nonzero(tail > START_WEIGHT_TAIL)
     sigma2, u = sigma2[:k], u[:, :k].copy()  # a copy, so that the full U is freed
@@ -176,15 +198,29 @@ def _sublattice_solve(couplings: np.ndarray) -> tuple[slice, slice, np.ndarray, 
     return on_a, on_b, sigma2, u, mu
 
 
+def _eigen_columns(sigma: np.ndarray, inv_sigma: np.ndarray, w0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-coordinates ``C = cos(sigma t) w0``, ``S = (sin(sigma t) / sigma) w0``, shape ``sigma.shape + shape(t)``.
+
+    ``w0`` is a start vector in the eigenbasis, of ``sigma``'s shape.  On a zero mode
+    (``sigma = 0``) ``sin(sigma t) / sigma`` is taken as 0: it only ever meets ``MU``'s
+    column of that mode, which vanishes, as ``||M u||² = sigma²``.  Elsewhere
+    ``sigma >= 2e-162`` (``sigma²`` is a double), so ``1 / sigma`` is finite and
+    ``sin(x) / sigma`` keeps full relative accuracy at small ``x``.
+    """
+    x = np.multiply.outer(sigma, t)
+    w = w0.reshape(w0.shape + (1,) * np.ndim(t))
+    return np.cos(x) * w, np.sin(x) * inv_sigma.reshape(w.shape) * w
+
+
 @dataclass(frozen=True)
 class _BlockSolve:
     """The coupling-1 solve of one charge block, which depends only on ``(kind, charge)``; coupling scales time.
 
-    ``eigvals``, ``u`` and ``mu`` hold only the eigenvector columns the start
-    site sees, the lowest ones up to a start-site weight tail of
-    ``START_WEIGHT_TAIL`` = 1e-30 (:func:`_sublattice_solve`).  The solves are
-    memoized across runs (:func:`_shared_solve`), so every array is read-only;
-    a run passes its start amplitude to :meth:`columns` and :meth:`state`.
+    Every array is a read-only view into the block's :class:`_Slab`, trimmed to
+    the block's own A and B sites and its own kept columns: the lowest ones up
+    to a start-site weight tail of ``START_WEIGHT_TAIL`` = 1e-30
+    (:func:`_sublattice_solve`).  No block holds a copy of its own.  A run
+    passes its start amplitude to :meth:`columns` and :meth:`state`.
     """
 
     couplings: np.ndarray     # H[k-1, k] = i couplings[k-1] at coupling 1
@@ -195,24 +231,13 @@ class _BlockSolve:
     inv_sigma: np.ndarray     # 1 / sigma, 0 on a zero mode
     u: np.ndarray             # eigenvectors of J² on A that the start site sees, rows on the A sites
     mu: np.ndarray            # J_BA u, rows on the B sites
-    occ_a: np.ndarray         # rows 1, sub-harmonic and pump occupation, on the A sites
-    occ_b: np.ndarray         # the same on the B sites
-    pair_a: np.ndarray        # <block q-2 | a1² or a2 a3 | block q> per site, signed, on A but the last site
-    pair_b: np.ndarray        # the same on B
 
     def columns(self, t, amp: float) -> tuple[np.ndarray, np.ndarray]:
-        """Eigen-coordinates ``C = cos(sigma t) w0``, ``S = (sin(sigma t) / sigma) w0``, shape ``sigma.shape + shape(t)``.
+        """:func:`_eigen_columns` of the start vector ``amp e_last``, ``w0 = amp u[-1]``.
 
-        ``w0 = amp u[-1]`` is the start vector ``amp e_last`` in the eigenbasis, and the
-        block's amplitudes are ``a = U C`` on A and ``b = MU S`` on B.  On a zero mode
-        (``sigma² <= 0`` from the solver) ``sin(sigma t) / sigma`` is taken as 0: it only ever
-        meets ``MU``'s column of that mode, which vanishes, as ``||M u||² = sigma²``.  Elsewhere
-        ``sigma >= 2e-162`` (``sigma²`` is a double), so ``1 / sigma`` is finite and
-        ``sin(x) / sigma`` keeps full relative accuracy at small ``x``.
+        The block's amplitudes are ``a = U C`` on A and ``b = MU S`` on B.
         """
-        x = np.multiply.outer(self.sigma, t)
-        w = (amp * self.u[-1]).reshape(x.shape[:1] + (1,) * np.ndim(t))
-        return np.cos(x) * w, np.sin(x) * self.inv_sigma.reshape(w.shape) * w
+        return _eigen_columns(self.sigma, self.inv_sigma, amp * self.u[-1], t)
 
     def state(self, t: float, amp: float) -> np.ndarray:
         """The real vector at ``t`` of the block started as ``amp e_last``, ``conj(g_last) g ⊙ [a on A, -i b on B]``.
@@ -227,36 +252,99 @@ class _BlockSolve:
         return np.where(j // 2 % 2, -v, v)
 
 
-#: the coupling-1 solves of the blocks solved so far, by ``(kind, charge)``; every coupling shares them
-_solve_cache: dict[tuple[str, int], _BlockSolve] = {}
+@dataclass(frozen=True)
+class _Slab:
+    """The coupling-1 solves of the ``SLAB`` = 16 blocks of charges ``2K``, ``K`` in ``[16 j, 16 j + 16)``, stacked.
+
+    Row ``i`` of every array is the block of charge ``charges[i] = 2 (16 j + i)``.
+    The arrays are zero-padded to the slab's widest block (``8 j + 8`` sites on
+    either sublattice, ``16 j + 15`` couplings) and to the most columns any of
+    its blocks keeps: a padded column has ``sigma = 0`` and start weight 0, and
+    a padded site has zero amplitude, occupation and pair weight, so padding
+    adds exact zeros to every read-out.  ``blocks`` holds each block's
+    :class:`_BlockSolve`, views trimmed to its own sites and columns, so the
+    slab is the only store; the occupation and pair rows only the read-outs
+    use stay in the slab.  Every array is read-only.
+    """
+
+    charges: np.ndarray       # (16,)
+    couplings: np.ndarray     # (16, couplings): each block's, zero past its own
+    eigvals: np.ndarray       # (16, columns): sigma² of the kept columns, 0 past them
+    sigma: np.ndarray         # (16, columns)
+    inv_sigma: np.ndarray     # (16, columns)
+    start: np.ndarray         # (16, columns): u's start-site row, u[-1] of each block
+    u: np.ndarray             # (16, sites, columns), rows on the A sites
+    mu: np.ndarray            # (16, sites, columns), rows on the B sites
+    occ_a: np.ndarray         # (16, 3, sites): rows 1, sub-harmonic and pump occupation, on A
+    occ_b: np.ndarray         # (16, 3, sites): the same on B
+    pair_a: np.ndarray        # (16, 1, sites): <block q-2 | a1² or a2 a3 | block q> per site, signed, on A
+    pair_b: np.ndarray        # (16, 1, sites): the same on B; 0 on each block's last A site and past its sites
+    blocks: tuple[_BlockSolve, ...]
+
+    def columns(self, t, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_eigen_columns` of the 16 blocks started as ``amps[i] e_last``, shape ``(16, columns) + shape(t)``."""
+        return _eigen_columns(self.sigma, self.inv_sigma, amps[:, None] * self.start, t)
+
+
+SLAB = 16  # charge blocks per memo entry; the read-outs sum over slabs, not blocks
+
+#: the slabs solved so far, by ``(kind, j)``; every coupling shares them
+_solve_cache: dict[tuple[str, int], _Slab] = {}
+
+
+def _shared_slab(kind: OscillatorKind, j: int) -> _Slab:
+    """Slab ``j``: all 16 of its blocks solved at coupling 1, the arrays read-only, memoized across runs."""
+    if (kind, j) in _solve_cache:
+        return _solve_cache[kind, j]
+    charges = 2 * np.arange(SLAB * j, SLAB * (j + 1))
+    couplings = [_block_couplings(kind, int(q)) for q in charges]
+    solves = [_sublattice_solve(b) for b in couplings]
+    sites, columns = solves[-1][3].shape[0], max(solve[2].size for solve in solves)  # the last block is widest
+    eigvals, start = np.zeros((SLAB, columns)), np.zeros((SLAB, columns))
+    u, mu = np.zeros((SLAB, sites, columns)), np.zeros((SLAB, sites, columns))
+    occ_a, occ_b = np.zeros((SLAB, 3, sites)), np.zeros((SLAB, 3, sites))
+    pair_a, pair_b = np.zeros((SLAB, 1, sites)), np.zeros((SLAB, 1, sites))
+    padded = np.zeros((SLAB, couplings[-1].size))
+    for i, (q, b, (on_a, on_b, sigma2, ui, mui)) in enumerate(zip(charges, couplings, solves)):
+        (na, k), nb = ui.shape, mui.shape[0]
+        padded[i, :b.size], eigvals[i, :k], start[i, :k] = b, sigma2, ui[-1]
+        u[i, :na, :k], mu[i, :nb, :k] = ui, mui
+        occ = np.stack((np.ones(b.size + 1), *_block_occupations(kind, int(q))))  # 1, sub-harmonic, pump
+        occ_a[i, :, :na], occ_b[i, :, :nb] = occ[:, on_a], occ[:, on_b]
+        sub = occ[1]
+        if kind == "degenerate":
+            pair = np.sqrt(np.maximum(sub * (sub - 1.0), 0.0))
+        else:
+            pair = sub  # <m-1, m-1| a2 a3 |m, m> = m
+        # Site k here meets site k of the block below, whose start site is one
+        # lower, so A and B swap; the constant site phases of the two real
+        # amplitudes multiply to +1 on this block's B sites and -1 on its A sites.
+        pair_a[i, 0, :na - 1], pair_b[i, 0, :nb] = -pair[on_a][:-1], pair[on_b]
+    sigma = np.sqrt(np.maximum(eigvals, 0.0))
+    inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+    arrays = (charges, padded, eigvals, sigma, inv_sigma, start, u, mu, occ_a, occ_b, pair_a, pair_b)
+    for array in arrays:
+        array.flags.writeable = False
+    blocks = tuple(
+        _BlockSolve(padded[i, :b.size], on_a, on_b, eigvals[i, :sigma2.size], sigma[i, :sigma2.size],
+                    inv_sigma[i, :sigma2.size], u[i, :len(ui), :sigma2.size], mu[i, :len(mui), :sigma2.size])
+        for i, (b, (on_a, on_b, sigma2, ui, mui)) in enumerate(zip(couplings, solves))
+    )
+    slab = _solve_cache[kind, j] = _Slab(*arrays, blocks)
+    return slab
 
 
 def _shared_solve(kind: OscillatorKind, charge: int) -> _BlockSolve:
-    """The coupling-1 solve of the block of ``charge``, its arrays read-only, memoized across runs."""
-    if (kind, charge) in _solve_cache:
-        return _solve_cache[kind, charge]
-    couplings = _block_couplings(kind, charge)
-    on_a, on_b, sigma2, u, mu = _sublattice_solve(couplings)
-    sigma = np.sqrt(np.maximum(sigma2, 0.0))
-    inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
-    occ = np.stack((np.ones(couplings.size + 1), *_block_occupations(kind, charge)))  # 1, sub-harmonic, pump
-    sub = occ[1]
-    if kind == "degenerate":
-        pair = np.sqrt(np.maximum(sub * (sub - 1.0), 0.0))
-    else:
-        pair = sub  # <m-1, m-1| a2 a3 |m, m> = m
-    # Site k here meets site k of the block below, whose start site is one
-    # lower, so A and B swap; the constant site phases of the two real
-    # amplitudes multiply to +1 on this block's B sites and -1 on its A sites.
-    solve = _BlockSolve(
-        couplings, on_a, on_b, sigma2, sigma, inv_sigma, u, mu,
-        occ[:, on_a], occ[:, on_b], -pair[on_a][:-1], pair[on_b],
-    )
-    for value in vars(solve).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    _solve_cache[kind, charge] = solve
-    return solve
+    """The coupling-1 solve of the block of even ``charge``, a read-only view into its memoized slab."""
+    return _shared_slab(kind, charge // (2 * SLAB)).blocks[charge // 2 % SLAB]
+
+
+def _below(x: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """``x`` moved one block along the batch axis: entry ``i`` is block ``i - 1``, entry 0 ``before``, zero-padded."""
+    out = np.zeros_like(x)
+    out[1:] = x[:-1]
+    out[0, :before.shape[0]] = before
+    return out
 
 
 @dataclass
@@ -286,15 +374,16 @@ class BlockEvolution:
     ``-i sin(Jt) e_last`` on B.  Both come from one eigensolve of ``J²`` on
     A, a tridiagonal of half the block size (:func:`_sublattice_solve`), of
     which only the columns the start site sees are kept.  So a block's state
-    is a real vector with per-site signs, and a whole time grid is two real
-    half-size GEMMs per block.
+    is a real vector with per-site signs.
     :meth:`propagate` (states) and :meth:`observables` read the same
     sublattice amplitudes, and acceptance criteria 5 (the dense route) and
-    6 (``<H²>``) check the states.  Every read-out sums over the blocks in one
-    body, :meth:`_sums`, fed each block's eigen-coordinate columns: one per
-    time in :meth:`observables`, five for ``var_x`` and its two derivatives at
-    one time in :meth:`_var_x_tau_derivatives`.  Blocks whose initial weight
-    is below 1e-18 are dropped.
+    6 (``<H²>``) check the states.  Every read-out sums over the run's slabs
+    of 16 consecutive blocks (:class:`_Slab`) in one body, :meth:`_sums`, fed
+    each slab's stacked eigen-coordinate columns: one per time in
+    :meth:`observables`, five for ``var_x`` and its two derivatives at one
+    time in :meth:`_var_x_tau_derivatives`.  A whole time grid is two real
+    batched half-size GEMMs per slab.  Blocks whose initial weight is below
+    1e-18 are dropped: they start at amplitude 0 in their slab.
 
     The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
     also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
@@ -302,15 +391,23 @@ class BlockEvolution:
     never forms: it works in ``tau = kappa t``.  A block's solve depends on
     ``(kind, charge)`` only; N enters through ``|c_K|`` alone.  So the solves
     are kept, read-only, and reused by every later run of the same kind at any
-    coupling (:func:`_shared_solve`): about 11 MiB for both kinds at N <= 121.
-    A run holds the shared solves themselves, ``blocks``, and its start
-    amplitudes ``|c_K|``, ``amps``, both by charge, and nothing else.
+    coupling, a slab of 16 at a time (:func:`_shared_slab`).  A run holds the
+    shared solves themselves: ``blocks``, each kept block's view into its
+    slab, and ``slabs``, every slab from that of the lowest kept block to that
+    of the highest, each with its 16 start amplitudes (0 on a block the run
+    drops).  ``amps`` holds the start amplitudes ``|c_K|`` by charge.
     """
 
     def __init__(self, cfg: OscillatorConfig):
         self.cfg = cfg
         pump = coherent_state(math.sqrt(cfg.pump_photons)).amps.real
         self.amps: dict[int, float] = {2 * k: c for k, c in enumerate(pump) if c * c >= 1e-18}
+        first, last = min(self.amps) // (2 * SLAB), max(self.amps) // (2 * SLAB)
+        start = np.zeros(SLAB * (last + 1))
+        start[[q // 2 for q in self.amps]] = list(self.amps.values())
+        self.slabs: list[tuple[_Slab, np.ndarray]] = [
+            (_shared_slab(cfg.kind, j), start[SLAB * j:SLAB * (j + 1)]) for j in range(first, last + 1)
+        ]
         self.blocks: dict[int, _BlockSolve] = {q: _shared_solve(cfg.kind, q) for q in self.amps}
 
     def propagate(self, t: float) -> dict[int, np.ndarray]:
@@ -321,31 +418,33 @@ class BlockEvolution:
     def _sums(self, count: int, columns) -> np.ndarray:
         """Sums over the blocks for ``count`` states, one row per quantity and one column per state.
 
-        ``columns(blk, amp)`` gives the eigen-coordinates ``(C, S)`` of a block
-        started as ``amp e_last``, each ``(kept columns, count)``, of amplitudes
-        ``a = U C`` on A and ``b = MU S`` on B.  The rows sum same-column
-        products: norm², ``<n_sub>`` (``<n1>``, or ``<n2> = <n3>``), ``<n_pump>``,
-        the charge, the pair term ``P`` (``<a1²>`` / ``<a2 a3>``, charge ``q``
-        with the block below) and ``var_x - 1 = 2 <n_sub> - 2 cos(phi) P``, whose
-        terms cancel block by block.
+        ``columns(slab, amps)`` gives the eigen-coordinates ``(C, S)`` of a
+        slab's blocks started as ``amps[i] e_last``, each ``(16, columns,
+        count)``, of amplitudes ``a = U C`` on A and ``b = MU S`` on B.  The
+        rows sum same-column products: norm², ``<n_sub>`` (``<n1>``, or ``<n2>
+        = <n3>``), ``<n_pump>``, the charge, the pair term ``P`` (``<a1²>`` /
+        ``<a2 a3>``, charge ``q`` with the block below, one step back along the
+        slab; the first block's is the last block of the slab before) and
+        ``var_x - 1 = 2 <n_sub> - 2 cos(phi) P``, whose terms cancel block by
+        block before the sum over blocks.
         """
         sums = np.zeros((6, count))
         pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
-        lower = None
-        for q, blk in self.blocks.items():
-            c, s = columns(blk, self.amps[q])
-            a, b = blk.u @ c, blk.mu @ s
-            weights = blk.occ_a @ (a * a) + blk.occ_b @ (b * b)
-            sums[:3] += weights
-            sums[3] += q * weights[0]
-            pair = blk.pair_a @ (lower[1] * a[:-1]) + blk.pair_b @ (lower[0] * b) if q - 2 in self.blocks else 0.0
-            sums[4] += pair
-            sums[5] += 2.0 * weights[1] - pair_weight * pair
-            lower = a, b
+        last_a = last_b = np.zeros((0, count))  # the amplitudes of the block below the slab
+        for slab, amps in self.slabs:
+            c, s = columns(slab, amps)
+            a, b = slab.u @ c, slab.mu @ s
+            weights = slab.occ_a @ (a * a) + slab.occ_b @ (b * b)
+            pair = (slab.pair_a @ (_below(b, last_b) * a) + slab.pair_b @ (_below(a, last_a) * b))[:, 0]
+            sums[:3] += weights.sum(axis=0)
+            sums[3] += slab.charges @ weights[:, 0]
+            sums[4] += pair.sum(axis=0)
+            sums[5] += (2.0 * weights[:, 1] - pair_weight * pair).sum(axis=0)
+            last_a, last_b = a[-1], b[-1]
         return sums
 
     def observables(self, times) -> EvolutionResult:
-        """Observables on a time array: one :meth:`_sums` pass, two real half-size GEMMs per block.
+        """Observables on a time array: one :meth:`_sums` pass, two real batched half-size GEMMs per slab.
 
         The pair sum is ``e^{i phi} P``, ``P`` real, so ``var_x = 1 + 2n - 2
         cos(phi) P`` and ``var_x_min_angle = 1 + 2n - 2|P|``.  Energy ``<H>``
@@ -356,7 +455,8 @@ class BlockEvolution:
         """
         t = np.asarray(times, dtype=float)
         tau = self.cfg.coupling * t
-        norm_sq, n_sub, n_pump, charge, pair, excess = self._sums(t.size, lambda blk, amp: blk.columns(tau, amp))
+        sums = self._sums(t.size, lambda slab, amps: slab.columns(tau, amps))
+        norm_sq, n_sub, n_pump, charge, pair, excess = sums
         return EvolutionResult(
             times=t,
             var_x=1.0 + excess,
@@ -390,12 +490,13 @@ class BlockEvolution:
         """
         h = 0.2 * _first_window(self.cfg)
 
-        def columns(blk, amp):
-            c0, s0 = blk.columns(tau, amp)
-            e = -h * blk.eigvals
+        def columns(slab, amps):
+            c0, s0 = slab.columns(tau, amps)
+            e = -h * slab.eigvals
             s1, c1 = h * c0, e * s0
             s2, c2 = h * c1, e * s1
-            return np.array([c0, c1, c2, c0 + c1, c0 + c2]).T, np.array([s0, s1, s2, s0 + s1, s0 + s2]).T
+            c = np.stack((c0, c1, c2, c0 + c1, c0 + c2), axis=-1)
+            return c, np.stack((s0, s1, s2, s0 + s1, s0 + s2), axis=-1)
 
         _, n_sub, _, _, pair, q = self._sums(5, columns)
         slope, curvature = (q[3] - q[0] - q[1]) / h, (2.0 * q[1] + q[4] - q[0] - q[2]) / (h * h)
@@ -424,17 +525,27 @@ def _time_grid(times) -> np.ndarray:
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     """Propagate and record observables on an ascending time grid from 0.
 
-    ``ValueError`` names the first time whose largest eigenphase ``sigma kappa t`` is not a finite
-    double.  The optimum search reads :meth:`BlockEvolution.observables` directly: its windows
-    are bounded by :class:`OscillatorConfig`.
+    The largest eigenphase ``x = sigma kappa t`` is known to about its own
+    rounding, ``eps x``: ``sigma``, ``kappa t`` and their product each round
+    once.  ``ValueError`` names the first time at which ``eps x`` exceeds
+    ``10^-PHASE_DIGITS`` rad, so that ``x`` carries fewer than
+    ``PHASE_DIGITS`` = 6 correct decimals (``x`` above about 4.5e9 rad, or
+    not a finite double); far past it ``x`` has no correct digit and the
+    observables no meaning.  The optimum search reads
+    :meth:`BlockEvolution.observables` directly: its windows are bounded by
+    :class:`OscillatorConfig`.
     """
     t = _time_grid(t_grid)
     ev = BlockEvolution(cfg)
     top = max((blk.sigma[-1] for blk in ev.blocks.values() if blk.sigma.size), default=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        past = np.flatnonzero(~np.isfinite(top * (cfg.coupling * t)))
+    with np.errstate(over="ignore"):
+        phase = top * (cfg.coupling * t)
+    past = np.flatnonzero(~(np.finfo(float).eps * phase <= 10.0**-PHASE_DIGITS))
     if past.size:
-        raise ValueError(f"time {t[past[0]]:g} is past the propagator's range: its phase sigma * coupling * t overflows")
+        raise ValueError(
+            f"time {t[past[0]]:g} is past the propagator's range: its largest phase sigma * coupling * t = "
+            f"{phase[past[0]]:.3g} rad carries fewer than {PHASE_DIGITS} correct decimals"
+        )
     return ev.observables(t)
 
 
@@ -572,6 +683,8 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
 # dense reference propagation (no charge decomposition)
 
 def _ladder_sparse(dim: int) -> sparse.csr_matrix:
+    import scipy.sparse as sparse  # here, as only the dense route needs it
+
     return sparse.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")
 
 
@@ -587,6 +700,9 @@ def dense_evolve(cfg: OscillatorConfig, times):
     stays in the complex start state.  This is the oracle route: it shares
     nothing with the charge-block propagator except the Hamiltonian definition.
     """
+    import scipy.sparse as sparse  # here, with expm_multiply, as only the dense route needs them
+    from scipy.sparse.linalg import expm_multiply
+
     t = _time_grid(times)
     pump = coherent_state(math.sqrt(cfg.pump_photons) * np.exp(1j * cfg.pump_phase)).amps
     d = pump.size

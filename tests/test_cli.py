@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +50,11 @@ def test_simulate_writes_trajectory(tmp_path):
     assert summary["S"] > 1.0
 
 
-def _solves_each_kept_block_once(solves, osc):
+def _solves_each_block_of_its_slabs_once(solves, osc):
+    """The memo solves whole slabs of 16 blocks: each block of the run's slabs once, and no other."""
     sizes = [args[0].size for args in solves]  # a block's coupling count is half its charge
-    return len(set(sizes)) == len(sizes) == len(BlockEvolution(osc).blocks)
+    wanted = [int(q) // 2 for slab, _ in BlockEvolution(osc).slabs for q in slab.charges]
+    return sorted(sizes) == wanted
 
 
 def test_simulate_default_window_solves_each_block_once(tmp_path, monkeypatch, count_calls):
@@ -67,7 +73,7 @@ def test_simulate_default_window_solves_each_block_once(tmp_path, monkeypatch, c
     solves = count_calls(oscillator, "_sublattice_solve")
     out = tmp_path / "out"
     assert main(["simulate", "--kind", "degenerate", "--N", "16", "--outdir", str(out)]) == 0
-    assert _solves_each_kept_block_once(solves, osc)
+    assert _solves_each_block_of_its_slabs_once(solves, osc)
     assert read_json(out / "summary.json")["config"]["t_max"] == default_t_max(osc)
     assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + grid.size
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -213,7 +219,16 @@ def test_sweep_solves_each_block_once_across_its_points(tmp_path, monkeypatch, c
     monkeypatch.setattr(oscillator, "_solve_cache", {})
     solves = count_calls(oscillator, "_sublattice_solve")
     assert main(["sweep", "--kind", "nondegenerate", "--N", "4:16:geometric:3", "--outdir", str(tmp_path)]) == 0
-    assert _solves_each_kept_block_once(solves, OscillatorConfig("nondegenerate", 16.0))
+    assert _solves_each_block_of_its_slabs_once(solves, OscillatorConfig("nondegenerate", 16.0))
+
+
+def test_cli_import_leaves_scipy_optimize_and_sparse_linalg_unloaded():
+    """Starting the program loads neither: only the dense route and ``oscillator.minimize_scalar`` import them, when called."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, squeezelab.cli; print(sorted({'scipy.optimize', 'scipy.sparse.linalg'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_invalid_arguments_exit_2():
@@ -362,7 +377,7 @@ def test_simulate_trajectory_equals_evolve_on_requested_grid(tmp_path, monkeypat
     monkeypatch.setattr(oscillator, "_solve_cache", {})
     solves = count_calls(oscillator, "_sublattice_solve")
     assert main(["simulate", "--kind", "nondegenerate", "--N", "30", *extra, "--outdir", str(tmp_path)]) == 0
-    assert _solves_each_kept_block_once(solves, osc)  # the optimum search and a requested grid share the solves
+    assert _solves_each_block_of_its_slabs_once(solves, osc)  # the optimum search and a requested grid share the solves
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     summary = read_json(tmp_path / "summary.json")
     assert (summary["t_sq"], summary["var_min"], summary["S"]) == (opt.t_sq, opt.var_min, opt.resolution.s)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,9 +110,48 @@ def test_grid_must_start_at_zero_and_ascend(run):
 def test_evolve_refuses_a_time_whose_phase_overflows(kind):
     """sigma * coupling * t past the float range would give NaN rows; the first such time is named instead."""
     cfg = OscillatorConfig(kind, 4.0)
-    with pytest.raises(ValueError, match=r"^time 1e\+308 is past the propagator's range"):
-        evolve(cfg, [0.0, 1e300, 1e308])
-    assert np.all(np.isfinite(evolve(cfg, [0.0, 1e300]).var_x))
+    with pytest.raises(ValueError, match=r"^time 1e\+308 is past the propagator's range: .* = inf rad"):
+        evolve(cfg, [0.0, 1e308])
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_evolve_refuses_a_time_past_the_phases_digits(kind, coupling):
+    """A finite phase with no correct digit is refused: ``var_x`` at t = 1e300 read 6.06 (N = 4).
+
+    The largest phase ``x = sigma kappa t`` is known to about ``eps x``; the
+    first time at which that exceeds ``10^-PHASE_DIGITS`` rad is named, and
+    the grid just below it runs.
+    """
+    cfg = OscillatorConfig(kind, 4.0, coupling)
+    top = max(blk.sigma[-1] for blk in BlockEvolution(cfg).blocks.values())
+    limit = 10.0**-oscillator.PHASE_DIGITS / (np.finfo(float).eps * top * coupling)  # about 4.4e7 / coupling
+    with pytest.raises(ValueError, match=r"^time 1e\+300 is past .* carries fewer than 6 correct decimals"):
+        evolve(cfg, [0.0, 1.0, 1e300])
+    with pytest.raises(ValueError, match=re.escape(f"time {1.01 * limit:g} is past")):
+        evolve(cfg, [0.0, 0.99 * limit, 1.01 * limit])
+    assert np.all(np.isfinite(evolve(cfg, [0.0, 0.99 * limit]).var_x))
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+def test_zero_mode_keeps_the_norm_at_long_times(kind):
+    """``|norm - 1|`` at N = 64 up to t = 1000 stays at rounding; it was 7e-8 at t = 1000.
+
+    A block of an odd number of sites has an exact zero mode, column 0 of its
+    solve, now at ``sigma² = 0`` instead of a rounding-sized value, at which
+    it turned and drained norm as ``t²``.  What is left is rounding: a block's
+    norm² is ``c²`` times that of ``U C`` and ``MU S``, which moves by the
+    rounding of their ``k``-term sums and by the orthogonality defect of the
+    computed ``U`` over its ``A`` sites, about ``(k + A) eps`` together, and the
+    norm by half of it.
+    """
+    cfg = OscillatorConfig(kind, 64.0)
+    blocks = BlockEvolution(cfg).blocks.values()
+    odd = [blk for blk in blocks if blk.couplings.size % 2 == 0]
+    assert odd and all(blk.eigvals[0] == 0.0 for blk in odd)
+    bound = np.finfo(float).eps * max(blk.eigvals.size + blk.u.shape[0] for blk in blocks)
+    result = evolve(cfg, [0.0, 1.0, 10.0, 100.0, 1000.0])
+    assert np.max(np.abs(result.norm - 1.0)) <= bound
 
 
 def test_vacuum_pump_is_stationary():
@@ -552,6 +592,103 @@ def test_energy_square_conserved_property(kind, n, coupling, t_unit):
     assert _energy_square(ev, t) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
 
 
+def _direct_read_out(ev, tau):
+    """The read-outs of a run at ``tau = kappa t`` summed directly from its block states, and their rounding scales.
+
+    ``var_x - 1 = F(v, v)`` for the real symmetric form ``F(x, y) = Re sum_q
+    [2 sum n_sub conj(x_q) y_q - sum p (conj(x_{q-2}) y_q + conj(y_{q-2}) x_q)]``,
+    where site ``k`` of block ``q`` meets site ``k`` of block ``q - 2`` with
+    weight ``p = sqrt(n1 (n1 - 1))`` or ``m`` (:func:`block_basis` occupations).
+    With ``v' = -iHv`` and ``v'' = -H²v`` in ``tau``, the slope is ``2 F(v, v')``
+    and the curvature ``2 F(v', v') + 2 F(v, v'')``.  ``scale(g)`` bounds every
+    per-site weight of a read-out times the squared norm of the eigen-coordinates
+    of ``g``-scaled derivative columns, ``sum_q (1 + 2q + 2 max p) ||c_q u_last (1 +
+    g sigma + g² sigma²)||²``: ``g = 0`` for the values, ``g = h`` for the pass.
+    """
+    kind, h = ev.cfg.kind, 0.2 * _first_window(ev.cfg)
+    states = ev.propagate(tau / ev.cfg.coupling)
+    occ, pair_weight, dv, d2v = {}, {}, {}, {}
+    for q, v in states.items():
+        occ[q] = np.array(block_basis(kind, q), dtype=float)
+        sub = occ[q][:, 0]
+        pair_weight[q] = np.sqrt(np.maximum(sub * (sub - 1.0), 0.0)) if kind == "degenerate" else sub
+        h_q = hamiltonian_block(kind, q)
+        dv[q] = -1j * (h_q @ v)
+        d2v[q] = -(h_q @ (h_q @ v))
+
+    def form(x, y):
+        total = 0.0
+        for q in x:
+            total += 2.0 * np.sum(occ[q][:, 0] * np.conj(x[q]) * y[q]).real
+            if q - 2 in x:
+                p = pair_weight[q][:-1]
+                total -= (np.vdot(x[q - 2], p * y[q][:-1]) + np.vdot(y[q - 2], p * x[q][:-1])).real
+        return total
+
+    pair = sum(np.vdot(states[q - 2], pair_weight[q][:-1] * v[:-1]) for q, v in states.items() if q - 2 in states)
+    weights = {q: np.abs(v) ** 2 for q, v in states.items()}
+    n_sub = sum(occ[q][:, 0] @ w for q, w in weights.items())
+
+    def scale(g):
+        return sum((1.0 + 2.0 * q + 2.0 * pair_weight[q].max())
+                   * np.sum((ev.amps[q] * blk.u[-1] * (1.0 + g * blk.sigma + (g * blk.sigma) ** 2)) ** 2)
+                   for q, blk in ev.blocks.items())
+
+    return {
+        "var_x": 1.0 + form(states, states), "var_x_min_angle": 1.0 + 2.0 * n_sub - 2.0 * abs(pair),
+        "intensity_y": n_sub, "pump_n": sum(occ[q][:, -1] @ w for q, w in weights.items()),
+        "norm_sq": sum(np.sum(w) for w in weights.values()), "charge": sum(q * np.sum(w) for q, w in weights.items()),
+        "slope": 2.0 * form(states, dv), "curvature": 2.0 * form(dv, dv) + 2.0 * form(states, d2v),
+        "value_scale": scale(0.0), "pass_scale": scale(h), "h": h,
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
+    n=strategies.floats(0.0, 300.0),
+    pump_phase=strategies.floats(-math.pi, math.pi),
+    coupling=strategies.floats(0.1, 10.0),
+    t_unit=strategies.floats(0.0, 3.0),
+)
+@example(kind="degenerate", n=0.0, pump_phase=0.3, coupling=1.0, t_unit=1.0)  # the vacuum block alone
+@example(kind="nondegenerate", n=1e-20, pump_phase=-1.0, coupling=2.0, t_unit=1.0)  # the same: 1e-20 of pump
+@example(kind="degenerate", n=4.0, pump_phase=0.0, coupling=1.0, t_unit=1.2)  # from slab 0 into slab 1
+@example(kind="nondegenerate", n=121.0, pump_phase=0.5, coupling=0.7, t_unit=2.0)  # starts and ends inside a slab
+@example(kind="degenerate", n=300.0, pump_phase=-2.5, coupling=3.0, t_unit=0.4)
+def test_slab_read_out_matches_moments_of_the_block_states_property(kind, n, pump_phase, coupling, t_unit):
+    """``observables`` and ``_var_x_tau_derivatives``, summed over slabs, against sums over the states of ``propagate``.
+
+    The two routes share the block solves and differ in rounding only.  Each
+    amplitude is a sum of at most ``k`` products (``k`` kept columns), so it
+    rounds by at most ``k eps`` of the norm of its eigen-coordinates (``U``'s
+    rows have unit norm, ``MU``'s columns norm ``sigma``), and a squared or
+    paired term by that plus two roundings: the values are held to ``(k + 2)
+    eps scale(0)`` (:func:`_direct_read_out`).  The slope and curvature
+    combine three and five polarized sums of the pass, each rounding by at
+    most ``k eps scale(h)``, divided by ``h`` and ``h²``; the direct route
+    adds one more such term.
+    """
+    cfg = OscillatorConfig(kind, n, coupling, pump_phase)
+    ev = BlockEvolution(cfg)
+    if n >= 60.0:  # the run drops charge 0, so it starts inside a slab, and it crosses slab boundaries
+        assert len(ev.slabs) > 1 and min(ev.amps) > 0
+    tau = t_unit / math.sqrt(max(n, 1.0))
+    want = _direct_read_out(ev, tau)
+    got = ev.observables_at(tau / coupling)
+    k = max(blk.eigvals.size for blk in ev.blocks.values())
+    bound = (k + 2) * np.finfo(float).eps * want["value_scale"]
+    got["norm_sq"] = got["norm"] ** 2
+    for name in ("var_x", "var_x_min_angle", "intensity_y", "pump_n", "charge", "norm_sq"):
+        assert abs(got[name] - want[name]) <= bound, name
+    value, slope, curvature, intensity, min_angle = ev._var_x_tau_derivatives(tau)
+    for name, x in (("var_x", value), ("intensity_y", intensity), ("var_x_min_angle", min_angle)):
+        assert abs(x - want[name]) <= bound, name
+    pass_rounding = k * np.finfo(float).eps * want["pass_scale"]
+    assert abs(slope - want["slope"]) <= 4.0 * pass_rounding / want["h"]
+    assert abs(curvature - want["curvature"]) <= 6.0 * pass_rounding / want["h"] ** 2
+
+
 def _block_of_dim(kind, dim):
     """The memoized solve of the block of size ``dim`` and its Hamiltonian."""
     charge = 2 * (dim - 1)
@@ -597,7 +734,7 @@ def test_truncated_solve_matches_full_solve(kind, n, monkeypatch):
     """Dropping the eigenvector columns the start site does not see moves no result beyond 1e-12."""
     cfg = OscillatorConfig(kind, n)
     blocks = BlockEvolution(cfg).blocks.values()
-    assert all(blk.u.flags.owndata for blk in blocks)  # a view would keep the full U alive
+    assert all(blk.u.base.flags.owndata and blk.u.base.ndim == 3 for blk in blocks)  # the slab's copy, not the full U
     if n == 256.0:
         assert any(blk.eigvals.size < blk.u.shape[0] for blk in blocks)
     truncated = find_optimal_squeezing(cfg)
@@ -661,8 +798,10 @@ def test_memoized_solve_is_read_only():
     blk = _shared_solve("degenerate", 12)
     with pytest.raises(ValueError, match="read-only"):
         blk.u[0, 0] = 1.0
-    arrays = [name for name, value in vars(blk).items() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 10 and not any(getattr(blk, name).flags.writeable for name in arrays)
+    arrays = [value for value in vars(blk).values() if isinstance(value, np.ndarray)]
+    slab = oscillator._solve_cache["degenerate", 0]
+    arrays += [value for value in vars(slab).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 6 + 12 and not any(array.flags.writeable for array in arrays)
     assert _shared_solve("degenerate", 12) is blk
     for amp in (0.5, 2.0):  # two amplitudes read one u: each call forms its start vector amp u[-1]
         assert np.array_equal(blk.columns(0.0, amp)[0], amp * blk.u[-1])
@@ -670,11 +809,15 @@ def test_memoized_solve_is_read_only():
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 def test_run_holds_the_memoized_solves_and_its_start_amplitudes(kind):
-    """A run's blocks are the memo's own solves, not copies; its amplitudes are the pump's |c_K|."""
+    """A run's blocks are the memo's own solves, views into their slab, not copies; its amplitudes are the pump's |c_K|."""
     ev = BlockEvolution(OscillatorConfig(kind, 22.0))
     assert ev.blocks and set(ev.amps) == set(ev.blocks)
     for q, blk in ev.blocks.items():
-        assert blk is oscillator._solve_cache[(kind, q)], q
+        slab = oscillator._solve_cache[(kind, q // (2 * oscillator.SLAB))]
+        assert blk is slab.blocks[q // 2 % oscillator.SLAB], q
+        assert all(getattr(blk, name).base is getattr(slab, name) for name in ("couplings", "u", "mu", "eigvals")), q
+    for slab, start in ev.slabs:
+        assert all(start[i] == ev.amps.get(int(q), 0.0) for i, q in enumerate(slab.charges))
     amps = coherent_state(math.sqrt(22.0)).amps.real
     assert all(ev.amps[q] == amps[q // 2] for q in ev.amps)
 

@@ -212,6 +212,31 @@ def _eigen_columns(sigma: np.ndarray, inv_sigma: np.ndarray, w0: np.ndarray, t) 
     return np.cos(x) * w, np.sin(x) * inv_sigma.reshape(w.shape) * w
 
 
+def _grid_eigen_columns(sigma: np.ndarray, inv_sigma: np.ndarray, w0: np.ndarray, step: float,
+                        points: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_eigen_columns` at the ``points`` times ``j step``, built from a rotation table.
+
+    ``e^{i sigma j step}`` is the product of the factors ``e^{i sigma 2^m step}``
+    over the set bits ``m`` of ``j``: stage ``m`` multiplies the first ``2^m``
+    entries by its factor to fill the next ``2^m``.  So a column costs
+    ``ceil(log2 points)`` ``cos``/``sin`` pairs, not ``points``; the rest is
+    complex products.  ``2^m step`` is exact, so the phases of entry ``j`` round
+    by at most ``eps/2`` of ``sigma j step`` in all; the entry also carries the
+    rounding of at most ``ceil(log2 points)`` factors and of one product fewer.
+    On a zero mode every factor is exactly 1 and ``S`` exactly 0.  ``points >= 1``.
+    """
+    stages = (points - 1).bit_length()
+    x = np.multiply.outer(sigma, step * 2.0 ** np.arange(stages))  # sigma 2^m step
+    factors = np.cos(x) + 1j * np.sin(x)
+    table = np.empty(sigma.shape + (points,), dtype=complex)
+    table[..., 0] = 1.0
+    for m in range(stages):
+        filled = 2**m
+        n = min(filled, points - filled)
+        np.multiply(table[..., :n], factors[..., m, None], out=table[..., filled:filled + n])
+    return table.real * w0[..., None], table.imag * (inv_sigma * w0)[..., None]
+
+
 @dataclass(frozen=True)
 class _BlockSolve:
     """The coupling-1 solve of one charge block, which depends only on ``(kind, charge)``; coupling scales time.
@@ -264,7 +289,8 @@ class _Slab:
     adds exact zeros to every read-out.  ``blocks`` holds each block's
     :class:`_BlockSolve`, views trimmed to its own sites and columns, so the
     slab is the only store; the occupation and pair rows only the read-outs
-    use stay in the slab.  Every array is read-only.
+    use stay in the slab.  Every array is read-only.  A run reads only the rows
+    of the blocks it keeps (:attr:`BlockEvolution.slabs`).
     """
 
     charges: np.ndarray       # (16,)
@@ -281,9 +307,14 @@ class _Slab:
     pair_b: np.ndarray        # (16, 1, sites): the same on B; 0 on each block's last A site and past its sites
     blocks: tuple[_BlockSolve, ...]
 
-    def columns(self, t, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_eigen_columns` of the 16 blocks started as ``amps[i] e_last``, shape ``(16, columns) + shape(t)``."""
-        return _eigen_columns(self.sigma, self.inv_sigma, amps[:, None] * self.start, t)
+    def columns(self, rows: slice, amps: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_eigen_columns` of blocks ``rows`` started as ``amps[i] e_last``, ``(rows, columns) + shape(t)``."""
+        return _eigen_columns(self.sigma[rows], self.inv_sigma[rows], amps[:, None] * self.start[rows], t)
+
+    def grid_columns(self, rows: slice, amps: np.ndarray, step: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`columns` at the times ``j step``, ``j < points``: :func:`_grid_eigen_columns`' rotation table."""
+        return _grid_eigen_columns(self.sigma[rows], self.inv_sigma[rows], amps[:, None] * self.start[rows], step,
+                                   points)
 
 
 SLAB = 16  # charge blocks per memo entry; the read-outs sum over slabs, not blocks
@@ -380,10 +411,15 @@ class BlockEvolution:
     6 (``<H²>``) check the states.  Every read-out sums over the run's slabs
     of 16 consecutive blocks (:class:`_Slab`) in one body, :meth:`_sums`, fed
     each slab's stacked eigen-coordinate columns: one per time in
-    :meth:`observables`, five for ``var_x`` and its two derivatives at one
-    time in :meth:`_var_x_tau_derivatives`.  A whole time grid is two real
-    batched half-size GEMMs per slab.  Blocks whose initial weight is below
-    1e-18 are dropped: they start at amplitude 0 in their slab.
+    :meth:`observables` and :meth:`scan`, five for ``var_x`` and its two
+    derivatives at one time in :meth:`_var_x_tau_derivatives`.  A whole time
+    grid is two real batched half-size GEMMs per slab.  :meth:`scan`, the
+    optimum search's window scan on a uniform grid from 0, builds its columns
+    from a rotation table, ``ceil(log2 n)`` ``cos``/``sin`` pairs per column
+    for ``n`` times, and agrees with :func:`evolve` on the same times to
+    rounding; :meth:`observables` takes ``cos``/``sin`` of every time, so
+    :func:`evolve` is unchanged on any grid.  Blocks whose initial weight is
+    below 1e-18 are dropped.
 
     The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
     also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
@@ -394,19 +430,23 @@ class BlockEvolution:
     coupling, a slab of 16 at a time (:func:`_shared_slab`).  A run holds the
     shared solves themselves: ``blocks``, each kept block's view into its
     slab, and ``slabs``, every slab from that of the lowest kept block to that
-    of the highest, each with its 16 start amplitudes (0 on a block the run
-    drops).  ``amps`` holds the start amplitudes ``|c_K|`` by charge.
+    of the highest, each with its live rows (a slice: the kept blocks, so
+    only the first and last slab are cut) and their start amplitudes.  The
+    read-outs run those rows only.  ``amps`` holds the start amplitudes
+    ``|c_K|`` by charge.
     """
 
     def __init__(self, cfg: OscillatorConfig):
         self.cfg = cfg
         pump = coherent_state(math.sqrt(cfg.pump_photons)).amps.real
         self.amps: dict[int, float] = {2 * k: c for k, c in enumerate(pump) if c * c >= 1e-18}
-        first, last = min(self.amps) // (2 * SLAB), max(self.amps) // (2 * SLAB)
-        start = np.zeros(SLAB * (last + 1))
+        lo, hi = min(self.amps) // 2, max(self.amps) // 2 + 1  # the kept blocks, charges 2K with lo <= K < hi
+        start = np.zeros(hi)
         start[[q // 2 for q in self.amps]] = list(self.amps.values())
-        self.slabs: list[tuple[_Slab, np.ndarray]] = [
-            (_shared_slab(cfg.kind, j), start[SLAB * j:SLAB * (j + 1)]) for j in range(first, last + 1)
+        rows = {j: slice(max(lo - SLAB * j, 0), min(hi - SLAB * j, SLAB))
+                for j in range(lo // SLAB, (hi - 1) // SLAB + 1)}
+        self.slabs: list[tuple[_Slab, slice, np.ndarray]] = [
+            (_shared_slab(cfg.kind, j), r, start[SLAB * j + r.start:SLAB * j + r.stop]) for j, r in rows.items()
         ]
         self.blocks: dict[int, _BlockSolve] = {q: _shared_solve(cfg.kind, q) for q in self.amps}
 
@@ -418,26 +458,28 @@ class BlockEvolution:
     def _sums(self, count: int, columns) -> np.ndarray:
         """Sums over the blocks for ``count`` states, one row per quantity and one column per state.
 
-        ``columns(slab, amps)`` gives the eigen-coordinates ``(C, S)`` of a
-        slab's blocks started as ``amps[i] e_last``, each ``(16, columns,
-        count)``, of amplitudes ``a = U C`` on A and ``b = MU S`` on B.  The
-        rows sum same-column products: norm², ``<n_sub>`` (``<n1>``, or ``<n2>
-        = <n3>``), ``<n_pump>``, the charge, the pair term ``P`` (``<a1²>`` /
-        ``<a2 a3>``, charge ``q`` with the block below, one step back along the
-        slab; the first block's is the last block of the slab before) and
+        ``columns(slab, rows, amps)`` gives the eigen-coordinates ``(C, S)`` of
+        the slab's live blocks ``rows`` started as ``amps[i] e_last``, each
+        ``(rows, columns, count)``, of amplitudes ``a = U C`` on A and ``b = MU
+        S`` on B.  The rows sum same-column products: norm², ``<n_sub>``
+        (``<n1>``, or ``<n2> = <n3>``), ``<n_pump>``, the charge, the pair
+        term ``P`` (``<a1²>`` / ``<a2 a3>``, charge ``q`` with the block below,
+        one step back along the slab; the first live block's is the last block
+        of the slab before, or none: a block below the run's first is dropped,
+        at amplitude 0) and
         ``var_x - 1 = 2 <n_sub> - 2 cos(phi) P``, whose terms cancel block by
         block before the sum over blocks.
         """
         sums = np.zeros((6, count))
         pair_weight = 2.0 * math.cos(self.cfg.pump_phase)
         last_a = last_b = np.zeros((0, count))  # the amplitudes of the block below the slab
-        for slab, amps in self.slabs:
-            c, s = columns(slab, amps)
-            a, b = slab.u @ c, slab.mu @ s
-            weights = slab.occ_a @ (a * a) + slab.occ_b @ (b * b)
-            pair = (slab.pair_a @ (_below(b, last_b) * a) + slab.pair_b @ (_below(a, last_a) * b))[:, 0]
+        for slab, rows, amps in self.slabs:
+            c, s = columns(slab, rows, amps)
+            a, b = slab.u[rows] @ c, slab.mu[rows] @ s
+            weights = slab.occ_a[rows] @ (a * a) + slab.occ_b[rows] @ (b * b)
+            pair = (slab.pair_a[rows] @ (_below(b, last_b) * a) + slab.pair_b[rows] @ (_below(a, last_a) * b))[:, 0]
             sums[:3] += weights.sum(axis=0)
-            sums[3] += slab.charges @ weights[:, 0]
+            sums[3] += slab.charges[rows] @ weights[:, 0]
             sums[4] += pair.sum(axis=0)
             sums[5] += (2.0 * weights[:, 1] - pair_weight * pair).sum(axis=0)
             last_a, last_b = a[-1], b[-1]
@@ -455,7 +497,23 @@ class BlockEvolution:
         """
         t = np.asarray(times, dtype=float)
         tau = self.cfg.coupling * t
-        sums = self._sums(t.size, lambda slab, amps: slab.columns(tau, amps))
+        return self._record(t, self._sums(t.size, lambda slab, rows, amps: slab.columns(rows, amps, tau)))
+
+    def scan(self, tau: np.ndarray) -> EvolutionResult:
+        """:meth:`observables` at ``tau / kappa`` on a uniform grid from 0, ``tau = np.linspace(0, T, n)``.
+
+        This is the optimum search's window scan.  Its eigen-coordinates come
+        from the rotation table of the grid's step ``T / (n - 1)``
+        (:func:`_grid_eigen_columns`), ``ceil(log2 n)`` ``cos``/``sin`` pairs per
+        column instead of ``n``, and agree with :meth:`observables`' to rounding.
+        """
+        step = tau[-1] / max(tau.size - 1, 1)  # linspace's own step
+        sums = self._sums(tau.size, lambda slab, rows, amps: slab.grid_columns(rows, amps, step, tau.size))
+        return self._record(tau / self.cfg.coupling, sums)
+
+    @staticmethod
+    def _record(t: np.ndarray, sums: np.ndarray) -> EvolutionResult:
+        """The :class:`EvolutionResult` at the times ``t`` of the rows of :meth:`_sums`."""
         norm_sq, n_sub, n_pump, charge, pair, excess = sums
         return EvolutionResult(
             times=t,
@@ -490,9 +548,9 @@ class BlockEvolution:
         """
         h = 0.2 * _first_window(self.cfg)
 
-        def columns(slab, amps):
-            c0, s0 = slab.columns(tau, amps)
-            e = -h * slab.eigvals
+        def columns(slab, rows, amps):
+            c0, s0 = slab.columns(rows, amps, tau)
+            e = -h * slab.eigvals[rows]
             s1, c1 = h * c0, e * s0
             s2, c2 = h * c1, e * s1
             c = np.stack((c0, c1, c2, c0 + c1, c0 + c2), axis=-1)
@@ -532,8 +590,8 @@ def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     ``PHASE_DIGITS`` = 6 correct decimals (``x`` above about 4.5e9 rad, or
     not a finite double); far past it ``x`` has no correct digit and the
     observables no meaning.  The optimum search reads
-    :meth:`BlockEvolution.observables` directly: its windows are bounded by
-    :class:`OscillatorConfig`.
+    :meth:`BlockEvolution.scan` directly, which agrees with ``evolve`` on the
+    same times to rounding: its windows are bounded by :class:`OscillatorConfig`.
     """
     t = _time_grid(t_grid)
     ev = BlockEvolution(cfg)
@@ -571,8 +629,10 @@ class OptimalSqueezing:
     the same time (the two coincide up to rounding for zero pump phase).
     ``evolution`` is the final window scan, ``GRID_POINTS`` = 32 times that
     only bracket the optimum: ``t_sq`` lies strictly inside it, before its
-    second time when the search refined in ``(0, t_1)``.  For a trajectory,
-    evaluate :meth:`BlockEvolution.observables` on a grid of your own.
+    second time when the search refined in ``(0, t_1)``.  It is built from
+    the rotation table (:meth:`BlockEvolution.scan`) and agrees with
+    :func:`evolve` on its times to rounding.  For a trajectory, call
+    :func:`evolve` on a grid of your own.
     """
 
     t_sq: float
@@ -586,9 +646,13 @@ class OptimalSqueezing:
 def _minimize_var_x(scan, refine, window: float):
     """The minimum of ``var_x`` over ``tau`` from a read-out: ``((tau_sq, refine(tau)) or None, last scan)``.
 
-    ``scan(taus)`` gives a record with ``var_x`` and ``var_x_min_angle`` arrays;
-    ``refine(tau)`` gives ``var_x``, its first two ``tau``-derivatives, the
-    intensity and ``var_x_min_angle`` at one time.  Scans of ``GRID_POINTS`` =
+    ``scan(taus)`` gives a record with ``var_x`` and ``var_x_min_angle`` arrays
+    at ``taus = np.linspace(0, window, GRID_POINTS)``; the block route's
+    (:meth:`BlockEvolution.scan`) is built from a rotation table and agrees
+    with :func:`evolve` to rounding, which only moves the bracket's ends when
+    two scanned values tie to rounding.  ``refine(tau)`` gives ``var_x``, its
+    first two ``tau``-derivatives, the intensity and ``var_x_min_angle`` at one
+    time.  Scans of ``GRID_POINTS`` =
     32 times over ``[0, window]``, the window doubled up to ``MAX_EXTENSIONS``
     times, bracket the lowest ``var_x`` below ``1 - 1e-12`` at an interior
     ``tau_i``; Newton steps then solve ``var_x' = 0`` in ``(tau_{i-1}, tau_{i+1})``.
@@ -650,9 +714,11 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     """Locate the time of maximal sub-harmonic squeezing of one run.
 
     :func:`_minimize_var_x` searches in ``tau = kappa t`` over one
-    :class:`BlockEvolution`: its scans are :meth:`~BlockEvolution.observables`
-    at ``tau / kappa``, its passes :meth:`~BlockEvolution._var_x_tau_derivatives`,
-    and its first window is :func:`_first_window`, the undepleted-pump timescale.
+    :class:`BlockEvolution`: its scans are :meth:`~BlockEvolution.scan`, built
+    from a rotation table and equal to :func:`evolve` at ``tau / kappa`` to
+    rounding, its passes :meth:`~BlockEvolution._var_x_tau_derivatives`, which
+    take ``cos``/``sin`` of their one time, and its first window is
+    :func:`_first_window`, the undepleted-pump timescale.
     A pump phase near ``pi/2`` leaves a shallow dip of ``var_x`` at about ``t =
     cos(phi) / (2 kappa sqrt(N))``, before the first scan time.  A vacuum pump
     gives ``t_sq = 0``, ``var_min = 1``.  ``ValueError`` when ``var_x`` does not
@@ -661,8 +727,7 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     """
     ev = BlockEvolution(cfg)
     kappa = cfg.coupling
-    optimum, scan = _minimize_var_x(lambda tau: ev.observables(tau / kappa), ev._var_x_tau_derivatives,
-                                    _first_window(cfg))
+    optimum, scan = _minimize_var_x(ev.scan, ev._var_x_tau_derivatives, _first_window(cfg))
     if optimum is None:
         raise ValueError(
             f"pump phase {cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
@@ -682,7 +747,8 @@ def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
 # ---------------------------------------------------------------------------
 # dense reference propagation (no charge decomposition)
 
-def _ladder_sparse(dim: int) -> sparse.csr_matrix:
+def _ladder_sparse(dim: int):
+    """The lowering operator of ``dim`` levels, a ``scipy.sparse`` CSR matrix."""
     import scipy.sparse as sparse  # here, as only the dense route needs it
 
     return sparse.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr")

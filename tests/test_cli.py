@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -53,7 +55,7 @@ def test_simulate_writes_trajectory(tmp_path):
 def _solves_each_block_of_its_slabs_once(solves, osc):
     """The memo solves whole slabs of 16 blocks: each block of the run's slabs once, and no other."""
     sizes = [args[0].size for args in solves]  # a block's coupling count is half its charge
-    wanted = [int(q) // 2 for slab, _ in BlockEvolution(osc).slabs for q in slab.charges]
+    wanted = [int(q) // 2 for slab, *_ in BlockEvolution(osc).slabs for q in slab.charges]
     return sorted(sizes) == wanted
 
 
@@ -229,6 +231,16 @@ def test_cli_import_leaves_scipy_optimize_and_sparse_linalg_unloaded():
     code = "import sys, squeezelab.cli; print(sorted({'scipy.optimize', 'scipy.sparse.linalg'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_oscillator_annotations_name_only_what_the_module_holds():
+    """Every annotation of ``oscillator``'s functions and methods resolves: none names the lazily imported ``sparse``."""
+    own = [obj for obj in vars(oscillator).values() if getattr(obj, "__module__", None) == oscillator.__name__]
+    functions = [obj for obj in own if inspect.isfunction(obj)]
+    functions += [f for cls in own if inspect.isclass(cls) for f in vars(cls).values() if inspect.isfunction(f)]
+    assert oscillator._ladder_sparse in functions
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 def test_invalid_arguments_exit_2():

@@ -11,6 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from squeezelab import oscillator
 from squeezelab.fock import FockState, QuadratureSpec, coherent_state, mode_moments, quadrature_stats
+from squeezelab.metrics import phase_resolution
 from squeezelab.oscillator import (
     BlockEvolution,
     OscillatorConfig,
@@ -23,6 +24,7 @@ from squeezelab.oscillator import (
     hamiltonian_block,
 )
 from squeezelab.oscillator import MAX_EXTENSIONS, MAX_NEWTON_PASSES, _first_window, _minimize_var_x, _shared_solve
+from squeezelab.oscillator import _eigen_columns, _grid_eigen_columns
 
 # frozen from an independent dense full-space propagation (sparse Krylov
 # stepping, golden refinement at xtol 1e-10, default cutoff policy)
@@ -264,6 +266,40 @@ def test_observables_match_dense_moments(kind, n, pump_phase):
         assert np.max(np.abs(got - want)) < 1e-10, coupling
 
 
+def _form_row_sum(ev):
+    """A bound on the largest row sum of the ``var_x - 1`` form of a run, hence on its operator norm (Gershgorin).
+
+    A site of block ``q`` meets itself with weight ``2 n_sub`` and the same
+    site of blocks ``q - 2`` and ``q + 2`` with pair weights below ``n_sub + 2``
+    each (:func:`_direct_read_out`'s ``p``); ``n_sub <= q``, so ``4 q + 4`` bounds
+    the row sum, and it also bounds the weights of every other read-out.
+    """
+    return 4.0 * max(ev.amps) + 4.0
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+def test_block_route_matches_the_dense_route_at_a_long_time(kind):
+    """``var_x`` at t = 100, N = 4, from the block route and from the dense route, to their phases' rounding.
+
+    Each route holds an eigenphase ``x = sigma t`` to a few roundings of
+    ``eps x / 2``: the block route rounds ``sigma`` (its solve), ``kappa t``
+    and their product, and ``expm_multiply`` stops its Taylor steps at
+    ``2^-53`` of ``||t A||``, which is ``sigma_max t``.  So the unit-norm states
+    move by about ``1.5 eps sigma_max t`` and ``0.5 eps sigma_max t``; with
+    as much again for the rounding of their sums, they differ by at most
+    ``4 eps sigma_max t``, and ``var_x`` by twice the form's norm
+    (:func:`_form_row_sum`) times that.  The dense run takes about 1 s
+    (degenerate) and 9 s (non-degenerate).
+    """
+    t = 100.0
+    cfg = OscillatorConfig(kind, 4.0)
+    ev = BlockEvolution(cfg)
+    top = max(blk.sigma[-1] for blk in ev.blocks.values() if blk.sigma.size)
+    bound = 2.0 * _form_row_sum(ev) * 4.0 * np.finfo(float).eps * top * t
+    _, states = dense_evolve(cfg, [0.0, t])
+    assert abs(evolve(cfg, [0.0, t]).var_x[-1] - _dense_observables(kind, states[-1])[0]) <= bound
+
+
 def test_pump_phase_rotates_squeezed_axis():
     cfg = OscillatorConfig("degenerate", 8.0, pump_phase=0.8)
     ev = BlockEvolution(cfg)
@@ -410,7 +446,7 @@ def test_scan_and_derivative_pass_round_alike_near_the_optimum(kind, n):
 @pytest.mark.parametrize("phi", [0.0, math.pi])
 def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi, count_calls):
     """At pump phase pi the window doubles once; ``intensity_y`` and ``var_x_min_angle`` come from the last pass."""
-    scans, points = count_calls(BlockEvolution, "observables"), count_calls(BlockEvolution, "observables_at")
+    scans, points = count_calls(BlockEvolution, "scan"), count_calls(BlockEvolution, "observables_at")
     cfg = OscillatorConfig("nondegenerate", 4.0, pump_phase=phi)
     opt = find_optimal_squeezing(cfg)
     windows = round(math.log2(opt.evolution.times[-1] / default_t_max(cfg))) + 1
@@ -419,6 +455,65 @@ def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi,
     at_t_sq = BlockEvolution(cfg).observables_at(opt.t_sq)  # the last pass is at most 1e-12 t_sq from t_sq
     assert opt.resolution.intensity_y == pytest.approx(at_t_sq["intensity_y"], rel=1e-11, abs=0.0)
     assert opt.var_min_angle == pytest.approx(at_t_sq["var_x_min_angle"], rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
+@pytest.mark.parametrize("n", [4.0, 22.0, 121.0])
+@pytest.mark.parametrize("coupling", [1.0, 0.7])
+def test_table_scan_gives_the_optimum_of_the_direct_scan(kind, n, coupling):
+    """The search over the rotation-table scan returns, bit for bit, what it returns over :meth:`observables`.
+
+    The scan only brackets the minimum, and its ``var_x`` differs from the
+    direct one by rounding; the Newton passes read one time each and keep the
+    direct ``cos``/``sin``.
+    """
+    cfg = OscillatorConfig(kind, n, coupling)
+    opt = find_optimal_squeezing(cfg)
+    ev = BlockEvolution(cfg)
+    (tau_sq, (var_min, _, _, intensity, var_min_angle)), scan = _minimize_var_x(
+        lambda tau: ev.observables(tau / coupling), ev._var_x_tau_derivatives, _first_window(cfg))
+    assert (opt.t_sq, opt.var_min, opt.var_min_angle) == (tau_sq / coupling, var_min, var_min_angle)
+    assert opt.resolution == phase_resolution(intensity, var_min)
+    assert opt.s_min_angle == phase_resolution(intensity, var_min_angle).s
+    assert np.array_equal(opt.evolution.times, scan.times)
+
+
+@pytest.mark.parametrize("kind,n,phi", [(kind, n, 0.0) for kind in ("degenerate", "nondegenerate")
+                                         for n in (4.0, 121.0, 1024.0)] + [("nondegenerate", 4.0, math.pi)])
+def test_scan_record_matches_evolve_on_its_times(kind, n, phi, monkeypatch):
+    """The optimum search's last scan against :func:`evolve` on the same times, to the table's rounding.
+
+    Column ``k`` of block ``q``, started as ``w0 = c_q u[-1]``, has its ``C``
+    and ``sigma S`` within ``delta_k |w0_k|`` of the direct ones, ``delta_k =
+    eps (2 K + 1.5 x_k)`` at the phase ``x_k = sigma_k tau`` and ``K = 5 p + 6``
+    for ``p`` table stages (:func:`test_rotation_table_matches_direct_cos_sin_property`).
+    ``U`` has orthonormal columns and ``MU`` orthogonal ones of norm
+    ``sigma``, so the block's amplitudes on A and on B each move by at most
+    ``e_q = ||delta w0||``; the two routes' ``k``-term sums add at most ``2 (k
+    + 2) eps ||w0||`` per amplitude.  Every read-out is a quadratic form of
+    norm at most ``W`` (:func:`_form_row_sum`) in the unit-norm state, so it
+    moves by at most ``2 W E + W E²``, ``E`` the whole state's move.  At pump
+    phase pi the window doubles once.
+    """
+    if n > 1000.0:  # free the N = 1024 slabs after the test
+        monkeypatch.setattr(oscillator, "_solve_cache", {})
+    cfg = OscillatorConfig(kind, n, pump_phase=phi)
+    scan = find_optimal_squeezing(cfg).evolution
+    assert scan.times[-1] == (2.0 if phi else 1.0) * default_t_max(cfg)
+    want = evolve(cfg, scan.times)
+    ev = BlockEvolution(cfg)
+    eps, stages, tau = np.finfo(float).eps, (scan.times.size - 1).bit_length(), cfg.coupling * scan.times[-1]
+    moves = []
+    for q, blk in ev.blocks.items():
+        w0 = ev.amps[q] * blk.u[-1]
+        e_q = np.linalg.norm(eps * (2.0 * (5 * stages + 6) + 1.5 * blk.sigma * tau) * w0)
+        sums = 2.0 * (blk.eigvals.size + 2) * eps * np.linalg.norm(w0) * math.sqrt(blk.couplings.size + 1)
+        moves.append(math.sqrt(2.0) * e_q + sums)
+    move, w = math.sqrt(sum(m * m for m in moves)), _form_row_sum(ev)
+    bound = 2.0 * w * move + w * move * move
+    for name in ("var_x", "var_x_min_angle", "intensity_y", "pump_n", "charge", "norm"):
+        assert np.max(np.abs(getattr(scan, name) - getattr(want, name))) <= bound, name
+    assert np.array_equal(scan.times, want.times)
 
 
 @pytest.mark.parametrize("kind,n,phi", [("nondegenerate", 0.3, 0.0), ("degenerate", 4.0 * math.sqrt(2.0), 1.0),
@@ -689,6 +784,53 @@ def test_slab_read_out_matches_moments_of_the_block_states_property(kind, n, pum
     assert abs(curvature - want["curvature"]) <= 6.0 * pass_rounding / want["h"] ** 2
 
 
+X_WIDEST = 2.0**MAX_EXTENSIONS * 400.0  # sigma tau of the widest scan: sigma_max times the first window is 250-320
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=strategies.integers(2, 200),
+    window=strategies.floats(1e-3, 2e3),
+    phases=strategies.lists(strategies.one_of(strategies.just(0.0), strategies.floats(1e-12, X_WIDEST)),
+                            min_size=1, max_size=12),
+    # start weights c u[-1] stay far above the subnormals, where relative rounding ends
+    starts=strategies.lists(strategies.floats(-1.0, -1e-100) | strategies.just(0.0) | strategies.floats(1e-100, 1.0),
+                            min_size=12, max_size=12),
+)
+@example(n=32, window=0.45, phases=[0.0, 1e-12, 0.5, 300.0], starts=[1.0] * 12)
+@example(n=200, window=1.0, phases=[0.0, X_WIDEST, 1.5707963267948966, 3.0], starts=[-0.5] * 12)
+@example(n=2, window=5.0, phases=[2.0], starts=[1.0] * 12)
+def test_rotation_table_matches_direct_cos_sin_property(n, window, phases, starts):
+    """:func:`_grid_eigen_columns` against :func:`_eigen_columns` on ``np.linspace(0, T, n)``, per column.
+
+    Phases ``x = sigma tau`` reach the widest window after ``MAX_EXTENSIONS``
+    doublings; zeros stand for zero modes and padded columns.  Against
+    ``sigma j step``, the table's phases round by at most ``eps x / 2``
+    (``2^m step`` is exact) and the direct ones by ``eps x`` (``tau_j`` and the
+    product): ``1.5 eps x`` apart.  Each ``cos``/``sin`` value is taken within 4
+    ulp (the loosest of numpy's SIMD routines), so within ``4 eps`` of its own
+    size; each of the ``p - 1`` complex products of a ``p``-stage table rounds
+    by at most ``sqrt(5) eps / 2``, and the scalings by ``w0`` and ``1 / sigma``
+    by ``eps`` in each route: ``K = 4 p + 1.2 (p - 1) + 4 + 2 <= 5 p + 6`` eps in
+    all.  That bounds ``C`` absolutely.  Up to ``x = pi/2`` every factor and
+    partial product lies in the first quadrant, where ``sin`` and each
+    product's imaginary part carry only relative error, so ``sigma S`` is
+    within ``K eps min(x, 2)`` plus the phase term.
+    """
+    sigma = np.array(phases) / window
+    inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+    w0 = np.array(starts[:sigma.size])
+    tau = np.linspace(0.0, window, n)
+    c, s = _grid_eigen_columns(sigma, inv_sigma, w0, window / (n - 1), n)
+    want_c, want_s = _eigen_columns(sigma, inv_sigma, w0, tau)
+    eps, k = np.finfo(float).eps, 5 * (n - 1).bit_length() + 6
+    x = np.multiply.outer(sigma, tau)
+    scale = np.abs(w0)[:, None] * eps
+    assert np.all(np.abs(c - want_c) <= scale * (k + 1.5 * x))
+    assert np.all(np.abs(sigma[:, None] * (s - want_s)) <= scale * (k * np.minimum(x, 2.0) + 1.5 * x))
+    assert np.all(s[sigma == 0.0] == 0.0) and np.all(c[sigma == 0.0] == w0[sigma == 0.0, None])
+
+
 def _block_of_dim(kind, dim):
     """The memoized solve of the block of size ``dim`` and its Hamiltonian."""
     charge = 2 * (dim - 1)
@@ -816,8 +958,8 @@ def test_run_holds_the_memoized_solves_and_its_start_amplitudes(kind):
         slab = oscillator._solve_cache[(kind, q // (2 * oscillator.SLAB))]
         assert blk is slab.blocks[q // 2 % oscillator.SLAB], q
         assert all(getattr(blk, name).base is getattr(slab, name) for name in ("couplings", "u", "mu", "eigvals")), q
-    for slab, start in ev.slabs:
-        assert all(start[i] == ev.amps.get(int(q), 0.0) for i, q in enumerate(slab.charges))
+    live = [(int(q), c) for slab, rows, start in ev.slabs for q, c in zip(slab.charges[rows], start)]
+    assert live == sorted(ev.amps.items())  # the slabs' live rows are the run's blocks, with their amplitudes
     amps = coherent_state(math.sqrt(22.0)).amps.real
     assert all(ev.amps[q] == amps[q // 2] for q in ev.amps)
 

@@ -74,10 +74,13 @@ def parse_range(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 4:
         raise ValueError(f"range spec must be start:stop:kind:count, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[3])
+    except ValueError as exc:  # float() and int() do not say which spec they read
+        raise ValueError(f"range spec {spec!r}: {exc}") from None
     if not math.isfinite(stop - start):  # also false when an endpoint is not finite
         raise ValueError(f"range endpoints and their difference must be finite, got {spec!r}")
-    kind, count = parts[2], int(parts[3])
+    kind = parts[2]
     if count < 1:
         raise ValueError("range count must be >= 1")
     if kind == "linear":
@@ -93,7 +96,7 @@ def parse_range(spec: str) -> np.ndarray:
 # simulate
 
 def cmd_simulate(config: dict, out: Path) -> int:
-    osc = OscillatorConfig(config["kind"], config["N"], config["coupling"], config["pump_phase"])
+    osc = OscillatorConfig(config["kind"], config["N"], pump_phase=config["pump_phase"])
     if config["points"] < 1:
         raise ValueError(f"--points must be at least 1, got {config['points']}")
     if not config["t_max"]:
@@ -147,8 +150,7 @@ def cmd_sweep(config: dict, out: Path) -> int:
         raise ValueError(f"--N: the power-law fits need distinct N, got only N = {n_values[0]:g}")
     ns = n_values.tolist()
     # one process, so the points share their block solves through the (kind, charge) memo
-    points = [find_optimal_squeezing(OscillatorConfig(config["kind"], n, config["coupling"], config["pump_phase"]))
-              for n in ns]
+    points = [find_optimal_squeezing(OscillatorConfig(config["kind"], n, pump_phase=config["pump_phase"])) for n in ns]
     var_min, s_values = [p.var_min for p in points], [p.resolution.s for p in points]
     fit_v = fit_power_law(ns, var_min)  # both fits before any file is written
     fit_s = fit_power_law(ns, s_values)
@@ -342,7 +344,6 @@ RANGE = "range spec start:stop:{linear|geometric}:count"
 VARIANT = Param("variant", str, REQUIRED, "mixer: beam splitter or interferometer", ("bs", "in"))
 KIND = Param("kind", str, REQUIRED, "oscillator kind", ("degenerate", "nondegenerate"))
 N_RANGE = Param("N", str, REQUIRED, f"pump photon numbers, {RANGE}")
-COUPLING = Param("coupling", float, 1.0, "pump-signal coupling")
 PUMP_PHASE = Param("pump_phase", float, 0.0, "pump phase [rad]")
 EFFICIENCY = Param("efficiency", float, REQUIRED, "down-conversion efficiency", flag="lambda")
 R2 = Param("r2", float, REQUIRED, "beam-splitter reflectivity |r|^2", variant="bs")
@@ -352,12 +353,12 @@ OUTDIR = Param("outdir", str, ".", "output directory")
 
 COMMANDS = {
     "simulate": Command("one lossless-oscillator trajectory", cmd_simulate, (
-        KIND, Param("N", float, REQUIRED, "initial pump photon number"), COUPLING, PUMP_PHASE,
+        KIND, Param("N", float, REQUIRED, "initial pump photon number"), PUMP_PHASE,
         Param("points", int, 200, "time-grid points"),
-        Param("t_max", float, None, "end of the time grid, 5/(coupling*sqrt(N)) if not given or 0"),
+        Param("t_max", float, None, "end of the time grid, 5/sqrt(N) if not given or 0"),
         SVG, OUTDIR)),
     "sweep": Command("squeezing optimum across pump photon numbers", cmd_sweep, (
-        KIND, N_RANGE, COUPLING, PUMP_PHASE, SVG, OUTDIR)),
+        KIND, N_RANGE, PUMP_PHASE, SVG, OUTDIR)),
     "mix": Command("closed-form mixer output, optionally Fock-checked", cmd_mix, (
         VARIANT, R2,
         Param("delta", float, 0.0, "beam-splitter phase delta", variant="bs"),

@@ -28,14 +28,14 @@ With the pump amplitude real positive, the squeezed quadrature of the
 sub-harmonic is ``-i(a† - a)``, ``QuadratureSpec(mode, -pi/2)`` of
 :mod:`squeezelab.fock` (for the signal/idler pair, that quadrature of the
 normalized composite mode ``i(a2 - a3)/sqrt(2)``); for small
-``sqrt(N) kappa t`` its variance follows the undepleted-pump law
-``exp(-2 sqrt(N) kappa t)``.
+``sqrt(N) t`` its variance follows the undepleted-pump law
+``exp(-2 sqrt(N) t)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Literal
 
 import numpy as np
@@ -84,28 +84,24 @@ class OscillatorConfig:
     """Lossless oscillator run parameters.
 
     ``pump_photons`` is the mean photon number of the initial coherent
-    pump (0 is allowed and gives a stationary vacuum run).  ``coupling``
-    is the unit of time (both Hamiltonians are linear in it); it defaults
-    to 1, and the longest window the optimum search scans must stay finite.
+    pump (0 is allowed and gives a stationary vacuum run); ``pump_phase``
+    is keyword-only.  Time is in units of ``1/kappa``, so the coupling is no
+    parameter: both Hamiltonians are linear in it.
     """
 
     kind: OscillatorKind
     pump_photons: float
-    coupling: float = 1.0
+    _: KW_ONLY
     pump_phase: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("degenerate", "nondegenerate"):
             raise ValueError(f"kind must be 'degenerate' or 'nondegenerate', got {self.kind!r}")
-        for name in ("pump_photons", "coupling", "pump_phase"):
+        for name in ("pump_photons", "pump_phase"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pump_photons < 0.0:
             raise ValueError(f"pump photon number must be >= 0, got {self.pump_photons}")
-        if self.coupling <= 0.0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if not math.isfinite(2.0**MAX_EXTENSIONS * default_t_max(self)):
-            raise ValueError(f"coupling {self.coupling} is too small: its time window is not finite")
 
 
 def _block_occupations(kind: OscillatorKind, charge: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +130,7 @@ def block_basis(kind: OscillatorKind, charge: int) -> list[tuple[int, ...]]:
 
 
 def _block_couplings(kind: OscillatorKind, charge: int) -> np.ndarray:
-    """Off-diagonal ``b`` of one block at coupling 1, ``H[k-1, k] = i b[k-1]`` in :func:`block_basis` order."""
+    """Off-diagonal ``b`` of one block, ``H[k-1, k] = i b[k-1]`` in :func:`block_basis` order."""
     sub = _block_occupations(kind, charge)[0][1:].astype(float)  # occupation before conversion
     k = np.arange(1, sub.size + 1, dtype=float)
     if kind == "degenerate":
@@ -142,14 +138,14 @@ def _block_couplings(kind: OscillatorKind, charge: int) -> np.ndarray:
     return np.sqrt(k) * (sub + 1.0)
 
 
-def hamiltonian_block(kind: OscillatorKind, charge: int, coupling: float = 1.0) -> np.ndarray:
+def hamiltonian_block(kind: OscillatorKind, charge: int) -> np.ndarray:
     """One Hermitian block of the oscillator Hamiltonian.
 
     Rows/columns follow :func:`block_basis`.  Blocks are tridiagonal:
     turning one pump photon into a sub-harmonic pair moves one step down
     the pump index.
     """
-    b = coupling * _block_couplings(kind, charge)
+    b = _block_couplings(kind, charge)
     return np.diag(1j * b, 1) + np.diag(-1j * b, -1)
 
 
@@ -239,7 +235,7 @@ def _grid_eigen_columns(sigma: np.ndarray, inv_sigma: np.ndarray, w0: np.ndarray
 
 @dataclass(frozen=True)
 class _BlockSolve:
-    """The coupling-1 solve of one charge block, which depends only on ``(kind, charge)``; coupling scales time.
+    """The solve of one charge block, which depends only on ``(kind, charge)``.
 
     Every array is a read-only view into the block's :class:`_Slab`, trimmed to
     the block's own A and B sites and its own kept columns: the lowest ones up
@@ -248,7 +244,7 @@ class _BlockSolve:
     passes its start amplitude to :meth:`columns` and :meth:`state`.
     """
 
-    couplings: np.ndarray     # H[k-1, k] = i couplings[k-1] at coupling 1
+    couplings: np.ndarray     # H[k-1, k] = i couplings[k-1]
     on_a: slice               # sites of sublattice A (the start site's parity) ...
     on_b: slice               # ... and of B
     eigvals: np.ndarray       # sigma²: eigenvalues of J² on A, ascending, of the kept columns only
@@ -279,7 +275,7 @@ class _BlockSolve:
 
 @dataclass(frozen=True)
 class _Slab:
-    """The coupling-1 solves of the ``SLAB`` = 16 blocks of charges ``2K``, ``K`` in ``[16 j, 16 j + 16)``, stacked.
+    """The solves of the ``SLAB`` = 16 blocks of charges ``2K``, ``K`` in ``[16 j, 16 j + 16)``, stacked.
 
     Row ``i`` of every array is the block of charge ``charges[i] = 2 (16 j + i)``.
     The arrays are zero-padded to the slab's widest block (``8 j + 8`` sites on
@@ -319,12 +315,12 @@ class _Slab:
 
 SLAB = 16  # charge blocks per memo entry; the read-outs sum over slabs, not blocks
 
-#: the slabs solved so far, by ``(kind, j)``; every coupling shares them
+#: the slabs solved so far, by ``(kind, j)``; every run of that kind shares them
 _solve_cache: dict[tuple[str, int], _Slab] = {}
 
 
 def _shared_slab(kind: OscillatorKind, j: int) -> _Slab:
-    """Slab ``j``: all 16 of its blocks solved at coupling 1, the arrays read-only, memoized across runs."""
+    """Slab ``j``: all 16 of its blocks solved, the arrays read-only, memoized across runs."""
     if (kind, j) in _solve_cache:
         return _solve_cache[kind, j]
     charges = 2 * np.arange(SLAB * j, SLAB * (j + 1))
@@ -366,7 +362,7 @@ def _shared_slab(kind: OscillatorKind, j: int) -> _Slab:
 
 
 def _shared_solve(kind: OscillatorKind, charge: int) -> _BlockSolve:
-    """The coupling-1 solve of the block of even ``charge``, a read-only view into its memoized slab."""
+    """The solve of the block of even ``charge``, a read-only view into its memoized slab."""
     return _shared_slab(kind, charge // (2 * SLAB)).blocks[charge // 2 % SLAB]
 
 
@@ -421,19 +417,15 @@ class BlockEvolution:
     :func:`evolve` is unchanged on any grid.  Blocks whose initial weight is
     below 1e-18 are dropped.
 
-    The blocks are solved at coupling 1 and read at ``kappa t``; ``kappa``
-    also scales :meth:`energy_scale`, and ``kappa^k`` the k-th time derivative
-    of ``var_x``, which the optimum search (:func:`find_optimal_squeezing`)
-    never forms: it works in ``tau = kappa t``.  A block's solve depends on
-    ``(kind, charge)`` only; N enters through ``|c_K|`` alone.  So the solves
-    are kept, read-only, and reused by every later run of the same kind at any
-    coupling, a slab of 16 at a time (:func:`_shared_slab`).  A run holds the
-    shared solves themselves: ``blocks``, each kept block's view into its
-    slab, and ``slabs``, every slab from that of the lowest kept block to that
-    of the highest, each with its live rows (a slice: the kept blocks, so
-    only the first and last slab are cut) and their start amplitudes.  The
-    read-outs run those rows only.  ``amps`` holds the start amplitudes
-    ``|c_K|`` by charge.
+    A block's solve depends on ``(kind, charge)`` only; N enters through
+    ``|c_K|`` alone.  So the solves are kept, read-only, and reused by every
+    later run of the same kind, a slab of 16 at a time (:func:`_shared_slab`).
+    A run holds the shared solves themselves: ``blocks``, each kept block's
+    view into its slab, and ``slabs``, every slab from that of the lowest kept
+    block to that of the highest, each with its live rows (a slice: the kept
+    blocks, so only the first and last slab are cut) and their start
+    amplitudes.  The read-outs run those rows only.  ``amps`` holds the start
+    amplitudes ``|c_K|`` by charge.
     """
 
     def __init__(self, cfg: OscillatorConfig):
@@ -452,8 +444,7 @@ class BlockEvolution:
 
     def propagate(self, t: float) -> dict[int, np.ndarray]:
         """The state at time ``t`` (negative allowed), block by block: ``e^{iK phi}`` times block 2K's real vector."""
-        tau = self.cfg.coupling * t
-        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * self.blocks[q].state(tau, c) for q, c in self.amps.items()}
+        return {q: np.exp(0.5j * q * self.cfg.pump_phase) * self.blocks[q].state(t, c) for q, c in self.amps.items()}
 
     def _sums(self, count: int, columns) -> np.ndarray:
         """Sums over the blocks for ``count`` states, one row per quantity and one column per state.
@@ -496,20 +487,19 @@ class BlockEvolution:
         propagator; ``<H²>``, the squared :meth:`energy_scale`, does.
         """
         t = np.asarray(times, dtype=float)
-        tau = self.cfg.coupling * t
-        return self._record(t, self._sums(t.size, lambda slab, rows, amps: slab.columns(rows, amps, tau)))
+        return self._record(t, self._sums(t.size, lambda slab, rows, amps: slab.columns(rows, amps, t)))
 
-    def scan(self, tau: np.ndarray) -> EvolutionResult:
-        """:meth:`observables` at ``tau / kappa`` on a uniform grid from 0, ``tau = np.linspace(0, T, n)``.
+    def scan(self, t: np.ndarray) -> EvolutionResult:
+        """:meth:`observables` on a uniform grid from 0, ``t = np.linspace(0, T, n)``.
 
         This is the optimum search's window scan.  Its eigen-coordinates come
         from the rotation table of the grid's step ``T / (n - 1)``
         (:func:`_grid_eigen_columns`), ``ceil(log2 n)`` ``cos``/``sin`` pairs per
         column instead of ``n``, and agree with :meth:`observables`' to rounding.
         """
-        step = tau[-1] / max(tau.size - 1, 1)  # linspace's own step
-        sums = self._sums(tau.size, lambda slab, rows, amps: slab.grid_columns(rows, amps, step, tau.size))
-        return self._record(tau / self.cfg.coupling, sums)
+        step = t[-1] / max(t.size - 1, 1)  # linspace's own step
+        sums = self._sums(t.size, lambda slab, rows, amps: slab.grid_columns(rows, amps, step, t.size))
+        return self._record(t, sums)
 
     @staticmethod
     def _record(t: np.ndarray, sums: np.ndarray) -> EvolutionResult:
@@ -533,23 +523,23 @@ class BlockEvolution:
     def var_x_at(self, t: float) -> float:
         return self.observables_at(t)["var_x"]
 
-    def _var_x_tau_derivatives(self, tau: float) -> tuple[float, float, float, float, float]:
-        """``var_x``, its first two ``tau``-derivatives, ``intensity_y`` and ``var_x_min_angle`` at one ``tau``, as floats.
+    def _var_x_tau_derivatives(self, t: float) -> tuple[float, float, float, float, float]:
+        """``var_x``, its first two time derivatives, ``intensity_y`` and ``var_x_min_angle`` at one ``t``, as floats.
 
         One :meth:`_sums` pass of five columns per block, ``x0, x1, x2, x0 + x1,
         x0 + x2``, with ``x_k = (S_k, C_k)`` the k-th derivative of the
-        eigen-coordinates in ``u = tau / h``: ``d/du (S, C) = h (C, -sigma² S)``.
+        eigen-coordinates in ``u = t / h``: ``d/du (S, C) = h (C, -sigma² S)``.
         ``var_x - 1`` is a quadratic form in the amplitudes, pair terms
         included, so by polarization its sums ``s0 .. s4`` give the value
         ``s0``, the slope ``s3 - s0 - s1`` and the curvature ``2 s1 + s4 - s0
         - s2``, in ``u``.  ``h = 1 / sqrt(max(N, 1))``, the pump's time unit: in
-        ``tau`` itself ``x1`` and ``x2`` grow like ``sqrt(N)`` and ``N`` times
+        ``t`` itself ``x1`` and ``x2`` grow like ``sqrt(N)`` and ``N`` times
         ``x0``, and the differences round that much worse.
         """
-        h = 0.2 * _first_window(self.cfg)
+        h = 0.2 * default_t_max(self.cfg)
 
         def columns(slab, rows, amps):
-            c0, s0 = slab.columns(rows, amps, tau)
+            c0, s0 = slab.columns(rows, amps, t)
             e = -h * slab.eigvals[rows]
             s1, c1 = h * c0, e * s0
             s2, c2 = h * c1, e * s1
@@ -564,10 +554,10 @@ class BlockEvolution:
     def energy_scale(self) -> float:
         """||H psi0||, the natural scale for energy checks.
 
-        Each block starts as ``c e_last``, so ``||H init||² = kappa² |c|² couplings[-1]²``;
+        Each block starts as ``c e_last``, so ``||H init||² = |c|² couplings[-1]²``;
         its square is ``<H²>``, which the propagation conserves.
         """
-        return self.cfg.coupling * math.sqrt(sum(
+        return math.sqrt(sum(
             self.amps[q] ** 2 * blk.couplings[-1] ** 2 for q, blk in self.blocks.items() if blk.couplings.size
         ))
 
@@ -583,41 +573,37 @@ def _time_grid(times) -> np.ndarray:
 def evolve(cfg: OscillatorConfig, t_grid) -> EvolutionResult:
     """Propagate and record observables on an ascending time grid from 0.
 
-    The largest eigenphase ``x = sigma kappa t`` is known to about its own
-    rounding, ``eps x``: ``sigma``, ``kappa t`` and their product each round
-    once.  ``ValueError`` names the first time at which ``eps x`` exceeds
+    The largest eigenphase ``x = sigma t`` is known to about its own
+    rounding, ``eps x``: ``sigma`` and the product each round once.
+    ``ValueError`` names the first time at which ``eps x`` exceeds
     ``10^-PHASE_DIGITS`` rad, so that ``x`` carries fewer than
     ``PHASE_DIGITS`` = 6 correct decimals (``x`` above about 4.5e9 rad, or
     not a finite double); far past it ``x`` has no correct digit and the
     observables no meaning.  The optimum search reads
     :meth:`BlockEvolution.scan` directly, which agrees with ``evolve`` on the
-    same times to rounding: its windows are bounded by :class:`OscillatorConfig`.
+    same times to rounding: its windows end by ``2^MAX_EXTENSIONS``
+    :func:`default_t_max`, at most 1280.
     """
     t = _time_grid(t_grid)
     ev = BlockEvolution(cfg)
     top = max((blk.sigma[-1] for blk in ev.blocks.values() if blk.sigma.size), default=0.0)
     with np.errstate(over="ignore"):
-        phase = top * (cfg.coupling * t)
+        phase = top * t
     past = np.flatnonzero(~(np.finfo(float).eps * phase <= 10.0**-PHASE_DIGITS))
     if past.size:
         raise ValueError(
-            f"time {t[past[0]]:g} is past the propagator's range: its largest phase sigma * coupling * t = "
+            f"time {t[past[0]]:g} is past the propagator's range: its largest phase sigma * t = "
             f"{phase[past[0]]:.3g} rad carries fewer than {PHASE_DIGITS} correct decimals"
         )
     return ev.observables(t)
 
 
-def _first_window(cfg: OscillatorConfig) -> float:
-    """``5 / sqrt(max(N, 1))``, the undepleted-pump timescale in ``tau = coupling t``: the end of the first scan."""
-    return 5.0 / math.sqrt(max(cfg.pump_photons, 1.0))
-
-
 def default_t_max(cfg: OscillatorConfig) -> float:
-    """The undepleted-pump timescale in ``t``, :func:`_first_window` over the coupling.
+    """``5 / sqrt(max(N, 1))``, the undepleted-pump timescale.
 
     It ends the ``simulate`` command's default time grid and the first window the optimum search scans.
     """
-    return _first_window(cfg) / cfg.coupling
+    return 5.0 / math.sqrt(max(cfg.pump_photons, 1.0))
 
 
 @dataclass
@@ -644,98 +630,97 @@ class OptimalSqueezing:
 
 
 def _minimize_var_x(scan, refine, window: float):
-    """The minimum of ``var_x`` over ``tau`` from a read-out: ``((tau_sq, refine(tau)) or None, last scan)``.
+    """The minimum of ``var_x`` over time from a read-out: ``((t_sq, refine(t)) or None, last scan)``.
 
-    ``scan(taus)`` gives a record with ``var_x`` and ``var_x_min_angle`` arrays
-    at ``taus = np.linspace(0, window, GRID_POINTS)``; the block route's
+    ``scan(times)`` gives a record with ``var_x`` and ``var_x_min_angle`` arrays
+    at ``times = np.linspace(0, window, GRID_POINTS)``; the block route's
     (:meth:`BlockEvolution.scan`) is built from a rotation table and agrees
     with :func:`evolve` to rounding, which only moves the bracket's ends when
-    two scanned values tie to rounding.  ``refine(tau)`` gives ``var_x``, its
-    first two ``tau``-derivatives, the intensity and ``var_x_min_angle`` at one
+    two scanned values tie to rounding.  ``refine(t)`` gives ``var_x``, its
+    first two ``t``-derivatives, the intensity and ``var_x_min_angle`` at one
     time.  Scans of ``GRID_POINTS`` =
     32 times over ``[0, window]``, the window doubled up to ``MAX_EXTENSIONS``
     times, bracket the lowest ``var_x`` below ``1 - 1e-12`` at an interior
-    ``tau_i``; Newton steps then solve ``var_x' = 0`` in ``(tau_{i-1}, tau_{i+1})``.
+    ``t_i``; Newton steps then solve ``var_x' = 0`` in ``(t_{i-1}, t_{i+1})``.
     A step is taken when ``var_x'' > 0`` and it stays inside the bracket, which
     shrinks by the sign of ``var_x'`` on every pass; otherwise the bracket is
     bisected.  The passes stop when ``var_x'`` is 0, a step rounds to zero or is
-    at most 1e-12 of ``tau``, or after ``MAX_NEWTON_PASSES``.  The last pass is
-    at most that last step from ``tau_sq``, where ``var_x'`` vanishes, so its
+    at most 1e-12 of ``t``, or after ``MAX_NEWTON_PASSES``.  The last pass is
+    at most that last step from ``t_sq``, where ``var_x'`` vanishes, so its
     ``var_x`` differs at second order, its intensity and ``var_x_min_angle`` at first.
 
     When the lowest scanned ``var_x`` is at 0 or not below ``1 - 1e-12``, a
     ``var_x_min_angle`` that never drops below it either is stationary, ``(0,
-    (1, 0, 0, 0, 1))``; slopes negative at 0 and positive at ``tau_1`` bracket
-    a dip the scan stepped over, refined in ``(0, tau_1)``; otherwise, or when
+    (1, 0, 0, 0, 1))``; slopes negative at 0 and positive at ``t_1`` bracket
+    a dip the scan stepped over, refined in ``(0, t_1)``; otherwise, or when
     the refined ``var_x`` is not below ``1 - 1e-12``, the optimum is ``None``.
     No interior minimum after the doublings raises ``RuntimeError``.
     """
-    tau_max = window
+    t_max = window
     for _ in range(MAX_EXTENSIONS + 1):
-        tau = np.linspace(0.0, tau_max, GRID_POINTS)
-        result = scan(tau)
+        t = np.linspace(0.0, t_max, GRID_POINTS)
+        result = scan(t)
         i = int(np.argmin(result.var_x))
         if i == 0 or result.var_x[i] > 1.0 - 1e-12:
             if np.min(result.var_x_min_angle) > 1.0 - 1e-12:
                 return (0.0, (1.0, 0.0, 0.0, 0.0, 1.0)), result
-            lo, hi = 0.0, float(tau[1])
+            lo, hi = 0.0, float(t[1])
             if not refine(lo)[1] < 0.0 < refine(hi)[1]:
                 return None, result
-            tau_sq = 0.5 * hi
+            t_sq = 0.5 * hi
             break
         if i < GRID_POINTS - 1:
-            lo, tau_sq, hi = (float(x) for x in tau[i - 1:i + 2])
+            lo, t_sq, hi = (float(x) for x in t[i - 1:i + 2])
             break
-        tau_max *= 2.0
+        t_max *= 2.0
     else:
         raise RuntimeError("no interior squeezing minimum found; window extension exhausted")
 
     for _ in range(MAX_NEWTON_PASSES):
-        at_tau = refine(tau_sq)
-        _, slope, curvature = at_tau[:3]
+        at_t = refine(t_sq)
+        _, slope, curvature = at_t[:3]
         if slope == 0.0:
             break
         if slope > 0.0:
-            hi = tau_sq
+            hi = t_sq
         else:
-            lo = tau_sq
-        newton = tau_sq - slope / curvature if curvature > 0.0 else math.nan
-        if newton == tau_sq:  # the step rounds to zero: converged at tau_sq
+            lo = t_sq
+        newton = t_sq - slope / curvature if curvature > 0.0 else math.nan
+        if newton == t_sq:  # the step rounds to zero: converged at t_sq
             break
-        tau_new = newton if lo < newton < hi else 0.5 * (lo + hi)
-        converged = abs(tau_new - tau_sq) <= 1e-12 * tau_sq
-        tau_sq = tau_new
+        t_new = newton if lo < newton < hi else 0.5 * (lo + hi)
+        converged = abs(t_new - t_sq) <= 1e-12 * t_sq
+        t_sq = t_new
         if converged:
             break
-    return (None if at_tau[0] > 1.0 - 1e-12 else (tau_sq, at_tau)), result
+    return (None if at_t[0] > 1.0 - 1e-12 else (t_sq, at_t)), result
 
 
 def find_optimal_squeezing(cfg: OscillatorConfig) -> OptimalSqueezing:
     """Locate the time of maximal sub-harmonic squeezing of one run.
 
-    :func:`_minimize_var_x` searches in ``tau = kappa t`` over one
-    :class:`BlockEvolution`: its scans are :meth:`~BlockEvolution.scan`, built
-    from a rotation table and equal to :func:`evolve` at ``tau / kappa`` to
-    rounding, its passes :meth:`~BlockEvolution._var_x_tau_derivatives`, which
-    take ``cos``/``sin`` of their one time, and its first window is
-    :func:`_first_window`, the undepleted-pump timescale.
+    :func:`_minimize_var_x` searches over one :class:`BlockEvolution`: its
+    scans are :meth:`~BlockEvolution.scan`, built from a rotation table and
+    equal to :func:`evolve` on the same times to rounding, its passes
+    :meth:`~BlockEvolution._var_x_tau_derivatives`, which take ``cos``/``sin``
+    of their one time, and its first window is :func:`default_t_max`, the
+    undepleted-pump timescale.
     A pump phase near ``pi/2`` leaves a shallow dip of ``var_x`` at about ``t =
-    cos(phi) / (2 kappa sqrt(N))``, before the first scan time.  A vacuum pump
+    cos(phi) / (2 sqrt(N))``, before the first scan time.  A vacuum pump
     gives ``t_sq = 0``, ``var_min = 1``.  ``ValueError`` when ``var_x`` does not
     drop below ``1 - 1e-12`` (at ``phi = pi/2`` the dip is about 1e-33 deep),
     ``RuntimeError`` when no interior minimum is found.
     """
     ev = BlockEvolution(cfg)
-    kappa = cfg.coupling
-    optimum, scan = _minimize_var_x(ev.scan, ev._var_x_tau_derivatives, _first_window(cfg))
+    optimum, scan = _minimize_var_x(ev.scan, ev._var_x_tau_derivatives, default_t_max(cfg))
     if optimum is None:
         raise ValueError(
             f"pump phase {cfg.pump_phase} squeezes only away from the x quadrature: var_x never "
             f"drops below 1 on [0, {scan.times[-1]:.6g}]; use a pump phase near 0"
         )
-    tau_sq, (var_min, _, _, intensity, var_min_angle) = optimum
+    t_sq, (var_min, _, _, intensity, var_min_angle) = optimum
     return OptimalSqueezing(
-        t_sq=tau_sq / kappa,
+        t_sq=t_sq,
         var_min=var_min,
         resolution=phase_resolution(intensity, var_min),
         var_min_angle=var_min_angle,
@@ -760,9 +745,9 @@ def dense_evolve(cfg: OscillatorConfig, times):
     Returns ``(dims, states)`` where ``states[i]`` is the dense amplitude
     tensor at ``times[i]``; the mode dimensions (sub-harmonics first, pump
     last) cover every state reachable from the truncated pump.  One body
-    serves both kinds: ``H = i g kappa (b A† - b† A)`` with a real pair creator
+    serves both kinds: ``H = i g (b A† - b† A)`` with a real pair creator
     ``A†`` (``a1†²`` and ``g = 1/2``, or ``a2† a3†`` and ``g = 1``), so the generator
-    ``-iH = g kappa (C - Cᵀ)``, ``C = A† ⊗ b``, is real, and the pump phase
+    ``-iH = g (C - Cᵀ)``, ``C = A† ⊗ b``, is real, and the pump phase
     stays in the complex start state.  This is the oracle route: it shares
     nothing with the charge-block propagator except the Hamiltonian definition.
     """
@@ -779,7 +764,7 @@ def dense_evolve(cfg: OscillatorConfig, times):
     else:
         dims, g, creator = (d, d, d), 1.0, sparse.kron(b.T, b.T)
     conv = sparse.kron(creator, b, format="csr")
-    gen = g * cfg.coupling * (conv - conv.T)
+    gen = g * (conv - conv.T)
     psi = np.zeros(math.prod(dims), dtype=np.complex128)
     psi[:d] = pump  # the sub-harmonics in vacuum; the pump axis is last
     states = [psi.reshape(dims).copy()]

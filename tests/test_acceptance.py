@@ -179,7 +179,7 @@ def test_criterion_6_conservation_suite(oscillator_sweeps):
             scale2 = ev.energy_scale() ** 2
             for t in (opt.t_sq, float(result.times[-1])):
                 h2 = sum(
-                    float(np.linalg.norm(hamiltonian_block(kind, q, cfg.coupling) @ v) ** 2)
+                    float(np.linalg.norm(hamiltonian_block(kind, q) @ v) ** 2)
                     for q, v in ev.propagate(t).items()
                 )
                 worst_energy = max(worst_energy, abs(h2 - scale2) / scale2)

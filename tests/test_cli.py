@@ -243,10 +243,31 @@ def test_oscillator_annotations_name_only_what_the_module_holds():
         typing.get_type_hints(function)
 
 
-def test_invalid_arguments_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--kind", "triply-degenerate", "--N", "4"])
-    assert exc.value.code == 2
+def test_invalid_arguments_exit_2(capsys):
+    """Argparse refuses an unknown kind, and a --coupling: time is in units of 1/coupling, so no command takes one."""
+    refused = "unrecognized arguments: --coupling 0.7"
+    for argv, message in [
+        (["simulate", "--kind", "triply-degenerate", "--N", "4"], "invalid choice: 'triply-degenerate'"),
+        (["simulate", "--kind", "degenerate", "--N", "4", "--coupling", "0.7"], refused),
+        (["sweep", "--kind", "degenerate", "--N", "4:9:geometric:3", "--coupling", "0.7"], refused),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_spec, mix_spec, bad, reason", [
+    ("a:1e4:geometric:2", "0:1:linear:3", "a:1e4:geometric:2", "could not convert string to float: 'a'"),
+    ("1e3:1e4:geometric:x", "0:1:linear:3", "1e3:1e4:geometric:x", "invalid literal for int() with base 10: 'x'"),
+    ("1e3:1e4:geometric:2", "0:b:linear:3", "0:b:linear:3", "could not convert string to float: 'b'"),
+    ("1e3:1e4:geometric:2", "0:1:linear:x", "0:1:linear:x", "invalid literal for int() with base 10: 'x'"),
+], ids=["N-endpoint", "N-count", "mix-endpoint", "mix-count"])
+def test_surface_range_error_names_its_spec(tmp_path, capsys, n_spec, mix_spec, bad, reason):
+    """``surface`` reads two range specs; a number that does not parse is reported with the spec it is in."""
+    assert main(["surface", "--N", n_spec, "--mix", mix_spec, "--lambda", "0.5", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: range spec {bad!r}: {reason}\n"
+    assert not (tmp_path / "surface.csv").exists()
 
 
 def test_validation_failure_exit_2(tmp_path):
@@ -255,7 +276,7 @@ def test_validation_failure_exit_2(tmp_path):
     assert main(["simulate", "--N", "4", "--outdir", str(tmp_path)]) == 2  # missing kind
 
 
-@pytest.mark.parametrize("flag,value", [("--N", "inf"), ("--N", "nan"), ("--coupling", "inf"), ("--pump-phase", "nan")])
+@pytest.mark.parametrize("flag,value", [("--N", "inf"), ("--N", "nan"), ("--pump-phase", "nan")])
 def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
     n, extra = (value, []) if flag == "--N" else ("4", [flag, value])
     code = main(["simulate", "--kind", "degenerate", "--N", n, *extra, "--outdir", str(tmp_path)])
@@ -279,7 +300,6 @@ def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "400", "--alpha", "1"], None),  # sinh(s)^2 overflows
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "800", "--alpha", "1"], None),  # sinh(s) overflows
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "-1", "--alpha", "1"], None),
-    (["simulate", "--kind", "degenerate", "--N", "4", "--coupling", "1e-310"], None),  # 1 / coupling overflows
     # |alpha|^2 or 2 N lambda overflows
     (["mix", "--variant", "bs", "--r2", "0.5", "--s", "0.5", "--alpha", "1e200"], None),
     (["mix", "--variant", "bs", "--r2", "1", "--s", "0.5", "--alpha", "1e200"], None),
@@ -291,7 +311,7 @@ def test_non_finite_oscillator_parameter_exit_2(tmp_path, capsys, flag, value):
     (["mix", "--variant", "in", "--phi", "1", "--global-phase", "1e308", "--s", "0.5", "--alpha", "1"], None),
 ], ids=["sweep-N-inf", "surface-N-nan", "surface-N-inf", "surface-mix-nan", "scheme-N-nan", "mix-s-nan",
         "mix-alpha-nan", "mix-delta-nan", "mix-psi-inf", "config-scheme-N-nan", "config-mix-s-inf",
-        "mix-s-400", "mix-s-800", "mix-s-negative", "simulate-coupling-1e-310",
+        "mix-s-400", "mix-s-800", "mix-s-negative",
         "mix-alpha-1e200", "mix-r2-1-alpha-1e200", "scheme-N-1e308", "surface-N-1e308", "mix-bs-delta-1e308",
         "mix-in-global-phase-1e308"])
 def test_non_finite_input_exit_2_before_any_work(tmp_path, capsys, argv, file_cfg):
@@ -404,7 +424,7 @@ OUTPUT_JSON = {"simulate": "summary.json", "sweep": "fits.json", "mix": "mix.jso
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--kind", "degenerate", "--N", "4", "--points", "20", "--svg"],
-    ["sweep", "--kind", "nondegenerate", "--N", "2:6:linear:3", "--coupling", "1.5"],
+    ["sweep", "--kind", "nondegenerate", "--N", "2:6:linear:3", "--pump-phase", "0.2"],
     ["mix", "--variant", "bs", "--r2", "0.3", "--s", "0.4", "--alpha", "1"],
     ["mix", "--variant", "bs", "--r2", "0.3", "--delta", "0.2", "--s", "0.4", "--alpha", "1", "--oracle"],
     ["mix", "--variant", "bs", "--r2", "0.3", "--s", "0.4", "--alpha", "1", "--theta", "0.8", "--oracle"],
@@ -445,12 +465,15 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
-    """A typo is refused by name, and so is an older echo's "cutoff" (mix) or "jobs" (sweep)."""
+    """A typo is refused by name, and so is an older echo's "cutoff" (mix), "jobs" (sweep) or "coupling"."""
     config = tmp_path / "config.json"
     for command, file_cfg, key in [
         ("mix", {"variant": "bs", "r2": 0.5, "detla": 0.3}, "detla"),
         ("mix", {"variant": "bs", "r2": 0.5, "s": 0.5, "alpha": 1.0, "oracle": True, "cutoff": None}, "cutoff"),
         ("sweep", {"kind": "degenerate", "N": "4:9:geometric:3", "jobs": 1}, "jobs"),
+        ("sweep", {"kind": "degenerate", "N": "4:9:geometric:3", "coupling": 1.0, "pump_phase": 0.0}, "coupling"),
+        ("simulate", {"kind": "degenerate", "N": 16.0, "coupling": 1.0, "pump_phase": 0.0, "points": 200,
+                      "t_max": 1.25, "svg": False}, "coupling"),
     ]:
         config.write_text(json.dumps({**file_cfg, "outdir": str(tmp_path)}))
         assert main([command, "--config", str(config)]) == 2

@@ -23,7 +23,7 @@ from squeezelab.oscillator import (
     find_optimal_squeezing,
     hamiltonian_block,
 )
-from squeezelab.oscillator import MAX_EXTENSIONS, MAX_NEWTON_PASSES, _first_window, _minimize_var_x, _shared_solve
+from squeezelab.oscillator import MAX_EXTENSIONS, MAX_NEWTON_PASSES, _minimize_var_x, _shared_solve
 from squeezelab.oscillator import _eigen_columns, _grid_eigen_columns
 
 # frozen from an independent dense full-space propagation (sparse Krylov
@@ -39,7 +39,7 @@ def test_degenerate_charge2_block():
     basis = block_basis("degenerate", 2)
     assert set(basis) == {(2, 0), (0, 1)}
     h = hamiltonian_block("degenerate", 2)
-    # hand evaluation: sqrt(2*1) * sqrt(1) * kappa / 2
+    # hand evaluation: sqrt(2*1) * sqrt(1) / 2
     assert abs(h[0, 1]) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
     assert np.allclose(h, h.conj().T)
 
@@ -82,13 +82,19 @@ def test_config_validation():
         OscillatorConfig("squeezy", 4.0)
     with pytest.raises(ValueError):
         OscillatorConfig("degenerate", -1.0)
-    with pytest.raises(ValueError):
-        OscillatorConfig("degenerate", 4.0, coupling=0.0)
-    with pytest.raises(ValueError, match="coupling 1e-310 is too small"):  # 1 / coupling overflows
-        OscillatorConfig("degenerate", 4.0, coupling=1e-310)
 
 
-@pytest.mark.parametrize("field", ["pump_photons", "coupling", "pump_phase"])
+def test_config_takes_the_pump_phase_by_name_only():
+    """A third positional value is refused, not read as the pump phase: it was the coupling in older calls."""
+    with pytest.raises(TypeError):
+        OscillatorConfig("degenerate", 16.0, 0.7)
+    with pytest.raises(TypeError):
+        OscillatorConfig("degenerate", 16.0, coupling=0.7)
+    assert OscillatorConfig("degenerate", 16.0, pump_phase=0.7).pump_phase == 0.7
+    assert OscillatorConfig(*("nondegenerate", 4.0)) == OscillatorConfig("nondegenerate", 4.0, pump_phase=0.0)
+
+
+@pytest.mark.parametrize("field", ["pump_photons", "pump_phase"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite(field, value):
     params = {"pump_photons": 4.0, field: value}
@@ -110,24 +116,23 @@ def test_grid_must_start_at_zero_and_ascend(run):
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 def test_evolve_refuses_a_time_whose_phase_overflows(kind):
-    """sigma * coupling * t past the float range would give NaN rows; the first such time is named instead."""
+    """sigma * t past the float range would give NaN rows; the first such time is named instead."""
     cfg = OscillatorConfig(kind, 4.0)
     with pytest.raises(ValueError, match=r"^time 1e\+308 is past the propagator's range: .* = inf rad"):
         evolve(cfg, [0.0, 1e308])
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
-@pytest.mark.parametrize("coupling", [1.0, 0.7])
-def test_evolve_refuses_a_time_past_the_phases_digits(kind, coupling):
+def test_evolve_refuses_a_time_past_the_phases_digits(kind):
     """A finite phase with no correct digit is refused: ``var_x`` at t = 1e300 read 6.06 (N = 4).
 
-    The largest phase ``x = sigma kappa t`` is known to about ``eps x``; the
+    The largest phase ``x = sigma t`` is known to about ``eps x``; the
     first time at which that exceeds ``10^-PHASE_DIGITS`` rad is named, and
     the grid just below it runs.
     """
-    cfg = OscillatorConfig(kind, 4.0, coupling)
+    cfg = OscillatorConfig(kind, 4.0)
     top = max(blk.sigma[-1] for blk in BlockEvolution(cfg).blocks.values())
-    limit = 10.0**-oscillator.PHASE_DIGITS / (np.finfo(float).eps * top * coupling)  # about 4.4e7 / coupling
+    limit = 10.0**-oscillator.PHASE_DIGITS / (np.finfo(float).eps * top)  # about 4.4e7
     with pytest.raises(ValueError, match=r"^time 1e\+300 is past .* carries fewer than 6 correct decimals"):
         evolve(cfg, [0.0, 1.0, 1e300])
     with pytest.raises(ValueError, match=re.escape(f"time {1.01 * limit:g} is past")):
@@ -209,7 +214,7 @@ def test_energy_flows_out_of_pump():
 def _energy_square(ev, t):
     """<H²> = sum_q ||H_q v_q(t)||² of the block states at time ``t``."""
     return sum(
-        np.linalg.norm(hamiltonian_block(ev.cfg.kind, q, ev.cfg.coupling) @ v) ** 2 for q, v in ev.propagate(t).items()
+        np.linalg.norm(hamiltonian_block(ev.cfg.kind, q) @ v) ** 2 for q, v in ev.propagate(t).items()
     )
 
 
@@ -248,22 +253,22 @@ def test_observables_match_dense_moments(kind, n, pump_phase):
     Away from zero pump phase the block states check the frame rotation
     e^{iK phi} against the dense route's complex pump; the moments come from
     Fock moments of the dense state, and non-degenerate runs check
-    ``<n2> = <n3>`` (:func:`_dense_observables`).  At coupling 1 and at 2.5
-    (N = 4) or 0.7 (N = 6): the dense route keeps the coupling in its
-    Hamiltonian.
+    ``<n2> = <n3>`` (:func:`_dense_observables`).  The grid also holds its
+    points scaled by 2.5 (N = 4), which carries the check out to t = 3.5,
+    or by 0.7 (N = 6).
     """
-    times = np.array([0.0, 0.35, 0.8, 1.4])
-    for coupling in (1.0, 2.5 if n == 4.0 else 0.7):
-        cfg = OscillatorConfig(kind, n, coupling, pump_phase)
-        dims, states = dense_evolve(cfg, times)
-        ev = BlockEvolution(cfg)
-        for t, dense in zip(times, states):
-            scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
-            assert np.max(np.abs(scattered - dense)) < 1e-8, (coupling, t)
-        result = ev.observables(times)
-        got = np.array([result.var_x, result.var_x_min_angle, result.intensity_y, result.pump_n]).T
-        want = np.array([_dense_observables(kind, dense) for dense in states])
-        assert np.max(np.abs(got - want)) < 1e-10, coupling
+    points = np.array([0.0, 0.35, 0.8, 1.4])
+    times = np.union1d(points, (2.5 if n == 4.0 else 0.7) * points)
+    cfg = OscillatorConfig(kind, n, pump_phase=pump_phase)
+    dims, states = dense_evolve(cfg, times)
+    ev = BlockEvolution(cfg)
+    for t, dense in zip(times, states):
+        scattered = blocks_to_dense(cfg, ev.propagate(float(t)), dims)
+        assert np.max(np.abs(scattered - dense)) < 1e-8, t
+    result = ev.observables(times)
+    got = np.array([result.var_x, result.var_x_min_angle, result.intensity_y, result.pump_n]).T
+    want = np.array([_dense_observables(kind, dense) for dense in states])
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def _form_row_sum(ev):
@@ -282,8 +287,8 @@ def test_block_route_matches_the_dense_route_at_a_long_time(kind):
     """``var_x`` at t = 100, N = 4, from the block route and from the dense route, to their phases' rounding.
 
     Each route holds an eigenphase ``x = sigma t`` to a few roundings of
-    ``eps x / 2``: the block route rounds ``sigma`` (its solve), ``kappa t``
-    and their product, and ``expm_multiply`` stops its Taylor steps at
+    ``eps x / 2``: the block route rounds ``sigma`` (its solve) and its
+    product with ``t``, and ``expm_multiply`` stops its Taylor steps at
     ``2^-53`` of ``||t A||``, which is ``sigma_max t``.  So the unit-norm states
     move by about ``1.5 eps sigma_max t`` and ``0.5 eps sigma_max t``; with
     as much again for the rounding of their sums, they differ by at most
@@ -387,18 +392,17 @@ def test_var_x_at_equals_full_observables(kind):
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("n", [1.0, 9.5, 60.0])
 def test_var_x_derivatives_match_finite_differences(kind, n):
-    """Also at couplings other than 1, where the derivatives take one and two powers of the coupling."""
-    for coupling in (1.0, 0.7, 2.5):
-        ev = BlockEvolution(OscillatorConfig(kind, n, coupling))
-        for t in np.array([0.3, 1.1, 2.5]) / (coupling * math.sqrt(n)):
-            derivatives = ev._var_x_tau_derivatives(coupling * float(t))
-            assert all(type(x) is float for x in derivatives)
-            value, slope, curvature = derivatives[0], coupling * derivatives[1], coupling**2 * derivatives[2]
-            h = 1e-3 * t
-            plus, mid, minus = ev.var_x_at(t + h), ev.var_x_at(t), ev.var_x_at(t - h)
-            assert value == pytest.approx(mid, abs=1e-13)
-            assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-5), coupling
-            assert curvature == pytest.approx((plus - 2.0 * mid + minus) / h**2, rel=1e-5), coupling
+    """The derivative pass's value, slope and curvature against central differences of ``var_x_at``."""
+    ev = BlockEvolution(OscillatorConfig(kind, n))
+    for t in np.array([0.3, 1.1, 2.5]) / math.sqrt(n):
+        derivatives = ev._var_x_tau_derivatives(float(t))
+        assert all(type(x) is float for x in derivatives)
+        value, slope, curvature = derivatives[:3]
+        h = 1e-3 * t
+        plus, mid, minus = ev.var_x_at(t + h), ev.var_x_at(t), ev.var_x_at(t - h)
+        assert value == pytest.approx(mid, abs=1e-13)
+        assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-5), t
+        assert curvature == pytest.approx((plus - 2.0 * mid + minus) / h**2, rel=1e-5), t
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
@@ -410,7 +414,7 @@ def test_newton_refinement_against_golden_section(kind, n, count_calls):
     assert 1 <= len(calls) <= 8
     assert type(opt.t_sq) is float
     ev = calls[0][0]
-    _, slope, curvature = ev._var_x_tau_derivatives(opt.t_sq)[:3]  # coupling 1: tau = t
+    _, slope, curvature = ev._var_x_tau_derivatives(opt.t_sq)[:3]
     assert curvature > 0.0
     assert abs(slope) <= 1e-12 * curvature * opt.t_sq  # a Newton step below 1e-12 of t_sq
 
@@ -439,7 +443,7 @@ def test_scan_and_derivative_pass_round_alike_near_the_optimum(kind, n):
     ev = BlockEvolution(cfg)
     grid = ev.observables(find_optimal_squeezing(cfg).t_sq * np.linspace(0.95, 1.05, 21))
     eps = np.finfo(float).eps
-    for t, var_x, n_sub in zip(grid.times, grid.var_x, grid.intensity_y):  # coupling 1: tau = t
+    for t, var_x, n_sub in zip(grid.times, grid.var_x, grid.intensity_y):
         assert abs(var_x - ev._var_x_tau_derivatives(float(t))[0]) <= 4.0 * eps * (1.0 + 2.0 * n_sub), t
 
 
@@ -459,20 +463,19 @@ def test_search_scans_once_per_window_and_reads_the_optimum_from_its_passes(phi,
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("n", [4.0, 22.0, 121.0])
-@pytest.mark.parametrize("coupling", [1.0, 0.7])
-def test_table_scan_gives_the_optimum_of_the_direct_scan(kind, n, coupling):
+def test_table_scan_gives_the_optimum_of_the_direct_scan(kind, n):
     """The search over the rotation-table scan returns, bit for bit, what it returns over :meth:`observables`.
 
     The scan only brackets the minimum, and its ``var_x`` differs from the
     direct one by rounding; the Newton passes read one time each and keep the
     direct ``cos``/``sin``.
     """
-    cfg = OscillatorConfig(kind, n, coupling)
+    cfg = OscillatorConfig(kind, n)
     opt = find_optimal_squeezing(cfg)
     ev = BlockEvolution(cfg)
-    (tau_sq, (var_min, _, _, intensity, var_min_angle)), scan = _minimize_var_x(
-        lambda tau: ev.observables(tau / coupling), ev._var_x_tau_derivatives, _first_window(cfg))
-    assert (opt.t_sq, opt.var_min, opt.var_min_angle) == (tau_sq / coupling, var_min, var_min_angle)
+    (t_sq, (var_min, _, _, intensity, var_min_angle)), scan = _minimize_var_x(
+        ev.observables, ev._var_x_tau_derivatives, default_t_max(cfg))
+    assert (opt.t_sq, opt.var_min, opt.var_min_angle) == (t_sq, var_min, var_min_angle)
     assert opt.resolution == phase_resolution(intensity, var_min)
     assert opt.s_min_angle == phase_resolution(intensity, var_min_angle).s
     assert np.array_equal(opt.evolution.times, scan.times)
@@ -485,7 +488,7 @@ def test_scan_record_matches_evolve_on_its_times(kind, n, phi, monkeypatch):
 
     Column ``k`` of block ``q``, started as ``w0 = c_q u[-1]``, has its ``C``
     and ``sigma S`` within ``delta_k |w0_k|`` of the direct ones, ``delta_k =
-    eps (2 K + 1.5 x_k)`` at the phase ``x_k = sigma_k tau`` and ``K = 5 p + 6``
+    eps (2 K + 1.5 x_k)`` at the phase ``x_k = sigma_k t`` and ``K = 5 p + 6``
     for ``p`` table stages (:func:`test_rotation_table_matches_direct_cos_sin_property`).
     ``U`` has orthonormal columns and ``MU`` orthogonal ones of norm
     ``sigma``, so the block's amplitudes on A and on B each move by at most
@@ -502,11 +505,11 @@ def test_scan_record_matches_evolve_on_its_times(kind, n, phi, monkeypatch):
     assert scan.times[-1] == (2.0 if phi else 1.0) * default_t_max(cfg)
     want = evolve(cfg, scan.times)
     ev = BlockEvolution(cfg)
-    eps, stages, tau = np.finfo(float).eps, (scan.times.size - 1).bit_length(), cfg.coupling * scan.times[-1]
+    eps, stages, t = np.finfo(float).eps, (scan.times.size - 1).bit_length(), scan.times[-1]
     moves = []
     for q, blk in ev.blocks.items():
         w0 = ev.amps[q] * blk.u[-1]
-        e_q = np.linalg.norm(eps * (2.0 * (5 * stages + 6) + 1.5 * blk.sigma * tau) * w0)
+        e_q = np.linalg.norm(eps * (2.0 * (5 * stages + 6) + 1.5 * blk.sigma * t) * w0)
         sums = 2.0 * (blk.eigvals.size + 2) * eps * np.linalg.norm(w0) * math.sqrt(blk.couplings.size + 1)
         moves.append(math.sqrt(2.0) * e_q + sums)
     move, w = math.sqrt(sum(m * m for m in moves)), _form_row_sum(ev)
@@ -533,76 +536,76 @@ def test_refinement_bisects_without_positive_curvature():
     ev = BlockEvolution(cfg)
     calls = []
 
-    def no_curvature(tau):
-        calls.append(tau)
-        value, slope, _, *at_tau = ev._var_x_tau_derivatives(tau)
-        return value, slope, -1.0, *at_tau
+    def no_curvature(t):
+        calls.append(t)
+        value, slope, _, *at_t = ev._var_x_tau_derivatives(t)
+        return value, slope, -1.0, *at_t
 
-    (tau_sq, (var_min, *_)), _ = _minimize_var_x(ev.observables, no_curvature, _first_window(cfg))  # coupling 1
+    (t_sq, (var_min, *_)), _ = _minimize_var_x(ev.observables, no_curvature, default_t_max(cfg))
     assert 8 < len(calls) <= MAX_NEWTON_PASSES
-    assert tau_sq == pytest.approx(newton.t_sq, rel=1e-10)
+    assert t_sq == pytest.approx(newton.t_sq, rel=1e-10)
     assert var_min == pytest.approx(newton.var_min, abs=1e-14)
 
 
 def _made_up(coef, angle=None, curvature=None):
-    """A read-out whose ``var_x`` is the polynomial ``coef`` in ``tau``, and the list of its passes' times.
+    """A read-out whose ``var_x`` is the polynomial ``coef`` in ``t``, and the list of its passes' times.
 
     ``var_x_min_angle`` is ``angle`` when given, else ``var_x``; ``curvature`` replaces ``var_x''`` when given.
     """
     poly = np.polynomial.Polynomial(coef)
     passes = []
 
-    def scan(taus):
-        var_x = poly(taus)
+    def scan(times):
+        var_x = poly(times)
         return SimpleNamespace(var_x=var_x, var_x_min_angle=var_x if angle is None else np.full_like(var_x, angle))
 
-    def refine(tau):
-        passes.append(tau)
-        d2 = float(poly.deriv(2)(tau)) if curvature is None else curvature
-        return float(poly(tau)), float(poly.deriv()(tau)), d2, 0.25, float(poly(tau)) - 0.5
+    def refine(t):
+        passes.append(t)
+        d2 = float(poly.deriv(2)(t)) if curvature is None else curvature
+        return float(poly(t)), float(poly.deriv()(t)), d2, 0.25, float(poly(t)) - 0.5
 
     return scan, refine, passes
 
 
 @pytest.mark.parametrize("curvature", [None, 0.0, -1.0])
 def test_minimize_var_x_finds_a_parabolas_minimum(curvature):
-    """``var_x = 0.5 + (tau - 0.3)²``: Newton steps, or bisection without positive curvature, reach ``tau = 0.3``."""
+    """``var_x = 0.5 + (t - 0.3)²``: Newton steps, or bisection without positive curvature, reach ``t = 0.3``."""
     scan, refine, passes = _made_up([0.59, -0.6, 1.0], curvature=curvature)
-    (tau_sq, at_tau), last = _minimize_var_x(scan, refine, 1.0)
-    assert tau_sq == pytest.approx(0.3, rel=1e-12 if curvature is None else 1e-10, abs=0.0)
-    assert at_tau[0] == pytest.approx(0.5, abs=1e-15) and at_tau[3:] == (0.25, at_tau[0] - 0.5)
+    (t_sq, at_t), last = _minimize_var_x(scan, refine, 1.0)
+    assert t_sq == pytest.approx(0.3, rel=1e-12 if curvature is None else 1e-10, abs=0.0)
+    assert at_t[0] == pytest.approx(0.5, abs=1e-15) and at_t[3:] == (0.25, at_t[0] - 0.5)
     assert len(last.var_x) == oscillator.GRID_POINTS
     assert (len(passes) <= 3) if curvature is None else (8 < len(passes) <= MAX_NEWTON_PASSES)
 
 
 def test_minimize_var_x_refines_a_dip_no_scan_point_sees():
-    """``var_x = 1 + tau (tau - 0.02)`` bottoms at 0.01, inside ``(0, tau_1 = 1/31)``, and is above 1 at every scan time."""
+    """``var_x = 1 + t (t - 0.02)`` bottoms at 0.01, inside ``(0, t_1 = 1/31)``, and is above 1 at every scan time."""
     scan, refine, passes = _made_up([1.0, -0.02, 1.0], angle=0.5)
-    (tau_sq, at_tau), last = _minimize_var_x(scan, refine, 1.0)
+    (t_sq, at_t), last = _minimize_var_x(scan, refine, 1.0)
     assert np.min(last.var_x) == 1.0
-    assert passes[:2] == [0.0, 1.0 / 31.0]  # the slopes bracket (0, tau_1)
-    assert tau_sq == pytest.approx(0.01, rel=1e-12, abs=0.0)
-    assert at_tau[0] == pytest.approx(1.0 - 1e-4, rel=1e-15)
+    assert passes[:2] == [0.0, 1.0 / 31.0]  # the slopes bracket (0, t_1)
+    assert t_sq == pytest.approx(0.01, rel=1e-12, abs=0.0)
+    assert at_t[0] == pytest.approx(1.0 - 1e-4, rel=1e-15)
 
 
 def test_minimize_var_x_stationary_read_out():
     """A flat ``var_x = var_x_min_angle = 1``, as a vacuum pump gives, is stationary: no pass is made."""
     scan, refine, passes = _made_up([1.0])
-    (tau_sq, at_tau), last = _minimize_var_x(scan, refine, 1.0)
-    assert (tau_sq, at_tau, passes) == (0.0, (1.0, 0.0, 0.0, 0.0, 1.0), [])
+    (t_sq, at_t), last = _minimize_var_x(scan, refine, 1.0)
+    assert (t_sq, at_t, passes) == (0.0, (1.0, 0.0, 0.0, 0.0, 1.0), [])
     assert np.all(last.var_x == 1.0)
 
 
 @pytest.mark.parametrize("coef", [[1.0, 0.0, 1.0], [1.0, -2e-16, 1e-14]], ids=["rising", "too-shallow-dip"])
 def test_minimize_var_x_reports_var_x_never_below_1(coef):
-    """A ``var_x`` that only rises, or whose dip in ``(0, tau_1)`` stays above ``1 - 1e-12``, squeezes only away from x."""
+    """A ``var_x`` that only rises, or whose dip in ``(0, t_1)`` stays above ``1 - 1e-12``, squeezes only away from x."""
     scan, refine, _ = _made_up(coef, angle=0.5)
     optimum, last = _minimize_var_x(scan, refine, 1.0)
     assert optimum is None and len(last.var_x) == oscillator.GRID_POINTS
 
 
 def test_minimize_var_x_gives_up_past_the_last_window():
-    """``var_x = 1 + 1e-6 tau (tau - 2000)`` falls to ``tau = 1000``, past ``2^MAX_EXTENSIONS = 256`` first windows."""
+    """``var_x = 1 + 1e-6 t (t - 2000)`` falls to ``t = 1000``, past ``2^MAX_EXTENSIONS = 256`` first windows."""
     scan, refine, passes = _made_up([1.0, -2e-3, 1e-6])
     with pytest.raises(RuntimeError, match="window extension exhausted"):
         _minimize_var_x(scan, refine, 1.0)
@@ -623,14 +626,14 @@ def test_coarse_bracket_finds_the_minimum_property(kind, n, pump_phase):
     opt = find_optimal_squeezing(cfg)
     fine = ev.observables(np.linspace(0.0, opt.evolution.times[-1], 400))
     assert opt.var_min <= np.min(fine.var_x) + 1e-12
-    _, slope, curvature = ev._var_x_tau_derivatives(opt.t_sq)[:3]  # coupling 1: tau = t
+    _, slope, curvature = ev._var_x_tau_derivatives(opt.t_sq)[:3]
     assert abs(slope) <= 1e-12 * curvature * opt.t_sq
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
 @pytest.mark.parametrize("n", [1.0, 22.0, 121.0])
 def test_early_dip_near_half_pi_is_bracketed_before_the_first_scan_time(kind, n, monkeypatch):
-    """Near ``phi = pi/2`` the dip of ``var_x`` bottoms near ``cos(phi) / (2 kappa sqrt(N))``, before ``t_1``.
+    """Near ``phi = pi/2`` the dip of ``var_x`` bottoms near ``cos(phi) / (2 sqrt(N))``, before ``t_1``.
 
     The 32-point scan sees no point of it below 1, so the search refines in
     ``(0, t_1)``.  At ``|phi|`` = 1.45 and 1.52 a 200-point scan, the earlier
@@ -651,7 +654,7 @@ def test_early_dip_near_half_pi_is_bracketed_before_the_first_scan_time(kind, n,
     opt = find_optimal_squeezing(cfg)
     assert opt.t_sq < opt.evolution.times[1]
     assert opt.var_min < 1.0
-    bottom = math.cos(cfg.pump_phase) / (2.0 * cfg.coupling * math.sqrt(n))
+    bottom = math.cos(cfg.pump_phase) / (2.0 * math.sqrt(n))
     assert opt.var_min <= BlockEvolution(cfg).observables_at(bottom)["var_x"]
 
 
@@ -672,36 +675,21 @@ def test_conservation_property(kind, n, t_unit):
         assert _energy_square(ev, float(t)) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9), t
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
-    n=strategies.floats(0.1, 150.0),
-    coupling=strategies.floats(0.1, 10.0),
-    t_unit=strategies.floats(0.0, 3.0),
-)
-def test_energy_square_conserved_property(kind, n, coupling, t_unit):
-    """<H²> of the block states equals its start value ||H psi0||², at random runs, couplings and times."""
-    cfg = OscillatorConfig(kind, n, coupling)
-    ev = BlockEvolution(cfg)
-    t = t_unit / (coupling * math.sqrt(n))
-    assert _energy_square(ev, t) == pytest.approx(ev.energy_scale() ** 2, rel=1e-9)
-
-
-def _direct_read_out(ev, tau):
-    """The read-outs of a run at ``tau = kappa t`` summed directly from its block states, and their rounding scales.
+def _direct_read_out(ev, t):
+    """The read-outs of a run at time ``t`` summed directly from its block states, and their rounding scales.
 
     ``var_x - 1 = F(v, v)`` for the real symmetric form ``F(x, y) = Re sum_q
     [2 sum n_sub conj(x_q) y_q - sum p (conj(x_{q-2}) y_q + conj(y_{q-2}) x_q)]``,
     where site ``k`` of block ``q`` meets site ``k`` of block ``q - 2`` with
     weight ``p = sqrt(n1 (n1 - 1))`` or ``m`` (:func:`block_basis` occupations).
-    With ``v' = -iHv`` and ``v'' = -H²v`` in ``tau``, the slope is ``2 F(v, v')``
+    With ``v' = -iHv`` and ``v'' = -H²v``, the slope is ``2 F(v, v')``
     and the curvature ``2 F(v', v') + 2 F(v, v'')``.  ``scale(g)`` bounds every
     per-site weight of a read-out times the squared norm of the eigen-coordinates
     of ``g``-scaled derivative columns, ``sum_q (1 + 2q + 2 max p) ||c_q u_last (1 +
     g sigma + g² sigma²)||²``: ``g = 0`` for the values, ``g = h`` for the pass.
     """
-    kind, h = ev.cfg.kind, 0.2 * _first_window(ev.cfg)
-    states = ev.propagate(tau / ev.cfg.coupling)
+    kind, h = ev.cfg.kind, 0.2 * default_t_max(ev.cfg)
+    states = ev.propagate(t)
     occ, pair_weight, dv, d2v = {}, {}, {}, {}
     for q, v in states.items():
         occ[q] = np.array(block_basis(kind, q), dtype=float)
@@ -743,15 +731,14 @@ def _direct_read_out(ev, tau):
     kind=strategies.sampled_from(["degenerate", "nondegenerate"]),
     n=strategies.floats(0.0, 300.0),
     pump_phase=strategies.floats(-math.pi, math.pi),
-    coupling=strategies.floats(0.1, 10.0),
     t_unit=strategies.floats(0.0, 3.0),
 )
-@example(kind="degenerate", n=0.0, pump_phase=0.3, coupling=1.0, t_unit=1.0)  # the vacuum block alone
-@example(kind="nondegenerate", n=1e-20, pump_phase=-1.0, coupling=2.0, t_unit=1.0)  # the same: 1e-20 of pump
-@example(kind="degenerate", n=4.0, pump_phase=0.0, coupling=1.0, t_unit=1.2)  # from slab 0 into slab 1
-@example(kind="nondegenerate", n=121.0, pump_phase=0.5, coupling=0.7, t_unit=2.0)  # starts and ends inside a slab
-@example(kind="degenerate", n=300.0, pump_phase=-2.5, coupling=3.0, t_unit=0.4)
-def test_slab_read_out_matches_moments_of_the_block_states_property(kind, n, pump_phase, coupling, t_unit):
+@example(kind="degenerate", n=0.0, pump_phase=0.3, t_unit=1.0)  # the vacuum block alone
+@example(kind="nondegenerate", n=1e-20, pump_phase=-1.0, t_unit=1.0)  # the same: 1e-20 of pump
+@example(kind="degenerate", n=4.0, pump_phase=0.0, t_unit=1.2)  # from slab 0 into slab 1
+@example(kind="nondegenerate", n=121.0, pump_phase=0.5, t_unit=2.0)  # starts and ends inside a slab
+@example(kind="degenerate", n=300.0, pump_phase=-2.5, t_unit=0.4)
+def test_slab_read_out_matches_moments_of_the_block_states_property(kind, n, pump_phase, t_unit):
     """``observables`` and ``_var_x_tau_derivatives``, summed over slabs, against sums over the states of ``propagate``.
 
     The two routes share the block solves and differ in rounding only.  Each
@@ -764,19 +751,19 @@ def test_slab_read_out_matches_moments_of_the_block_states_property(kind, n, pum
     most ``k eps scale(h)``, divided by ``h`` and ``h²``; the direct route
     adds one more such term.
     """
-    cfg = OscillatorConfig(kind, n, coupling, pump_phase)
+    cfg = OscillatorConfig(kind, n, pump_phase=pump_phase)
     ev = BlockEvolution(cfg)
     if n >= 60.0:  # the run drops charge 0, so it starts inside a slab, and it crosses slab boundaries
         assert len(ev.slabs) > 1 and min(ev.amps) > 0
-    tau = t_unit / math.sqrt(max(n, 1.0))
-    want = _direct_read_out(ev, tau)
-    got = ev.observables_at(tau / coupling)
+    t = t_unit / math.sqrt(max(n, 1.0))
+    want = _direct_read_out(ev, t)
+    got = ev.observables_at(t)
     k = max(blk.eigvals.size for blk in ev.blocks.values())
     bound = (k + 2) * np.finfo(float).eps * want["value_scale"]
     got["norm_sq"] = got["norm"] ** 2
     for name in ("var_x", "var_x_min_angle", "intensity_y", "pump_n", "charge", "norm_sq"):
         assert abs(got[name] - want[name]) <= bound, name
-    value, slope, curvature, intensity, min_angle = ev._var_x_tau_derivatives(tau)
+    value, slope, curvature, intensity, min_angle = ev._var_x_tau_derivatives(t)
     for name, x in (("var_x", value), ("intensity_y", intensity), ("var_x_min_angle", min_angle)):
         assert abs(x - want[name]) <= bound, name
     pass_rounding = k * np.finfo(float).eps * want["pass_scale"]
@@ -784,7 +771,7 @@ def test_slab_read_out_matches_moments_of_the_block_states_property(kind, n, pum
     assert abs(curvature - want["curvature"]) <= 6.0 * pass_rounding / want["h"] ** 2
 
 
-X_WIDEST = 2.0**MAX_EXTENSIONS * 400.0  # sigma tau of the widest scan: sigma_max times the first window is 250-320
+X_WIDEST = 2.0**MAX_EXTENSIONS * 400.0  # sigma t of the widest scan: sigma_max times the first window is 250-320
 
 
 @settings(max_examples=60, deadline=None)
@@ -803,10 +790,10 @@ X_WIDEST = 2.0**MAX_EXTENSIONS * 400.0  # sigma tau of the widest scan: sigma_ma
 def test_rotation_table_matches_direct_cos_sin_property(n, window, phases, starts):
     """:func:`_grid_eigen_columns` against :func:`_eigen_columns` on ``np.linspace(0, T, n)``, per column.
 
-    Phases ``x = sigma tau`` reach the widest window after ``MAX_EXTENSIONS``
+    Phases ``x = sigma t`` reach the widest window after ``MAX_EXTENSIONS``
     doublings; zeros stand for zero modes and padded columns.  Against
     ``sigma j step``, the table's phases round by at most ``eps x / 2``
-    (``2^m step`` is exact) and the direct ones by ``eps x`` (``tau_j`` and the
+    (``2^m step`` is exact) and the direct ones by ``eps x`` (``t_j`` and the
     product): ``1.5 eps x`` apart.  Each ``cos``/``sin`` value is taken within 4
     ulp (the loosest of numpy's SIMD routines), so within ``4 eps`` of its own
     size; each of the ``p - 1`` complex products of a ``p``-stage table rounds
@@ -820,11 +807,11 @@ def test_rotation_table_matches_direct_cos_sin_property(n, window, phases, start
     sigma = np.array(phases) / window
     inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
     w0 = np.array(starts[:sigma.size])
-    tau = np.linspace(0.0, window, n)
+    t = np.linspace(0.0, window, n)
     c, s = _grid_eigen_columns(sigma, inv_sigma, w0, window / (n - 1), n)
-    want_c, want_s = _eigen_columns(sigma, inv_sigma, w0, tau)
+    want_c, want_s = _eigen_columns(sigma, inv_sigma, w0, t)
     eps, k = np.finfo(float).eps, 5 * (n - 1).bit_length() + 6
-    x = np.multiply.outer(sigma, tau)
+    x = np.multiply.outer(sigma, t)
     scale = np.abs(w0)[:, None] * eps
     assert np.all(np.abs(c - want_c) <= scale * (k + 1.5 * x))
     assert np.all(np.abs(sigma[:, None] * (s - want_s)) <= scale * (k * np.minimum(x, 2.0) + 1.5 * x))
@@ -919,20 +906,19 @@ def _same_optimum(a, b) -> bool:
 
 
 @pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
-@pytest.mark.parametrize("coupling", [1.0, 0.7])
-def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, coupling, monkeypatch, count_calls):
+def test_optimum_is_bitwise_equal_with_cold_and_warm_memo(kind, monkeypatch, count_calls):
     """An ascending then a descending sweep on one memo give the bits of a fresh memo per point."""
     n_values = [float(n) for n in np.geomspace(4.0, 121.0, 5)]
     cold = {}
     for n in n_values:
         monkeypatch.setattr(oscillator, "_solve_cache", {})
-        cold[n] = find_optimal_squeezing(OscillatorConfig(kind, n, coupling))
+        cold[n] = find_optimal_squeezing(OscillatorConfig(kind, n))
     monkeypatch.setattr(oscillator, "_solve_cache", {})
     for n in n_values:
-        assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n, coupling)), cold[n]), n
+        assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n)), cold[n]), n
     solves = count_calls(oscillator, "_sublattice_solve")
     for n in reversed(n_values):
-        assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n, coupling)), cold[n]), n
+        assert _same_optimum(find_optimal_squeezing(OscillatorConfig(kind, n)), cold[n]), n
     assert solves == []  # the ascending sweep solved every block the descending one needs
 
 
@@ -962,62 +948,3 @@ def test_run_holds_the_memoized_solves_and_its_start_amplitudes(kind):
     assert live == sorted(ev.amps.items())  # the slabs' live rows are the run's blocks, with their amplitudes
     amps = coherent_state(math.sqrt(22.0)).amps.real
     assert all(ev.amps[q] == amps[q // 2] for q in ev.amps)
-
-
-def test_other_coupling_reuses_the_solves(monkeypatch, count_calls):
-    """The memo holds coupling-1 solves by (kind, charge): a run at coupling 0.7 after one at 1 solves nothing."""
-    monkeypatch.setattr(oscillator, "_solve_cache", {})
-    find_optimal_squeezing(OscillatorConfig("degenerate", 22.0))
-    keys = set(oscillator._solve_cache)
-    assert keys and all(kind == "degenerate" for kind, _ in keys)
-    solves = count_calls(oscillator, "_sublattice_solve")
-    find_optimal_squeezing(OscillatorConfig("degenerate", 22.0, coupling=0.7))
-    assert solves == [] and set(oscillator._solve_cache) == keys
-
-
-# ---------------------------------------------------------------------------
-# the coupling is the unit of time
-
-@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
-@pytest.mark.parametrize("coupling", [0.7, 2.5, 1e-170, 1e300])
-def test_observables_at_coupling_are_those_at_coupling_1_in_scaled_time(kind, coupling):
-    """Bit for bit: the run at coupling kappa and time t reads the coupling-1 run at kappa t."""
-    n = 22.0
-    times = np.linspace(0.0, 3.0 / math.sqrt(n), 9) / coupling
-    got = BlockEvolution(OscillatorConfig(kind, n, coupling)).observables(times)
-    want = BlockEvolution(OscillatorConfig(kind, n)).observables(coupling * times)
-    for field in dataclasses.fields(got):
-        if field.name != "times":
-            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
-
-
-@pytest.mark.parametrize("kind", ["degenerate", "nondegenerate"])
-@pytest.mark.parametrize("coupling", [1e-170, 1e-160, 1e155, 1e300])
-def test_optimum_at_extreme_couplings_matches_coupling_1(kind, coupling, count_calls):
-    """``kappa t_sq``, ``var_min``, ``S`` and the derivative passes at extreme couplings against coupling 1, N = 22.
-
-    The search runs in ``tau = kappa t``, so it takes the passes of the
-    coupling-1 run, at the same ``tau``, and ``kappa`` never meets the
-    curvature.  The runs differ only where the result is read:
-    ``t_sq = tau_sq / kappa`` is one rounding off, so ``kappa t_sq`` agrees to
-    a few ulp, well inside 2e-12, and the observables are read at ``kappa
-    t_sq``.  ``var_x'`` vanishes at the optimum, so that shift moves
-    ``var_min`` only to second order; what is left is the rounding of
-    ``var_x = 1 + 2n - 2P``, whose terms of size ``2n`` cancel down to
-    ``var_x``, about ``eps 2n / var_x`` per rounding (2.6e-14 here), allowed
-    16 times.  ``S = sqrt(n / var_x)`` moves by half the ``var_x`` bound and
-    by ``d ln S / d ln t`` (about 1.7 here, below 2) times the ``t`` bound.
-    """
-    passes = count_calls(BlockEvolution, "_var_x_tau_derivatives")
-    n = 22.0
-    ref = find_optimal_squeezing(OscillatorConfig(kind, n))
-    ref_passes = len(passes)
-    opt = find_optimal_squeezing(OscillatorConfig(kind, n, coupling))
-    assert len(passes) == 2 * ref_passes  # the coupling-1 refinement, not bisection (34 passes)
-    eps = np.finfo(float).eps
-    t_bound = 2e-12
-    var_bound = 16.0 * eps * 2.0 * ref.resolution.intensity_y / ref.var_min
-    assert type(opt.t_sq) is float
-    assert coupling * opt.t_sq == pytest.approx(ref.t_sq, rel=t_bound, abs=0.0)
-    assert opt.var_min == pytest.approx(ref.var_min, rel=var_bound, abs=0.0)
-    assert opt.resolution.s == pytest.approx(ref.resolution.s, rel=0.5 * var_bound + 2.0 * t_bound, abs=0.0)
